@@ -34,6 +34,18 @@ Time Instance::latest_deadline() const {
   return best;
 }
 
+TimeSet Instance::live_times() const {
+  std::size_t total = 0;
+  for (const Job& j : jobs) total += j.allowed.interval_count();
+  std::vector<Interval> all;
+  all.reserve(total);
+  for (const Job& j : jobs) {
+    all.insert(all.end(), j.allowed.intervals().begin(),
+               j.allowed.intervals().end());
+  }
+  return TimeSet(std::move(all));
+}
+
 std::string Instance::validate() const {
   if (processors < 1) return "instance has fewer than one processor";
   for (std::size_t i = 0; i < jobs.size(); ++i) {

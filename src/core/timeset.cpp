@@ -31,15 +31,17 @@ void TimeSet::normalize() {
   std::erase_if(intervals_, [](const Interval& iv) { return iv.empty(); });
   std::sort(intervals_.begin(), intervals_.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
+  // Merge overlapping and adjacent neighbours in place: [0, kept) is the
+  // normalized prefix.
+  std::size_t kept = 0;
   for (const Interval& iv : intervals_) {
-    if (!merged.empty() && iv.lo <= merged.back().hi + 1) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
+    if (kept > 0 && iv.lo <= intervals_[kept - 1].hi + 1) {
+      intervals_[kept - 1].hi = std::max(intervals_[kept - 1].hi, iv.hi);
     } else {
-      merged.push_back(iv);
+      intervals_[kept++] = iv;
     }
   }
-  intervals_ = std::move(merged);
+  intervals_.resize(kept);
 }
 
 std::int64_t TimeSet::size() const {
@@ -112,12 +114,14 @@ TimeSet TimeSet::unite(const TimeSet& other) const {
 }
 
 TimeSet TimeSet::shifted(Time delta) const {
-  std::vector<Interval> out = intervals_;
-  for (Interval& iv : out) {
+  // A shift keeps the intervals sorted, disjoint and non-adjacent, so the
+  // copy needs no re-normalization.
+  TimeSet out = *this;
+  for (Interval& iv : out.intervals_) {
     iv.lo += delta;
     iv.hi += delta;
   }
-  return TimeSet(std::move(out));
+  return out;
 }
 
 std::vector<Time> TimeSet::to_vector() const {

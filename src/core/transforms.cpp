@@ -2,16 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace gapsched {
 
 namespace {
 
-/// Union of all allowed times: its maximal intervals are the live regions.
-TimeSet live_regions(const Instance& inst) {
-  TimeSet live;
-  for (const Job& j : inst.jobs) live = live.unite(j.allowed);
-  return live;
+/// Maps `t` from the interval of `from` (sorted, disjoint) that contains it
+/// to the same offset in the matching interval of `to`: one binary search.
+Time remap(const std::vector<Interval>& from, const std::vector<Interval>& to,
+           Time t) {
+  // The last interval starting at or before t is the only candidate.
+  const auto after = std::upper_bound(
+      from.begin(), from.end(), t,
+      [](Time v, const Interval& iv) { return v < iv.lo; });
+  if (after == from.begin() || std::prev(after)->hi < t) {
+    assert(false && "time is not in any allowed interval");
+    return t;
+  }
+  const auto i = static_cast<std::size_t>(after - from.begin()) - 1;
+  return to[i].lo + (t - from[i].lo);
 }
 
 /// Rewrites every job's intervals through `map` (a per-live-interval time
@@ -36,26 +46,11 @@ std::vector<Job> map_jobs(const Instance& inst, MapLo&& map_lo) {
 }  // namespace
 
 Time CompressedInstance::to_original(Time compressed) const {
-  // Find the compressed interval containing the time.
-  for (std::size_t i = 0; i < compressed_intervals.size(); ++i) {
-    if (compressed_intervals[i].contains(compressed)) {
-      return original_intervals[i].lo +
-             (compressed - compressed_intervals[i].lo);
-    }
-  }
-  assert(false && "time is not in any allowed interval");
-  return compressed;
+  return remap(compressed_intervals, original_intervals, compressed);
 }
 
 Time CompressedInstance::to_compressed(Time original) const {
-  for (std::size_t i = 0; i < original_intervals.size(); ++i) {
-    if (original_intervals[i].contains(original)) {
-      return compressed_intervals[i].lo +
-             (original - original_intervals[i].lo);
-    }
-  }
-  assert(false && "time is not in any allowed interval");
-  return original;
+  return remap(original_intervals, compressed_intervals, original);
 }
 
 Time CompressedInstance::dead_time_removed() const {
@@ -77,10 +72,12 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
   out.instance.processors = inst.processors;
   if (inst.n() == 0) return out;
 
-  const TimeSet live = live_regions(inst);
+  const TimeSet live = inst.live_times();
 
   // Lay live intervals out left to right, truncating each interior dead run
   // of length d to min(d, cap) units.
+  out.original_intervals = live.intervals();
+  out.compressed_intervals.reserve(live.interval_count());
   Time cursor = 0;
   Time prev_hi = 0;
   bool first = true;
@@ -88,9 +85,7 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
     if (!first) {
       cursor += std::min<Time>(iv.lo - prev_hi - 1, cap);
     }
-    out.original_intervals.push_back(iv);
     out.compressed_intervals.push_back({cursor, cursor + iv.length() - 1});
-    out.anchors.push_back({cursor, iv.lo});
     cursor += iv.length();
     prev_hi = iv.hi;
     first = false;
@@ -107,12 +102,12 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
   out.processors = inst.processors;
   if (inst.n() == 0) return out;
 
-  const TimeSet live = live_regions(inst);
+  const TimeSet live = inst.live_times();
 
-  // New lo of each live interval: the origin is preserved, and each
-  // interior dead run of length d >= min_run grows to k * d.
-  std::vector<Time> new_lo;
-  new_lo.reserve(live.intervals().size());
+  // Each live interval's image: the origin is preserved, and each interior
+  // dead run of length d >= min_run grows to k * d.
+  std::vector<Interval> stretched;
+  stretched.reserve(live.interval_count());
   Time cursor = live.min();
   Time prev_hi = 0;
   bool first = true;
@@ -121,22 +116,14 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
       const Time dead = iv.lo - prev_hi - 1;
       cursor += dead >= min_run ? dead * k : dead;
     }
-    new_lo.push_back(cursor);
+    stretched.push_back({cursor, cursor + iv.length() - 1});
     cursor += iv.length();
     prev_hi = iv.hi;
     first = false;
   }
 
-  const auto map_lo = [&](Time lo) {
-    for (std::size_t i = 0; i < live.intervals().size(); ++i) {
-      if (live.intervals()[i].contains(lo)) {
-        return new_lo[i] + (lo - live.intervals()[i].lo);
-      }
-    }
-    assert(false && "time is not in any allowed interval");
-    return lo;
-  };
-  out.jobs = map_jobs(inst, map_lo);
+  out.jobs = map_jobs(
+      inst, [&](Time lo) { return remap(live.intervals(), stretched, lo); });
   return out;
 }
 

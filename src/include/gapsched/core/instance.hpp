@@ -44,6 +44,11 @@ struct Instance {
   /// Latest deadline over all jobs. Requires n >= 1.
   Time latest_deadline() const;
 
+  /// Union of every job's allowed times: one sort-and-merge over all
+  /// intervals. Its maximal intervals are the live regions; the times
+  /// between them are dead (no job can use them).
+  TimeSet live_times() const;
+
   /// Basic well-formedness: >=1 processor, every job has a non-empty
   /// allowed set. Returns an empty string when OK, else a diagnostic.
   std::string validate() const;

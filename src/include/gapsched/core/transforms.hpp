@@ -11,7 +11,8 @@ namespace gapsched {
 /// time map.
 struct CompressedInstance {
   Instance instance;
-  /// Maps a compressed time back to the original time.
+  /// Maps a compressed time back to the original time. Both maps are one
+  /// binary search over the live intervals.
   Time to_original(Time compressed) const;
   /// Maps an original allowed time to its compressed time.
   Time to_compressed(Time original) const;
@@ -19,10 +20,9 @@ struct CompressedInstance {
   /// truncated, i.e. the instance was already in compressed form).
   Time dead_time_removed() const;
 
-  /// Sorted pairs (compressed interval start, original interval start) for
-  /// each maximal allowed-union interval; dead runs sit between them with
-  /// length min(original run, cap) in compressed coordinates.
-  std::vector<std::pair<Time, Time>> anchors;
+  /// The maximal intervals of the allowed-time union, in original and in
+  /// compressed coordinates (index-aligned, sorted). Dead runs sit between
+  /// them with length min(original run, cap) in compressed coordinates.
   std::vector<Interval> compressed_intervals;
   std::vector<Interval> original_intervals;
 };

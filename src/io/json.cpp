@@ -1,12 +1,13 @@
 #include "gapsched/io/json.hpp"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,9 @@ struct JsonValue {
 /// trailing commas). Depth-limited so adversarial input cannot blow the
 /// stack.
 class Parser {
+  /// 2^53: every integer of at most this magnitude is exact in a double.
+  static constexpr std::int64_t kExactIntInDouble = std::int64_t{1} << 53;
+
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
@@ -175,19 +179,30 @@ class Parser {
       }
     }
     if (pos_ == start) return fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
+    const std::string_view token = text_.substr(start, pos_ - start);
     out.kind = JsonValue::Kind::kNumber;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return fail("malformed number");
     if (integral) {
-      errno = 0;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
+      // An integral token (-?[0-9]*) that fits int64 converts straight from
+      // the view. Up to 2^53 in magnitude the double conversion is exact,
+      // so `number` is what strtod reads ("-0" included: -0.0).
+      const char* last = token.data() + token.size();
+      std::int64_t v = 0;
+      const auto [end, ec] = std::from_chars(token.data(), last, v);
+      if (ec == std::errc{} && end == last) {
         out.integer = v;
         out.is_integer = true;
+        if (v >= -kExactIntInDouble && v <= kExactIntInDouble) {
+          out.number = v == 0 && token.front() == '-' ? -0.0
+                                                      : static_cast<double>(v);
+          return true;
+        }
       }
     }
+    // Fractions, exponents, and integers beyond the exact range.
+    const std::string owned(token);
+    char* end = nullptr;
+    out.number = std::strtod(owned.c_str(), &end);
+    if (end != owned.c_str() + owned.size()) return fail("malformed number");
     return true;
   }
 
@@ -247,6 +262,9 @@ class Parser {
       ++pos_;
       return true;
     }
+    // Most objects are small (a schedule slot has three members): one
+    // allocation instead of three growth steps.
+    out.members.reserve(4);
     for (;;) {
       skip_ws();
       if (pos_ >= text_.size() || text_[pos_] != '"') {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "gapsched/exact/brute_force.hpp"
 #include "gapsched/exact/power_brute_force.hpp"
@@ -191,6 +192,168 @@ TEST(StretchDeadTime, CappedCompressionNormalizesStretchedCopies) {
     EXPECT_EQ(a.instance.jobs[j].allowed, b.instance.jobs[j].allowed);
   }
   EXPECT_GT(b.dead_time_removed(), a.dead_time_removed());
+}
+
+// ------------------------------------------ naive reference comparison --
+//
+// The transforms build the live union with one sort-and-merge and map times
+// by binary search. These tests hold them to the straightforward versions:
+// the union grown one interval at a time, and every map a linear scan.
+
+/// Union of every job's allowed intervals, grown one interval at a time: an
+/// added interval absorbs every interval it overlaps or touches, and the
+/// result goes before the first interval left of which it ends.
+std::vector<Interval> naive_live(const Instance& inst) {
+  std::vector<Interval> live;
+  for (const Job& j : inst.jobs) {
+    for (Interval add : j.allowed.intervals()) {
+      std::vector<Interval> next;
+      for (const Interval& iv : live) {
+        if (iv.hi + 1 < add.lo || add.hi + 1 < iv.lo) {
+          next.push_back(iv);
+        } else {
+          add = {std::min(add.lo, iv.lo), std::max(add.hi, iv.hi)};
+        }
+      }
+      auto at = next.begin();
+      while (at != next.end() && at->hi < add.lo) ++at;
+      next.insert(at, add);
+      live = std::move(next);
+    }
+  }
+  return live;
+}
+
+Time naive_map(const std::vector<Interval>& from,
+               const std::vector<Interval>& to, Time t) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    if (from[i].contains(t)) return to[i].lo + (t - from[i].lo);
+  }
+  ADD_FAILURE() << "time " << t << " is in no interval";
+  return t;
+}
+
+/// Lays `live` out again with every interior dead run of length d replaced
+/// by `run(d)`, starting at `origin`.
+template <typename Run>
+std::vector<Interval> naive_layout(const std::vector<Interval>& live,
+                                   Time origin, Run run) {
+  std::vector<Interval> out;
+  Time cursor = origin;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (i > 0) cursor += run(live[i].lo - live[i - 1].hi - 1);
+    out.push_back({cursor, cursor + live[i].length() - 1});
+    cursor += live[i].length();
+  }
+  return out;
+}
+
+std::vector<Job> naive_map_jobs(const Instance& inst,
+                                const std::vector<Interval>& from,
+                                const std::vector<Interval>& to) {
+  std::vector<Job> out;
+  for (const Job& j : inst.jobs) {
+    std::vector<Interval> mapped;
+    for (const Interval& iv : j.allowed.intervals()) {
+      const Time lo = naive_map(from, to, iv.lo);
+      mapped.push_back({lo, lo + iv.length() - 1});
+    }
+    out.push_back(Job{TimeSet(std::move(mapped))});
+  }
+  return out;
+}
+
+/// Multi-interval jobs in shuffled order. Intervals overlap at random, and
+/// about a third start right after an interval drawn earlier (lo == hi + 1),
+/// so adjacent runs must merge; clusters leave dead runs of many lengths.
+Instance random_multi_interval(Prng& rng, std::size_t n) {
+  Instance inst;
+  inst.processors = 1 + static_cast<int>(rng.index(3));
+  std::vector<Interval> drawn;
+  for (std::size_t j = 0; j < n; ++j) {
+    std::vector<Interval> ivs;
+    const std::size_t k = 1 + rng.index(3);
+    for (std::size_t i = 0; i < k; ++i) {
+      Time lo = rng.uniform(0, 40) * 7 + rng.uniform(0, 3);
+      if (!drawn.empty() && rng.chance(0.35)) {
+        lo = drawn[rng.index(drawn.size())].hi + 1;
+      }
+      const Interval iv{lo, lo + rng.uniform(0, 3)};
+      ivs.push_back(iv);
+      drawn.push_back(iv);
+    }
+    inst.jobs.push_back(Job{TimeSet(std::move(ivs))});
+  }
+  rng.shuffle(inst.jobs);
+  return inst;
+}
+
+/// Compares compress_dead_time_capped and stretch_dead_time on `inst` with
+/// the naive versions, and round-trips every allowed time through both time
+/// maps; with `naive_maps` each compressed image is also checked against
+/// the naive map.
+void expect_matches_naive(const Instance& inst, Time cap, bool naive_maps) {
+  const std::vector<Interval> live = naive_live(inst);
+  const std::vector<Interval> compressed = naive_layout(
+      live, 0, [&](Time d) { return std::min(d, cap); });
+  const CompressedInstance c = compress_dead_time_capped(inst, cap);
+  ASSERT_EQ(c.original_intervals, live);
+  ASSERT_EQ(c.compressed_intervals, compressed);
+  const std::vector<Job> jobs = naive_map_jobs(inst, live, compressed);
+  ASSERT_EQ(c.instance.n(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ASSERT_EQ(c.instance.jobs[j].allowed, jobs[j].allowed) << "job " << j;
+  }
+  for (const Interval& iv : live) {
+    for (Time t = iv.lo; t <= iv.hi; ++t) {
+      const Time squeezed = c.to_compressed(t);
+      ASSERT_EQ(c.to_original(squeezed), t);
+      if (naive_maps) {
+        ASSERT_EQ(squeezed, naive_map(live, compressed, t)) << t;
+      }
+    }
+  }
+
+  const Time k = 1 + cap;
+  const std::vector<Interval> stretched = naive_layout(
+      live, live.front().lo, [&](Time d) { return d >= cap ? d * k : d; });
+  const Instance wide = stretch_dead_time(inst, k, cap);
+  const std::vector<Job> wide_jobs = naive_map_jobs(inst, live, stretched);
+  ASSERT_EQ(wide.processors, inst.processors);
+  ASSERT_EQ(wide.n(), wide_jobs.size());
+  for (std::size_t j = 0; j < wide_jobs.size(); ++j) {
+    ASSERT_EQ(wide.jobs[j].allowed, wide_jobs[j].allowed) << "job " << j;
+  }
+}
+
+class TransformsMatchNaive : public ::testing::TestWithParam<int> {};
+
+TEST_P(TransformsMatchNaive, RandomMultiIntervalInstances) {
+  const std::uint64_t prng_seed =
+      testing::seed_for(static_cast<std::uint64_t>(GetParam()) * 227 + 23);
+  GAPSCHED_TRACE_SEED(prng_seed);
+  Prng rng(prng_seed);
+  const Instance inst = random_multi_interval(rng, 1 + rng.index(40));
+  for (Time cap = 1; cap <= 4; ++cap) {
+    SCOPED_TRACE(::testing::Message() << "cap " << cap);
+    expect_matches_naive(inst, cap, /*naive_maps=*/true);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, TransformsMatchNaive, ::testing::Range(0, 40));
+
+TEST(TransformsMatchNaive, TwentyThousandJobsWithManyDeadRuns) {
+  // Clusters of short windows spread far apart: thousands of live
+  // intervals separated by dead runs of every length class around the caps.
+  Prng rng(testing::seed_for(829));
+  Instance inst;
+  for (std::size_t j = 0; j < 20000; ++j) {
+    const Time lo = rng.uniform(0, 2500) * 13 + rng.uniform(0, 9);
+    inst.jobs.push_back(Job{TimeSet::window(lo, lo + rng.uniform(0, 2))});
+  }
+  expect_matches_naive(inst, 3, /*naive_maps=*/false);
+  EXPECT_GT(compress_dead_time_capped(inst, 3).original_intervals.size(),
+            2500u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/csv.hpp"
+#include "../support/temp_path.hpp"
 
 namespace gapsched {
 namespace {
@@ -80,7 +81,7 @@ TEST(Serialize, ScheduleRoundTrip) {
 TEST(Csv, WritesFile) {
   Table t({"x", "y"});
   t.row().add(1).add(2);
-  const std::string path = "/tmp/gapsched_csv_test.csv";
+  const std::string path = testing::temp_path("csv_test", ".csv");
   ASSERT_TRUE(write_csv(path, t));
   std::ifstream is(path);
   std::string line;

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/io/json.hpp"
@@ -308,6 +313,82 @@ TEST(JsonCodec, NumericOverflowIsACleanErrorNotATruncation) {
       &solver, &error);
   ASSERT_TRUE(inf_alpha.has_value()) << error;
   EXPECT_TRUE(std::isinf(inf_alpha->params.alpha));
+}
+
+// The number reader takes integral tokens through an integer fast path and
+// everything else through strtod; these pin what each field kind reads, so
+// neither path can drift from the other. A literal is read through the
+// result codec's double field ("cost") and its int64 field ("transitions");
+// nullopt where the document is rejected.
+std::optional<double> read_double(const std::string& literal) {
+  std::string error;
+  const auto r =
+      result_from_json(R"({"ok": true, "cost": )" + literal + "}", &error);
+  if (!r.has_value()) return std::nullopt;
+  return r->cost;
+}
+
+std::optional<std::int64_t> read_int(const std::string& literal) {
+  std::string error;
+  const auto r = result_from_json(
+      R"({"ok": true, "transitions": )" + literal + "}", &error);
+  if (!r.has_value()) return std::nullopt;
+  return r->transitions;
+}
+
+TEST(JsonCodec, NegativeZeroKeepsItsSignAsADoubleAndIsZeroAsAnInt) {
+  const auto neg = read_double("-0");
+  ASSERT_TRUE(neg.has_value());
+  EXPECT_EQ(*neg, 0.0);
+  EXPECT_TRUE(std::signbit(*neg));
+  const auto pos = read_double("0");
+  ASSERT_TRUE(pos.has_value());
+  EXPECT_FALSE(std::signbit(*pos));
+  EXPECT_EQ(read_int("-0"), std::optional<std::int64_t>(0));
+}
+
+TEST(JsonCodec, IntegersAtTheDoubleAndInt64EdgesReadExactly) {
+  // 2^53 + 1: exact as an int; as a double, strtod's nearest value.
+  EXPECT_EQ(read_int("9007199254740993"),
+            std::optional<std::int64_t>(9007199254740993));
+  EXPECT_EQ(read_double("9007199254740993"),
+            std::optional<double>(std::strtod("9007199254740993", nullptr)));
+  EXPECT_EQ(read_double("-9007199254740993"),
+            std::optional<double>(-9007199254740992.0));
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(read_int("9223372036854775807"), std::optional<std::int64_t>(kMax));
+  EXPECT_EQ(read_int("-9223372036854775808"),
+            std::optional<std::int64_t>(kMin));
+  EXPECT_EQ(read_double("9223372036854775807"),
+            std::optional<double>(9223372036854775808.0));
+
+  // One past either end is not an integer (a rejected int field) but
+  // still a number.
+  EXPECT_EQ(read_int("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(read_int("-9223372036854775809"), std::nullopt);
+  EXPECT_EQ(read_double("9223372036854775808"),
+            std::optional<double>(9223372036854775808.0));
+}
+
+TEST(JsonCodec, NumberTokensAreAcceptedAndRejectedAsBefore) {
+  // Accepted leniently as doubles, but not integers.
+  EXPECT_EQ(read_double("+5"), std::optional<double>(5.0));
+  EXPECT_EQ(read_int("+5"), std::nullopt);
+  EXPECT_EQ(read_double("1e3"), std::optional<double>(1000.0));
+  EXPECT_EQ(read_int("1e3"), std::nullopt);
+  EXPECT_EQ(read_double(".5"), std::optional<double>(0.5));
+  EXPECT_EQ(read_int("2.0"), std::nullopt);
+  // Leading zeros read as the integer they spell.
+  EXPECT_EQ(read_double("01"), std::optional<double>(1.0));
+  EXPECT_EQ(read_int("01"), std::optional<std::int64_t>(1));
+  EXPECT_EQ(read_int("-007"), std::optional<std::int64_t>(-7));
+  // Malformed tokens are rejected by both field kinds.
+  for (const char* bad : {"-", "--1", "1-", "1e", "1.2.3", "-+1"}) {
+    EXPECT_EQ(read_double(bad), std::nullopt) << bad;
+    EXPECT_EQ(read_int(bad), std::nullopt) << bad;
+  }
 }
 
 TEST(JsonCodec, StringEscapesSurvive) {

@@ -20,16 +20,16 @@
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/store/store.hpp"
+#include "../support/temp_path.hpp"
 
 namespace gapsched::store {
 namespace {
 
 constexpr const char* kSolver = "gap_dp";
 
+/// A fresh store path, unique to this process (see support/temp_path.hpp).
 std::string temp_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gapsched_" + name + ".store";
-  std::remove(path.c_str());
-  return path;
+  return testing::temp_path(name, ".store");
 }
 
 std::string read_file(const std::string& path) {

@@ -16,17 +16,14 @@
 
 #include "gapsched/core/hash.hpp"
 #include "gapsched/store/store.hpp"
+#include "../support/temp_path.hpp"
 
 namespace gapsched::store {
 namespace {
 
-/// A fresh path under the test temp dir; any stale file is removed so the
-/// store is created from scratch.
+/// A fresh store path, unique to this process (see support/temp_path.hpp).
 std::string fresh_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gapsched_" + name + ".store";
-  std::remove(path.c_str());
-  std::remove((path + ".compact").c_str());
-  return path;
+  return testing::temp_path(name, ".store");
 }
 
 std::unique_ptr<DiskStore> must_open(const std::string& path,
