@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/online/online_edf.hpp"
 
@@ -24,14 +24,14 @@ int main(int, char** argv) {
   for (std::size_t n : {4, 6, 8, 10, 12, 14, 16}) {
     Instance inst = gen_online_adversarial(n);
     const OnlineResult online = online_edf(inst);
-    const BaptisteResult offline = solve_baptiste(inst);
+    const BcdGapResult offline = solve_bcd_gap(inst);
     const double ratio = static_cast<double>(online.transitions) /
-                         static_cast<double>(offline.spans);
+                         static_cast<double>(offline.transitions);
     table.row()
         .add(n)
         .add(inst.n())
         .add(online.transitions)
-        .add(offline.spans)
+        .add(offline.transitions)
         .add(ratio, 2)
         .add(ratio / static_cast<double>(n), 3);
   }

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/core/candidate_times.hpp"
 #include "gapsched/dp/dp_stats.hpp"
 #include "gapsched/dp/gap_dp.hpp"
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
     solver_rows.push(solver_row("fhkn_greedy_n20",
                                 time_ns([&] { fhkn_greedy(greedy_inst); })));
     solver_rows.push(solver_row(
-        "baptiste_n12", time_ns([&] { solve_baptiste(make_dense(12, 1)); })));
+        "baptiste_n12", time_ns([&] { solve_bcd_gap(make_dense(12, 1)); })));
     Prng mrng(999);
     Instance multi = gen_multi_interval(mrng, 16, 48, 2, 2);
     solver_rows.push(solver_row(

@@ -9,7 +9,7 @@
 
 #include <mutex>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/greedy/fhkn_greedy.hpp"
 
@@ -58,16 +58,16 @@ int main(int, char** argv) {
       } else {
         inst = gen_uniform_one_interval(rng, f.n, f.horizon, f.window, 1);
       }
-      const BaptisteResult opt = solve_baptiste(inst);
+      const BcdGapResult opt = solve_bcd_gap(inst);
       if (!opt.feasible) return;
       const FhknResult grd = fhkn_greedy(inst);
       const double ratio = static_cast<double>(grd.transitions) /
-                           static_cast<double>(opt.spans);
+                           static_cast<double>(opt.transitions);
       std::lock_guard<std::mutex> lk(mu);
       ++feasible;
       sum_ratio += ratio;
       max_ratio = std::max(max_ratio, ratio);
-      if (grd.transitions == opt.spans) ++optimal;
+      if (grd.transitions == opt.transitions) ++optimal;
     });
     table.row()
         .add(f.name)

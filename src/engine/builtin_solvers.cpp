@@ -7,7 +7,6 @@
 #include <memory>
 #include <utility>
 
-#include "gapsched/baptiste/baptiste.hpp"
 #include "gapsched/bcd/bcd.hpp"
 #include "gapsched/dp/dp_common.hpp"
 #include "gapsched/dp/gap_dp.hpp"
@@ -124,16 +123,18 @@ class GapDpSolver final : public BuiltinSolver {
 class BcdPolyGapSolver final : public BuiltinSolver {
  public:
   BcdPolyGapSolver()
-      : BuiltinSolver({.name = "bcd_poly_gap",
-                       .objective = Objective::kGaps,
-                       .summary = "polynomial single-processor gap DP "
-                                  "(release-class decomposition)",
-                       .paper_ref = "[BCD07] arXiv:0908.3505",
-                       .complexity = "poly: O(n^3) states, reachability-"
-                                     "driven",
-                       .exact = true,
-                       .requires_one_interval = true,
-                       .max_processors = 1}) {}
+      : BcdPolyGapSolver({.name = "bcd_poly_gap",
+                          .objective = Objective::kGaps,
+                          .summary = "polynomial single-processor gap DP "
+                                     "(release-class decomposition)",
+                          .paper_ref = "[BCD07] arXiv:0908.3505",
+                          .complexity = "poly: O(n^3) states, reachability-"
+                                        "driven",
+                          .exact = true,
+                          .requires_one_interval = true,
+                          .max_processors = 1}) {}
+  /// The same adapter under another registry name (the `baptiste` alias).
+  explicit BcdPolyGapSolver(SolverInfo info) : BuiltinSolver(std::move(info)) {}
 
   SolveResult do_solve(const SolveRequest& req) const override {
     BcdGapResult r = solve_bcd_gap(req.instance);
@@ -145,28 +146,6 @@ class BcdPolyGapSolver final : public BuiltinSolver {
     out.stats.states = r.states;
     out.stats.nodes = r.entries;
     return out;
-  }
-};
-
-class BaptisteSolver final : public BuiltinSolver {
- public:
-  BaptisteSolver()
-      : BuiltinSolver({.name = "baptiste",
-                       .objective = Objective::kGaps,
-                       .summary = "alias of bcd_poly_gap: polynomial "
-                                  "single-processor gap DP [Bap06 problem]",
-                       .paper_ref = "[BCD07] arXiv:0908.3505 (baseline of "
-                                    "Theorem 1, Section 1)",
-                       .complexity = "poly: O(n^3) states, reachability-"
-                                     "driven",
-                       .exact = true,
-                       .requires_one_interval = true,
-                       .max_processors = 1}) {}
-
-  SolveResult do_solve(const SolveRequest& req) const override {
-    BaptisteResult r = solve_baptiste(req.instance);
-    if (!r.error.empty()) return SolveResult::rejected(std::move(r.error));
-    return gap_result(r.feasible, r.spans, std::move(r.schedule));
   }
 };
 
@@ -411,7 +390,17 @@ void register_builtin_solvers(SolverRegistry& registry) {
   registry.add(std::make_unique<GapDpSolver>());
   registry.add(std::make_unique<BcdPolyGapSolver>());
   registry.add(std::make_unique<BcdPolyPowerSolver>());
-  registry.add(std::make_unique<BaptisteSolver>());
+  registry.add(std::make_unique<BcdPolyGapSolver>(SolverInfo{
+      .name = "baptiste",
+      .objective = Objective::kGaps,
+      .summary = "alias of bcd_poly_gap: polynomial single-processor gap DP "
+                 "[Bap06 problem]",
+      .paper_ref = "[BCD07] arXiv:0908.3505 (baseline of Theorem 1, "
+                   "Section 1)",
+      .complexity = "poly: O(n^3) states, reachability-driven",
+      .exact = true,
+      .requires_one_interval = true,
+      .max_processors = 1}));
   registry.add(std::make_unique<BruteForceSolver>());
   registry.add(std::make_unique<SpanSearchSolver>());
   registry.add(std::make_unique<FhknGreedySolver>());

@@ -1,7 +1,8 @@
-// The staged solve path (see engine/pipeline.hpp). The stage units carry
-// the logic that used to live as one monolithic body in
-// src/engine/solver.cpp; the walk must stay bit-for-bit equivalent to it —
-// the differential, metamorphic, fuzz, and prep suites all pin that.
+// The staged solve path (see engine/pipeline.hpp): one route for every
+// request, a decomposition with m >= 1 components. Answers must stay
+// bit-for-bit those of the plain family adapter wherever the prep pipeline
+// does not apply — the differential, metamorphic, fuzz, and prep suites all
+// pin that.
 
 #include "gapsched/engine/pipeline.hpp"
 
@@ -9,6 +10,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -20,20 +24,20 @@ namespace gapsched::engine::pipeline {
 
 namespace {
 
-/// Components are fanned over the fan-out pool only when the largest one
-/// is at least this many jobs: dispatch overhead exceeds an entire
-/// small-cluster DP solve, so small decompositions run inline.
+/// Components are fanned over the fan-out pool only when more than one is
+/// left to solve and the largest is at least this many jobs: dispatch
+/// overhead exceeds an entire small-cluster DP solve, so small
+/// decompositions (and every single solve) run inline.
 constexpr std::size_t kParallelFanoutMinComponentJobs = 16;
 
 constexpr std::size_t kNoDup = static_cast<std::size_t>(-1);
 
 /// Shared fan-out pool, lazily constructed on the first large
-/// decomposition and reused for every later solve whose environment pins
-/// no pool of its own. A per-solve pool would pay thread spawn inside the
-/// timed solve and nest a fresh pool under every batch worker. Component
-/// tasks never submit back into this pool, so concurrent solves sharing it
-/// cannot deadlock — parallel_for's global wait_idle only makes them wait
-/// out each other's tasks.
+/// decomposition and reused for every later one. A per-solve pool would
+/// pay thread spawn inside the timed solve and nest a fresh pool under
+/// every batch worker. Component tasks never submit back into this pool,
+/// so concurrent solves sharing it cannot deadlock — parallel_for's global
+/// wait_idle only makes them wait out each other's tasks.
 ThreadPool& shared_fanout_pool() {
   static ThreadPool pool;
   return pool;
@@ -43,8 +47,8 @@ ThreadPool& shared_fanout_pool() {
 /// is provably additive across far-apart components: the exact gap and
 /// power solvers. Heuristics may legally return different (still valid)
 /// answers per component, and the throughput objective shares one global
-/// span budget across components, so both keep the undecomposed path.
-bool wants_decomposition(const SolverInfo& info, const SolveRequest& request) {
+/// span budget across components, so both get the identity decomposition.
+bool is_additive(const SolverInfo& info, const SolveRequest& request) {
   return request.params.decompose && info.exact &&
          request.objective != Objective::kThroughput &&
          request.instance.n() >= 2;
@@ -78,27 +82,19 @@ Time cut_threshold(const SolveRequest& request) {
 /// min(run, ceil(alpha) + 1) units so that every idle-bridging term
 /// min(gap, alpha) is preserved exactly — a truncated run alone is already
 /// longer than alpha, so any gap it shortens sits on the min's alpha
-/// plateau before and after the map. Returns 0 when the request must not
-/// be compressed (throughput's span budget is global, an unrepresentable
-/// ceil(alpha) must disable truncation rather than overflow, and
-/// params.compress opts out).
+/// plateau before and after the map. Only additive requests (gaps or
+/// power) are compressed; returns 0 when params.compress opts out or an
+/// unrepresentable ceil(alpha) must disable truncation rather than
+/// overflow.
 Time compression_cap(const SolveRequest& request) {
   if (!request.params.compress) return 0;
-  switch (request.objective) {
-    case Objective::kGaps:
-      return 1;
-    case Objective::kPower: {
-      const double alpha_ceil = std::ceil(request.params.alpha);
-      if (!(alpha_ceil <
-            static_cast<double>(std::numeric_limits<Time>::max() / 2))) {
-        return 0;
-      }
-      return static_cast<Time>(alpha_ceil) + 1;
-    }
-    case Objective::kThroughput:
-      return 0;
+  if (request.objective == Objective::kGaps) return 1;
+  const double alpha_ceil = std::ceil(request.params.alpha);
+  if (!(alpha_ceil <
+        static_cast<double>(std::numeric_limits<Time>::max() / 2))) {
+    return 0;
   }
-  return 0;
+  return static_cast<Time>(alpha_ceil) + 1;
 }
 
 /// Maps a schedule produced on a compressed instance back to the
@@ -114,28 +110,16 @@ Schedule decompress_times(const Schedule& in, const CompressedInstance& ci) {
   return out;
 }
 
-/// Maps a schedule of the canonicalized instance back to the original job
-/// indices and time origin.
-Schedule uncanonicalize(const Schedule& in, const prep::Canonical& canon) {
-  Schedule out(in.size());
-  for (std::size_t j = 0; j < in.size(); ++j) {
-    const std::optional<Placement>& slot = in.at(j);
-    if (slot.has_value()) {
-      out.place(canon.order[j], slot->time + canon.shift, slot->processor);
-    }
-  }
-  return out;
-}
-
-/// Inverse of uncanonicalize: rewrites an original-coordinate schedule in
-/// canonical job order and origin, the form cache entries are stored in.
+/// Rewrites an original-coordinate schedule in the job order and origin of
+/// `comp`, the identity component of its instance (prep::recombine is the
+/// inverse). Infeasible answers carry an empty schedule and stay empty.
 Schedule canonicalize_schedule(const Schedule& in,
-                               const prep::Canonical& canon) {
+                               const prep::Component& comp) {
   Schedule out(in.size());
   for (std::size_t j = 0; j < in.size(); ++j) {
-    const std::optional<Placement>& slot = in.at(canon.order[j]);
+    const std::optional<Placement>& slot = in.at(comp.jobs[j]);
     if (slot.has_value()) {
-      out.place(j, slot->time - canon.shift, slot->processor);
+      out.place(j, slot->time - comp.shift, slot->processor);
     }
   }
   return out;
@@ -179,34 +163,26 @@ std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
 
 // --------------------------------------------------------------- stages --
 
-/// Routes the request and computes the canonical form of a whole-instance
-/// solve. Decomposed solves skip this: prep::decompose re-anchors every
-/// component to sorted jobs at origin 0, so canonicalization happens per
-/// component inside the Decompose stage. Without a cache there is nothing
-/// to key, so the stage is skipped there too.
+/// Sorts the request's jobs and shifts its origin to 0 (prep::canonicalize);
+/// Decompose splits this form.
 void Pipeline::canonicalize(SolveContext& ctx) {
-  ctx.decomposing = wants_decomposition(ctx.solver.info(), ctx.request);
-  if (ctx.decomposing || ctx.env.cache == nullptr) return;
   stage_of(ctx, PipelineStage::kCanonicalize).ran = true;
-  ctx.canonical = prep::canonicalize(ctx.request.instance);
-  ctx.whole_key = make_cache_key(ctx.solver.info(), ctx.request.objective,
-                                 ctx.request.params, ctx.canonical->instance);
+  ctx.canon = prep::canonicalize(ctx.request.instance);
 }
 
-/// Splits the instance into independent far-apart components
-/// (prep::decompose) and sets up the per-component state later stages
-/// fill. When the split finds a single component and neither the cache nor
-/// the compressor needs the component form, the request takes the
-/// monolithic fast path: Dispatch solves it whole.
+/// Splits the canonical form into m >= 1 components. Additive requests cut
+/// it into independent far-apart components (prep::decompose) and pick the
+/// compression cap; every other request gets the identity decomposition —
+/// one component that is the canonical form itself, also when n = 0.
 void Pipeline::decompose(SolveContext& ctx) {
-  if (!ctx.decomposing) return;
   stage_of(ctx, PipelineStage::kDecompose).ran = true;
-  ctx.dec = prep::decompose(ctx.request.instance, cut_threshold(ctx.request));
-  ctx.cap = compression_cap(ctx.request);
-  if (ctx.dec.components.size() <= 1 && ctx.env.cache == nullptr &&
-      ctx.cap == 0) {
-    ctx.single_component_fast_path = true;
-    return;
+  if (is_additive(ctx.solver.info(), ctx.request)) {
+    ctx.dec = prep::decompose(ctx.canon, cut_threshold(ctx.request));
+    ctx.cap = compression_cap(ctx.request);
+  } else {
+    ctx.dec.components.push_back(prep::Component{
+        std::move(ctx.canon.instance), ctx.canon.shift,
+        std::move(ctx.canon.order)});
   }
   const std::size_t m = ctx.dec.components.size();
   ctx.compressed.resize(ctx.cap > 0 ? m : 0);
@@ -220,12 +196,11 @@ void Pipeline::decompose(SolveContext& ctx) {
   ctx.agg.components = m;
 }
 
-/// Dead-time compresses every component at the objective's length-aware
-/// cap. The compressed image is both what Dispatch solves and what
-/// CacheLookup hashes — two components differing only in interior dead-run
-/// lengths (beyond the cap) share an entry.
+/// Dead-time compresses every component at the length-aware cap (runs
+/// when the cap is positive). The compressed image is both what Dispatch
+/// solves and what CacheLookup hashes — two components differing only in
+/// interior dead-run lengths (beyond the cap) share an entry.
 void Pipeline::compress(SolveContext& ctx) {
-  if (!ctx.decomposing || ctx.single_component_fast_path) return;
   const bool compressing = ctx.cap > 0;
   stage_of(ctx, PipelineStage::kCompress).ran = compressing;
   for (std::size_t c = 0; c < ctx.solve_inst.size(); ++c) {
@@ -240,20 +215,12 @@ void Pipeline::compress(SolveContext& ctx) {
   }
 }
 
-/// Consults the environment's content-addressed cache: the whole solve by
-/// its canonical key, or — through the decomposition — every component,
+/// Consults the environment's content-addressed cache for every component,
 /// additionally deduplicating byte-identical components within this one
 /// request. Leaves only genuinely new work in `to_solve`.
 void Pipeline::cache_lookup(SolveContext& ctx) {
   if (ctx.env.cache == nullptr) return;
   stage_of(ctx, PipelineStage::kCacheLookup).ran = true;
-  if (!ctx.decomposing) {
-    ctx.whole_hit = ctx.env.cache->lookup(ctx.whole_key);
-    if (ctx.whole_hit == nullptr) {
-      ctx.whole_hit = disk_load(ctx, ctx.whole_key, ctx.canonical->instance);
-    }
-    return;
-  }
   const std::size_t m = ctx.dec.components.size();
   ctx.keys.reserve(m);
   for (std::size_t c = 0; c < m; ++c) {
@@ -288,46 +255,19 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
       ctx.to_solve.empty() && ctx.agg.component_cache_hits > 0;
 }
 
-/// Runs the family adapter (do_solve): once for a whole-instance solve, or
-/// per component — fanned over the environment's pool for large
-/// decompositions — and publishes fresh results to the cache. Skipped
-/// entirely when the cache already served everything.
+/// Runs the family adapter (do_solve) on every component left to solve —
+/// fanned over the shared pool when several large ones remain — and
+/// publishes fresh results to the cache. Skipped entirely when the cache
+/// already served everything.
 void Pipeline::dispatch(SolveContext& ctx) {
-  if (!ctx.decomposing || ctx.single_component_fast_path) {
-    if (!ctx.decomposing && ctx.whole_hit != nullptr) return;  // hit serves it
-    stage_of(ctx, PipelineStage::kDispatch).ran = true;
-    if (!ctx.decomposing && ctx.env.cache != nullptr) {
-      // Miss: solve the ORIGINAL instance — heuristic families are
-      // job-order sensitive, so a cold solve must behave exactly like the
-      // stateless path — and store the result rewritten in canonical
-      // coordinates, the form that serves every time-shifted or
-      // job-permuted copy of this workload.
-      SolveRequest sub;
-      sub.instance = ctx.request.instance;
-      sub.objective = ctx.request.objective;
-      sub.params = ctx.request.params;
-      sub.params.validate = false;
-      sub.params.time_limit_s = 0.0;
-      Stopwatch solve_watch;
-      ctx.result = ctx.solver.do_solve(sub);
-      const double solve_ms = solve_watch.millis();
-      if (ctx.result.ok) {
-        SolveResult canonical = ctx.result;
-        canonical.schedule =
-            canonicalize_schedule(ctx.result.schedule, *ctx.canonical);
-        ctx.env.cache->insert(ctx.whole_key, canonical, solve_ms);
-      }
-      return;
-    }
-    // The stateless whole-instance path, and the single-component fast
-    // path of a decomposition that needs no component form.
-    ctx.result = ctx.solver.do_solve(ctx.request);
-    return;
-  }
-
   stage_of(ctx, PipelineStage::kDispatch).ran = !ctx.to_solve.empty();
-  // Component requests inherit the caller's parameters; the oracle audit
-  // and the wall-clock budget apply to the recombined whole, not the parts.
+  // One component that Compress left alone is the request itself up to job
+  // order and origin. Solve the requester's original instance instead:
+  // heuristic families are job-order sensitive, so the answer must not
+  // depend on whether a cache is attached. Its schedule is then rewritten
+  // in component coordinates, the form cache entries are stored in and
+  // Recombine maps back.
+  const bool original = ctx.dec.components.size() == 1 && ctx.cap == 0;
   std::size_t largest = 0;
   for (std::size_t c : ctx.to_solve) {
     largest = std::max(largest, ctx.solve_inst[c]->n());
@@ -336,26 +276,30 @@ void Pipeline::dispatch(SolveContext& ctx) {
   // weight (parts carry no wall_ms of their own — the runner only stamps
   // the recombined whole).
   std::vector<double> solve_ms(ctx.parts.size(), 0.0);
-  const auto solve_component = [&ctx, &solve_ms](std::size_t i) {
+  const auto solve_component = [&ctx, &solve_ms, original](std::size_t i) {
     const std::size_t c = ctx.to_solve[i];
-    SolveRequest sub;
+    // Adapters read only the instance, the objective and the parameters
+    // their family consumes; the oracle audit and the wall-clock budget
+    // apply to the recombined whole.
+    Stopwatch solve_watch;
+    if (original) {
+      ctx.parts[c] = ctx.solver.do_solve(ctx.request);
+      solve_ms[c] = solve_watch.millis();
+      ctx.parts[c].schedule =
+          canonicalize_schedule(ctx.parts[c].schedule, ctx.dec.components[c]);
+      return;
+    }
     // Safe to move: cache keys were built by CacheLookup, recombine()
     // reads only the components' job maps and shifts, and
     // decompress_times() reads only the interval maps — nothing needs the
     // instance afterwards.
-    sub.instance = std::move(*ctx.solve_inst[c]);
-    sub.objective = ctx.request.objective;
-    sub.params = ctx.request.params;
-    sub.params.validate = false;
-    sub.params.time_limit_s = 0.0;
-    Stopwatch solve_watch;
-    ctx.parts[c] = ctx.solver.do_solve(sub);
+    ctx.parts[c] = ctx.solver.do_solve(SolveRequest{
+        std::move(*ctx.solve_inst[c]), ctx.request.objective,
+        ctx.request.params});
     solve_ms[c] = solve_watch.millis();
   };
-  if (largest >= kParallelFanoutMinComponentJobs) {
-    ThreadPool& pool =
-        ctx.env.fanout != nullptr ? *ctx.env.fanout : shared_fanout_pool();
-    parallel_for(pool, ctx.to_solve.size(), solve_component);
+  if (ctx.to_solve.size() > 1 && largest >= kParallelFanoutMinComponentJobs) {
+    parallel_for(shared_fanout_pool(), ctx.to_solve.size(), solve_component);
   } else {
     for (std::size_t i = 0; i < ctx.to_solve.size(); ++i) solve_component(i);
   }
@@ -368,29 +312,15 @@ void Pipeline::dispatch(SolveContext& ctx) {
   }
 }
 
-/// Assembles the final answer: maps a whole-instance cache hit back to the
-/// requester's coordinates, or merges the component parts — resolving
-/// intra-request duplicates, summing costs/stats across the additive cut,
-/// decompressing times, and recombining the schedules.
+/// Assembles the final answer from the component parts: resolves
+/// intra-request duplicates, sums costs/stats across the additive cut,
+/// decompresses times, and maps every schedule back to the requester's job
+/// ids and origin.
 void Pipeline::recombine(SolveContext& ctx) {
-  if (!ctx.decomposing) {
-    if (ctx.whole_hit == nullptr) return;  // Dispatch already set result
-    stage_of(ctx, PipelineStage::kRecombine).ran = true;
-    ctx.result = *ctx.whole_hit;  // entry is shared; copy outside the lock
-    ctx.result.stats.cache_hit = true;
-    ctx.result.schedule = uncanonicalize(ctx.result.schedule, *ctx.canonical);
-    return;
-  }
-  if (ctx.single_component_fast_path) {
-    ctx.result.stats.components = 1;
-    return;
-  }
   stage_of(ctx, PipelineStage::kRecombine).ran = true;
   const std::size_t m = ctx.dec.components.size();
-  if (ctx.env.cache != nullptr) {
-    for (std::size_t c = 0; c < m; ++c) {
-      if (ctx.dup_of[c] != kNoDup) ctx.parts[c] = ctx.parts[ctx.dup_of[c]];
-    }
+  for (std::size_t c = 0; c < m; ++c) {
+    if (ctx.dup_of[c] != kNoDup) ctx.parts[c] = ctx.parts[ctx.dup_of[c]];
   }
 
   SolveResult out;
@@ -404,8 +334,9 @@ void Pipeline::recombine(SolveContext& ctx) {
       // over the DP's packed-key limits) rejects the whole request; the
       // component counter survives so callers can see how far prep got.
       SolveResult rejected = SolveResult::rejected(
-          "component " + std::to_string(c) + " of " + std::to_string(m) +
-          ": " + part.error);
+          m == 1 ? part.error
+                 : "component " + std::to_string(c) + " of " +
+                       std::to_string(m) + ": " + part.error);
       rejected.stats = ctx.agg;
       ctx.result = std::move(rejected);
       return;
@@ -414,8 +345,8 @@ void Pipeline::recombine(SolveContext& ctx) {
   }
   // states/nodes sum the solver work embodied in the answer's unique
   // components: fresh solves plus the work that originally produced each
-  // cached entry (matching the whole-instance hit path); deduplicated
-  // copies reuse a counted representative and contribute nothing.
+  // cached entry; deduplicated copies reuse a counted representative and
+  // contribute nothing.
   for (const std::vector<std::size_t>* group :
        {&ctx.to_solve, &ctx.hit_components}) {
     for (std::size_t c : *group) {

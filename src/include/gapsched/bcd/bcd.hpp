@@ -9,7 +9,7 @@
 // and the engine treat the families uniformly.
 //
 // Both solvers ignore `Instance::processors` and treat the instance as
-// single-machine, matching solve_baptiste's historical contract; the engine
+// single-machine, the historical contract of Baptiste's problem; the engine
 // registration separately enforces max_processors = 1 for the families.
 
 #include <cstddef>

@@ -13,7 +13,8 @@
 // dense arena or hash memo per solve, prunes dominated candidate branches,
 // and can parallelize the top-level candidate scan — all answer-preserving.
 //
-// p = 1 reproduces Baptiste's algorithm [Bap06] (see baptiste/baptiste.hpp).
+// p = 1 reproduces Baptiste's algorithm [Bap06]; the polynomial solver for
+// that case is bcd/bcd.hpp.
 
 #include <cstdint>
 #include <string>

@@ -7,35 +7,47 @@
 //                                                → Recombine → Audit
 //
 // Each stage is a small unit operating on an explicit per-request
-// SolveContext (the request, its canonical forms, the component set, cache
+// SolveContext (the request, its canonical form, the component set, cache
 // keys and hits, the partial results, and per-stage timings) instead of
-// locals threaded through one monolithic function. Stages that do not
-// apply to a request are skipped — and say so in SolveStats::stages, so a
-// caller can see exactly which parts of the pipeline served its answer:
+// locals threaded through one monolithic function.
 //
-//   * Canonicalize runs for whole-instance solves on a cache-carrying
-//     environment (decomposed solves canonicalize per component inside
-//     Decompose, whose components come out sorted and origin-shifted);
-//   * Decompose / Compress run for exact gap/power solves that opted into
-//     the prep pipeline (SolveParams::decompose / compress);
+// There is one route. Every request is canonicalized and split into
+// m >= 1 components, and every later stage works on that component set:
+//
+//   * additive requests — an exact family, a gap or power objective,
+//     SolveParams::decompose set, and n >= 2 — are cut wherever job
+//     clusters lie far apart (prep::decompose) and dead-time compressed at
+//     the objective's length-aware cap unless SolveParams::compress is
+//     cleared;
+//   * every other request gets the identity decomposition: one component
+//     that is the canonical form itself (also for n = 0), cap 0.
+//
+// Which stages run — recorded in SolveStats::stages, so a caller can see
+// exactly which parts of the pipeline served its answer — depends only on
+// the cache, the cap, and which components hit:
+//
+//   * Canonicalize, Decompose and Recombine run for every request;
+//   * Compress runs when the cap is positive;
 //   * CacheLookup runs whenever the environment carries a SolveCache;
-//   * Dispatch runs the family adapter (do_solve) — skipped entirely when
-//     every component (or the whole solve) was served from the cache;
-//   * Recombine merges component parts, maps cached schedules back to the
-//     requester's coordinates, and aggregates stats;
+//   * Dispatch runs the family adapter (do_solve) on the components the
+//     cache did not serve, and is skipped when it served them all. A lone
+//     uncompressed component is solved as the requester's original
+//     instance, so job-order-sensitive heuristics answer exactly as they
+//     would without a cache; its schedule is stored in component
+//     coordinates;
+//   * Recombine merges the parts and maps them back to the requester's
+//     job ids and origin;
 //   * Audit re-derives the answer with the independent oracle under
 //     params.validate.
 //
 // The SolveHooks environment (engine/solver.hpp) is what a stateful front
-// end (Engine / Session) threads through the pipeline: the solve cache and
-// the component fan-out pool. The pipeline itself is stateless across
-// requests; behavior with a default-constructed environment is exactly the
-// old stateless solve path.
+// end (Engine / Session) threads through the pipeline: the solve cache.
+// The pipeline itself is stateless across requests; a default-constructed
+// environment is the stateless solve path.
 
 #include <array>
 #include <cstddef>
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "gapsched/core/transforms.hpp"
@@ -56,33 +68,22 @@ struct SolveContext {
 
   const Solver& solver;
   const SolveRequest& request;
-  /// The pipeline's environment: cross-request cache + fan-out pool.
+  /// The pipeline's environment: the cross-request cache.
   const SolveHooks& env;
 
-  // ---- routing, decided by Canonicalize ----
-  /// Request goes through the component pipeline (exact family, additive
-  /// objective, params.decompose).
-  bool decomposing = false;
-  /// Decompose found a single component and neither the cache nor the
-  /// compressor needs the component form: Dispatch solves the request
-  /// whole, exactly like the monolithic path.
-  bool single_component_fast_path = false;
-  /// Length-aware dead-time cap for Compress; 0 disables compression.
-  Time cap = 0;
-
-  // ---- Canonicalize products (whole-instance route) ----
-  std::optional<prep::Canonical> canonical;
-  CacheKey whole_key;
+  // ---- Canonicalize product; Decompose moves from it ----
+  prep::Canonical canon;
 
   // ---- Decompose / Compress products ----
   prep::Decomposition dec;
+  /// Length-aware dead-time cap for Compress; 0 disables compression.
+  Time cap = 0;
   std::vector<CompressedInstance> compressed;
   /// The per-component instance Dispatch actually solves: the compressed
   /// image when Compress ran, the raw component otherwise.
   std::vector<Instance*> solve_inst;
 
   // ---- CacheLookup products ----
-  std::shared_ptr<const SolveResult> whole_hit;
   std::vector<CacheKey> keys;
   /// Components left to genuinely solve / served from the cross-request
   /// cache / intra-request duplicates of an earlier component.
@@ -112,8 +113,7 @@ class Pipeline {
  public:
   /// Walks all seven stages for one pre-validated request (Solver::check
   /// must have passed) and returns the finished result, stage timings
-  /// included. Bit-for-bit equivalent to the former monolithic
-  /// Solver::solve body.
+  /// included.
   static SolveResult run(const Solver& solver, const SolveRequest& request,
                          const SolveHooks& env);
 

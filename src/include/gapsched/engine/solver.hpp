@@ -10,10 +10,6 @@
 
 #include "gapsched/engine/types.hpp"
 
-namespace gapsched {
-class ThreadPool;
-}  // namespace gapsched
-
 namespace gapsched::engine {
 
 class SolveCache;
@@ -28,16 +24,11 @@ class Pipeline;
 /// stateless path, and the cache-off Engine configuration.
 struct SolveHooks {
   /// Content-addressed solve cache. When set, the CacheLookup stage keys
-  /// whole solves and decomposition components by canonical form,
+  /// every decomposition component by canonical form,
   /// deduplicates identical components within one request, and Dispatch
   /// publishes fresh results back. When null, CacheLookup is skipped and
   /// nothing is shared across calls.
   SolveCache* cache = nullptr;
-  /// Worker pool the Dispatch stage fans large decompositions over; null
-  /// selects the process-wide shared fan-out pool. A server front end can
-  /// pin a session-owned pool here to isolate tenants. Component tasks
-  /// must never submit back into this pool (fan-out would deadlock).
-  ThreadPool* fanout = nullptr;
 };
 
 /// Which SolveParams fields a family reads. Front ends use this to reject

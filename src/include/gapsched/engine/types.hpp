@@ -39,8 +39,8 @@ std::optional<Objective> objective_from_string(std::string_view name);
 /// same sequence; stages that do not apply to a request are skipped and
 /// say so in their StageStats entry.
 enum class PipelineStage : std::size_t {
-  kCanonicalize = 0,  // canonical form + cache key of a whole-instance solve
-  kDecompose,         // split far-apart job clusters (prep::decompose)
+  kCanonicalize = 0,  // sorted jobs, origin 0 (prep::canonicalize)
+  kDecompose,         // m >= 1 components: cut clusters, or the identity
   kCompress,          // length-aware dead-time compression per component
   kCacheLookup,       // content-addressed lookup + intra-request dedup
   kDispatch,          // the family adapter (do_solve), fanned out per component
@@ -139,12 +139,14 @@ struct SolveStats {
   /// Jobs scheduled. Equals n for complete schedules; the objective value
   /// for the (partial-schedule) throughput solvers.
   std::size_t scheduled = 0;
-  /// Independent components the prep pipeline solved (1 when the pipeline
-  /// ran but found no cut; 0 when decomposition was off or not applicable).
+  /// Components m of the request's decomposition: the independent
+  /// far-apart clusters of a decomposed exact solve, 1 for the identity
+  /// decomposition (no cut found, or decomposition off or not applicable).
+  /// 0 only on a request rejected before the pipeline.
   std::size_t components = 0;
   /// True when the whole answer was served from the engine's
-  /// content-addressed solve cache without invoking any solver — a
-  /// whole-instance hit, or a decomposition all of whose components hit.
+  /// content-addressed solve cache without invoking any solver — every
+  /// component hit (or deduplicated against one that did).
   /// `states`/`nodes` always sum the solver work embodied in the answer's
   /// unique parts: fresh solves plus the work that originally produced
   /// each cached entry; deduplicated component copies add nothing.

@@ -66,6 +66,10 @@ namespace gapsched::io {
 /// magnitude of headroom.
 inline constexpr int kMaxParseDepth = 64;
 
+/// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes and every control character.
+void append_escaped(std::string& out, std::string_view s);
+
 /// Serializes a named engine request.
 std::string request_to_json(std::string_view solver,
                             const engine::SolveRequest& request);

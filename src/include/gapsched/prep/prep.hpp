@@ -94,6 +94,10 @@ struct Decomposition {
 /// as 0. n == 0 yields zero components.
 Decomposition decompose(const Instance& inst, Time threshold);
 
+/// The same split of an already canonicalized instance. Without a cut the
+/// one component is `canon` itself: shift canon.shift, jobs canon.order.
+Decomposition decompose(const Canonical& canon, Time threshold);
+
 /// Merges per-component schedules (parts[c] solves components[c].instance
 /// in its local coordinates) back into one n-job schedule in original job
 /// ids and original times. Unscheduled component jobs stay unscheduled.

@@ -13,10 +13,6 @@
 
 namespace gapsched::io {
 
-namespace {
-
-// --------------------------------------------------------------- writing --
-
 void append_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
@@ -38,6 +34,10 @@ void append_escaped(std::string& out, std::string_view s) {
   }
   out += '"';
 }
+
+namespace {
+
+// --------------------------------------------------------------- writing --
 
 void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {

@@ -32,14 +32,17 @@ Canonical canonicalize(const Instance& inst) {
 }
 
 Decomposition decompose(const Instance& inst, Time threshold) {
+  return decompose(canonicalize(inst), threshold);
+}
+
+Decomposition decompose(const Canonical& canon, Time threshold) {
   Decomposition dec;
-  if (inst.n() == 0) return dec;
+  if (canon.instance.n() == 0) return dec;
   threshold = std::max<Time>(threshold, 0);
 
   // Canonical order gives the release-sorted sweep; clusters grow while the
   // next job's span starts within `threshold` dead units of the running
   // cluster's right edge.
-  const Canonical canon = canonicalize(inst);
   std::vector<std::pair<std::size_t, std::size_t>> groups;  // [first, last)
   std::size_t first = 0;
   Time cluster_hi = canon.instance.jobs[0].allowed.max();
@@ -60,7 +63,7 @@ Decomposition decompose(const Instance& inst, Time threshold) {
   dec.components.reserve(groups.size());
   for (const auto& [lo, hi] : groups) {
     Component comp;
-    comp.instance.processors = inst.processors;
+    comp.instance.processors = canon.instance.processors;
     comp.instance.jobs.reserve(hi - lo);
     comp.jobs.reserve(hi - lo);
     // Each component is itself re-anchored at time 0; the canonical shift

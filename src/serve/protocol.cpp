@@ -51,28 +51,6 @@ std::string with_header(std::string head_fields, std::string_view doc) {
   return out;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 std::string hello_frame(std::size_t shards, std::size_t solvers) {
@@ -112,7 +90,7 @@ std::string drain_frame() { return "{\"frame\":\"drain\"}"; }
 std::string error_frame(std::int64_t id, std::string_view message) {
   std::string out = "{\"frame\":\"error\",\"id\":" + std::to_string(id) +
                     ",\"message\":";
-  append_escaped(out, message);
+  io::append_escaped(out, message);
   out += "}";
   return out;
 }

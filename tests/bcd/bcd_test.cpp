@@ -1,7 +1,8 @@
 // Unit suite for the Baptiste-Chrobak-Durr polynomial solver family
 // (src/bcd): handcrafted optima for both objectives, randomized parity
-// against the subset-DP ground truth at brute-forceable sizes, the alias
-// contract with solve_baptiste, the shape-guard and budget-valve error
+// against the subset-DP ground truth at brute-forceable sizes, the
+// registry's `baptiste` alias of bcd_poly_gap, the shape-guard and
+// budget-valve error
 // paths, and large-n smoke solves (n = 2000) with closed-form optima —
 // the sizes the exponential families cannot touch, kept fast enough for
 // tier1 precisely because the DP is polynomial.
@@ -12,7 +13,7 @@
 
 #include <cmath>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/engine/registry.hpp"
 #include "gapsched/exact/brute_force.hpp"
 #include "gapsched/exact/power_brute_force.hpp"
 #include "gapsched/gen/generators.hpp"
@@ -199,6 +200,9 @@ INSTANTIATE_TEST_SUITE_P(Random, BcdVsBruteForce, ::testing::Range(0, 40));
 // ---------------------------------------------------------- alias parity --
 
 TEST(Bcd, BaptisteAliasForwardsToBcd) {
+  const engine::Solver* alias =
+      engine::SolverRegistry::instance().find("baptiste");
+  ASSERT_NE(alias, nullptr);
   for (int i = 0; i < 10; ++i) {
     const std::uint64_t seed =
         testing::seed_for(static_cast<std::uint64_t>(i) * 41 + 3);
@@ -206,14 +210,44 @@ TEST(Bcd, BaptisteAliasForwardsToBcd) {
     Prng rng(seed);
     const Instance inst = gen_uniform_one_interval(rng, 8, 14, 5, 1);
     const BcdGapResult r = solve_bcd_gap(inst);
-    const BaptisteResult b = solve_baptiste(inst);
+    // Prep pipeline off: the adapter sees the instance exactly as given.
+    engine::SolveRequest req{inst, engine::Objective::kGaps, {}};
+    req.params.decompose = false;
+    const engine::SolveResult b = alias->solve(req);
+    ASSERT_TRUE(b.ok) << b.error;
     ASSERT_EQ(b.feasible, r.feasible);
+    EXPECT_EQ(b.stats.states, r.states);
+    EXPECT_EQ(b.stats.nodes, r.entries);
     if (r.feasible) {
-      EXPECT_EQ(b.spans, r.transitions);
-      EXPECT_EQ(b.gaps, r.transitions - 1);
+      EXPECT_EQ(b.transitions, r.transitions);
+      EXPECT_EQ(b.schedule, r.schedule);
     }
   }
 }
+
+// The alias end to end, prep pipeline on, against the subset-DP ground
+// truth.
+class BaptisteVsBruteForce : public ::testing::TestWithParam<int> {};
+
+TEST_P(BaptisteVsBruteForce, Agrees) {
+  const std::uint64_t seed =
+      testing::seed_for(static_cast<std::uint64_t>(GetParam()) * 13 + 5);
+  GAPSCHED_TRACE_SEED(seed);
+  Prng rng(seed);
+  const Instance inst = gen_uniform_one_interval(rng, 6, 10, 4, 1);
+  const ExactGapResult bf = brute_force_min_transitions(inst);
+  const engine::SolveResult r = engine::SolverRegistry::instance()
+                                    .find("baptiste")
+                                    ->solve({inst, engine::Objective::kGaps, {}});
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.feasible, bf.feasible);
+  if (bf.feasible) {
+    EXPECT_EQ(r.transitions, bf.transitions);
+    EXPECT_EQ(r.schedule.validate(inst), "");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, BaptisteVsBruteForce, ::testing::Range(0, 30));
 
 // --------------------------------------------------------- large-n smoke --
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,45 +155,68 @@ TEST(EngineCache, CanonicalEquivalenceHitsAndSurvivesTheOracle) {
   EXPECT_EQ(hit2.schedule.validate(permuted.instance), "");
 }
 
-// The whole-instance path (families outside the decomposition pipeline)
-// also canonicalizes: a heuristic's cached answer serves shifted copies.
+// Every family canonicalizes, decomposed or not: a cached answer serves a
+// time-shifted, job-permuted copy at the cold cost, and the mapped-back
+// schedule survives the oracle.
 TEST(EngineCache, WholeInstancePathCanonicalizes) {
   Engine eng;
   const Instance base = small_instance(34);
-  SolveRequest req{base, Objective::kGaps, {}};
-  const SolveResult first = eng.solve("fhkn_greedy", req);
-  ASSERT_TRUE(first.ok) << first.error;
+  for (const Solver* solver : eng.registry().all()) {
+    SCOPED_TRACE(solver->info().name);
+    SolveRequest req{base, solver->info().objective, {}};
+    ASSERT_EQ(solver->check(req), "");
+    const SolveResult first = eng.solve(*solver, req);
+    ASSERT_TRUE(first.ok) << first.error;
 
-  SolveRequest moved{shifted(base, 41), Objective::kGaps, {}};
-  moved.params.validate = true;
-  const SolveResult hit = eng.solve("fhkn_greedy", moved);
-  ASSERT_TRUE(hit.ok) << hit.error;
-  EXPECT_TRUE(hit.stats.cache_hit);
-  EXPECT_EQ(hit.cost, first.cost);
-  EXPECT_EQ(hit.audit_error, "");
+    SolveRequest moved{reversed(shifted(base, 41)), req.objective, {}};
+    moved.params.validate = true;
+    const SolveResult hit = eng.solve(*solver, moved);
+    ASSERT_TRUE(hit.ok) << hit.error;
+    EXPECT_TRUE(hit.stats.cache_hit);
+    EXPECT_EQ(hit.cost, first.cost);
+    EXPECT_TRUE(hit.audited);
+    EXPECT_EQ(hit.audit_error, "");
+  }
 }
 
-// A cold miss must behave exactly like the stateless path: heuristic
-// families are job-order sensitive, so the engine solves the requester's
-// original instance and only the STORED entry is rewritten in canonical
-// coordinates.
+// A cold miss must behave exactly like the stateless path, for every family
+// and prep setting: whenever the decomposition is one uncompressed
+// component, Dispatch solves the requester's original instance (heuristic
+// families are job-order sensitive) and only the STORED entry is rewritten
+// in canonical coordinates.
 TEST(EngineCache, ColdMissMatchesTheStatelessPathBitForBit) {
-  // Deliberately unsorted, origin off zero: canonicalization would both
-  // permute and shift this instance.
-  const Instance inst =
-      Instance::one_interval({{12, 14}, {5, 9}, {10, 13}, {5, 7}, {8, 15}});
+  const Instance instances[] = {
+      // Deliberately unsorted, origin off zero: canonicalization would both
+      // permute and shift this instance.
+      Instance::one_interval({{12, 14}, {5, 9}, {10, 13}, {5, 7}, {8, 15}}),
+      Instance{},
+      Instance::one_interval({{7, 9}}),
+  };
   Engine cached;
   Engine stateless({.cache = false});
-  for (const char* solver : {"fhkn_greedy", "lazy", "online_edf", "gap_dp"}) {
-    SCOPED_TRACE(solver);
-    SolveRequest req{inst, Objective::kGaps, {}};
-    const SolveResult cold = cached.solve(solver, req);
-    const SolveResult plain = stateless.solve(solver, req);
-    ASSERT_TRUE(cold.ok && plain.ok) << cold.error << plain.error;
-    EXPECT_FALSE(cold.stats.cache_hit);
-    EXPECT_EQ(cold.feasible, plain.feasible);
-    EXPECT_EQ(cold.cost, plain.cost);
-    EXPECT_EQ(cold.schedule, plain.schedule);
+  for (const Instance& inst : instances) {
+    for (const Solver* solver : cached.registry().all()) {
+      for (const bool decompose : {true, false}) {
+        for (const bool compress : {true, false}) {
+          SCOPED_TRACE(solver->info().name + " n=" + std::to_string(inst.n()) +
+                       " decompose=" + std::to_string(decompose) +
+                       " compress=" + std::to_string(compress));
+          SolveRequest req{inst, solver->info().objective, {}};
+          req.params.decompose = decompose;
+          req.params.compress = compress;
+          ASSERT_EQ(solver->check(req), "");
+          cached.clear_cache();
+          const SolveResult cold = cached.solve(*solver, req);
+          const SolveResult plain = stateless.solve(*solver, req);
+          ASSERT_TRUE(cold.ok && plain.ok) << cold.error << plain.error;
+          EXPECT_FALSE(cold.stats.cache_hit);
+          EXPECT_EQ(cold.feasible, plain.feasible);
+          EXPECT_EQ(cold.cost, plain.cost);
+          EXPECT_EQ(cold.transitions, plain.transitions);
+          EXPECT_EQ(cold.schedule, plain.schedule);
+        }
+      }
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <set>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/dp/gap_dp.hpp"
 #include "gapsched/dp/power_dp.hpp"
 #include "gapsched/engine/engine.hpp"
@@ -153,9 +153,14 @@ TEST(Dispatch, GapSolversMatchDirectCalls) {
     EXPECT_EQ(via_dp.stats.states, dp.states);
     EXPECT_EQ(via_dp.schedule, dp.schedule);
 
-    const BaptisteResult bp = solve_baptiste(inst);
+    // `baptiste` is the bcd_poly_gap adapter under a second name.
+    const BcdGapResult bcd = solve_bcd_gap(inst);
     const SolveResult via_bp = engine_solve("baptiste", req);
-    EXPECT_EQ(via_bp.transitions, bp.spans);
+    ASSERT_TRUE(via_bp.ok) << via_bp.error;
+    EXPECT_EQ(via_bp.feasible, bcd.feasible);
+    EXPECT_EQ(via_bp.transitions, bcd.transitions);
+    EXPECT_EQ(via_bp.stats.states, bcd.states);
+    EXPECT_EQ(via_bp.schedule, bcd.schedule);
 
     const ExactGapResult bf = brute_force_min_transitions(inst);
     const SolveResult via_bf = engine_solve("brute_force", req);

@@ -51,9 +51,8 @@ TEST(PipelineStages, DecomposedSolveReportsThePrepStages) {
   SolveRequest req{identical_clusters(3), Objective::kGaps, {}};
   const SolveResult r = eng.solve("gap_dp", req);
   ASSERT_TRUE(r.ok) << r.error;
-  // Decomposed route: per-component canonicalization happens inside
-  // Decompose, so the whole-instance Canonicalize stage is skipped.
-  EXPECT_FALSE(stage(r, PipelineStage::kCanonicalize).ran);
+  // Every request is canonicalized, then cut into components.
+  EXPECT_TRUE(stage(r, PipelineStage::kCanonicalize).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kDecompose).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kCompress).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kCacheLookup).ran);
@@ -64,19 +63,23 @@ TEST(PipelineStages, DecomposedSolveReportsThePrepStages) {
 
 TEST(PipelineStages, WholeInstanceCacheHitSkipsDispatch) {
   Engine eng;
-  // Heuristic family: never decomposed, so the whole-instance cache route.
+  // Heuristic family: never cut, so the identity decomposition — one
+  // component, cap 0, Compress skipped.
   SolveRequest req{small_instance(910), Objective::kGaps, {}};
   const SolveResult cold = eng.solve("fhkn_greedy", req);
   ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.stats.components, 1u);
   EXPECT_TRUE(stage(cold, PipelineStage::kCanonicalize).ran);
-  EXPECT_FALSE(stage(cold, PipelineStage::kDecompose).ran);
+  EXPECT_TRUE(stage(cold, PipelineStage::kDecompose).ran);
+  EXPECT_FALSE(stage(cold, PipelineStage::kCompress).ran);
   EXPECT_TRUE(stage(cold, PipelineStage::kCacheLookup).ran);
   EXPECT_TRUE(stage(cold, PipelineStage::kDispatch).ran);
-  EXPECT_FALSE(stage(cold, PipelineStage::kRecombine).ran);
+  EXPECT_TRUE(stage(cold, PipelineStage::kRecombine).ran);
 
   const SolveResult warm = eng.solve("fhkn_greedy", req);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.stats.cache_hit);
+  EXPECT_EQ(warm.stats.component_cache_hits, 1u);
   // The hit is served without invoking the family adapter; Recombine maps
   // the stored canonical schedule back to the requester's coordinates.
   EXPECT_FALSE(stage(warm, PipelineStage::kDispatch).ran);
@@ -103,11 +106,12 @@ TEST(PipelineStages, CacheOffEngineSkipsTheCacheStages) {
   SolveRequest req{small_instance(911), Objective::kGaps, {}};
   const SolveResult r = eng.solve("fhkn_greedy", req);
   ASSERT_TRUE(r.ok) << r.error;
-  // No cache: nothing to key, nothing to look up — straight to Dispatch.
-  EXPECT_FALSE(stage(r, PipelineStage::kCanonicalize).ran);
+  // No cache: nothing to look up — the identity component goes straight
+  // to Dispatch.
+  EXPECT_TRUE(stage(r, PipelineStage::kCanonicalize).ran);
   EXPECT_FALSE(stage(r, PipelineStage::kCacheLookup).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kDispatch).ran);
-  EXPECT_FALSE(stage(r, PipelineStage::kRecombine).ran);
+  EXPECT_TRUE(stage(r, PipelineStage::kRecombine).ran);
 }
 
 TEST(PipelineStages, AuditRunsExactlyForValidatedRequests) {

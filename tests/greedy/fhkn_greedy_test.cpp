@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "../support/test_seed.hpp"
 
@@ -57,14 +57,14 @@ TEST_P(FhknRatio, WithinFactorThree) {
   Instance inst = (GetParam() % 2 == 0)
                       ? gen_uniform_one_interval(rng, 8, 14, 5, 1)
                       : gen_feasible_one_interval(rng, 8, 16, 3, 1);
-  const BaptisteResult opt = solve_baptiste(inst);
+  const BcdGapResult opt = solve_bcd_gap(inst);
   const FhknResult grd = fhkn_greedy(inst);
   ASSERT_EQ(grd.feasible, opt.feasible);
   if (!opt.feasible) return;
   ASSERT_EQ(grd.schedule.validate(inst), "");
   EXPECT_EQ(grd.schedule.profile().transitions(), grd.transitions);
-  EXPECT_GE(grd.transitions, opt.spans);  // optimality of the exact DP
-  EXPECT_LE(grd.transitions, 3 * opt.spans) << "3-approximation violated";
+  EXPECT_GE(grd.transitions, opt.transitions);  // optimality of the exact DP
+  EXPECT_LE(grd.transitions, 3 * opt.transitions) << "3-approximation violated";
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, FhknRatio, ::testing::Range(0, 40));

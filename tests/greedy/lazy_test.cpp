@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/matching/feasibility.hpp"
 #include "gapsched/online/online_edf.hpp"
@@ -66,8 +66,8 @@ TEST_P(LazyProperty, FeasibleAndAboveOpt) {
   if (!feasible) return;
   EXPECT_EQ(r.schedule.validate(inst), "");
   EXPECT_EQ(r.schedule.profile().transitions(), r.transitions);
-  const BaptisteResult opt = solve_baptiste(inst);
-  EXPECT_GE(r.transitions, opt.spans);
+  const BcdGapResult opt = solve_bcd_gap(inst);
+  EXPECT_GE(r.transitions, opt.transitions);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, LazyProperty, ::testing::Range(0, 30));

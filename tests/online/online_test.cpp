@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/matching/feasibility.hpp"
 #include "../support/test_seed.hpp"
@@ -68,14 +68,14 @@ TEST_P(AdversarialFamily, OnlinePaysLinearly) {
   Instance inst = gen_online_adversarial(n);
   OnlineResult online = online_edf(inst);
   ASSERT_TRUE(online.feasible);
-  BaptisteResult offline = solve_baptiste(inst);
+  BcdGapResult offline = solve_bcd_gap(inst);
   ASSERT_TRUE(offline.feasible);
   // Offline: loose jobs hide inside/beside the tight comb: O(1) extra spans.
-  EXPECT_LE(offline.spans, static_cast<std::int64_t>(n) / 2 + 2);
+  EXPECT_LE(offline.transitions, static_cast<std::int64_t>(n) / 2 + 2);
   // Online: the n loose jobs run immediately as one span; every tight job
   // then adds its own span: Theta(n).
   EXPECT_GE(online.transitions, static_cast<std::int64_t>(n));
-  EXPECT_GT(online.transitions, 2 * offline.spans);
+  EXPECT_GT(online.transitions, 2 * offline.transitions);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AdversarialFamily,
