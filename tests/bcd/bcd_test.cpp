@@ -249,6 +249,63 @@ TEST_P(BaptisteVsBruteForce, Agrees) {
 
 INSTANTIATE_TEST_SUITE_P(Random, BaptisteVsBruteForce, ::testing::Range(0, 30));
 
+// Baptiste's problem [Bap06] through the `baptiste` family, prep pipeline
+// on: for p = 1 the transitions are the spans (maximal busy stretches) and
+// the interior gaps are spans - 1.
+engine::SolveResult solve_via_baptiste_alias(const Instance& inst) {
+  return engine::SolverRegistry::instance().find("baptiste")->solve(
+      {inst, engine::Objective::kGaps, {}});
+}
+
+TEST(Baptiste, SingleSpanWhenPackable) {
+  const Instance inst = Instance::one_interval({{0, 5}, {0, 5}, {0, 5}});
+  const engine::SolveResult r = solve_via_baptiste_alias(inst);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.transitions, 1);
+  EXPECT_EQ(r.schedule.validate(inst), "");
+}
+
+TEST(Baptiste, ForcedGaps) {
+  const Instance inst = Instance::one_interval({{0, 0}, {10, 10}, {20, 20}});
+  const engine::SolveResult r = solve_via_baptiste_alias(inst);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.transitions, 3);      // spans
+  EXPECT_EQ(r.transitions - 1, 2);  // interior gaps
+  EXPECT_EQ(r.schedule.validate(inst), "");
+}
+
+TEST(Baptiste, IgnoresProcessorCount) {
+  // The DP behind the alias solves Baptiste's single-processor problem and
+  // treats p as 1; the registry entry itself refuses p > 1 up front.
+  const Instance inst =
+      Instance::one_interval({{0, 1}, {0, 1}}, /*processors=*/4);
+  const BcdGapResult r = solve_bcd_gap(inst);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.transitions, 1);  // both jobs in one span
+  EXPECT_FALSE(solve_via_baptiste_alias(inst).ok);
+}
+
+TEST(Baptiste, Infeasible) {
+  const Instance inst = Instance::one_interval({{0, 0}, {0, 0}});
+  const engine::SolveResult r = solve_via_baptiste_alias(inst);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.feasible);
+}
+
+// The classic tradeoff: wait for tight jobs and fill between them.
+TEST(Baptiste, InterleavesLooseJobsBetweenTightOnes) {
+  // Tight jobs at 10, 12, 14; loose jobs can fill 11 and 13: one span.
+  const Instance inst = Instance::one_interval(
+      {{10, 10}, {12, 12}, {14, 14}, {0, 20}, {0, 20}});
+  const engine::SolveResult r = solve_via_baptiste_alias(inst);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.transitions, 1);
+  EXPECT_EQ(r.schedule.validate(inst), "");
+}
+
 // --------------------------------------------------------- large-n smoke --
 
 TEST(Bcd, SolvesDenseChainAtTwoThousandJobs) {
