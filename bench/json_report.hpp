@@ -8,16 +8,17 @@
 // Deliberately tiny: objects keep insertion order, numbers are either exact
 // 64-bit integers or shortest-round-trip doubles, and NaN/inf — which JSON
 // cannot spell — degrade to null so a family that never ran stays readable
-// downstream.
+// downstream. Strings and doubles go through the engine codec's writers
+// (io::append_escaped, io::append_double), so both spell them alike.
 
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "gapsched/io/json.hpp"
 
 namespace gapsched::bench {
 
@@ -64,28 +65,6 @@ class Json {
  private:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
 
-  static void escape(std::string& out, const std::string& s) {
-    out += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-  }
-
   void write(std::string& out, int indent, int depth) const {
     const std::string pad(static_cast<std::size_t>(indent) * (depth + 1), ' ');
     const std::string close_pad(static_cast<std::size_t>(indent) * depth, ' ');
@@ -99,29 +78,11 @@ class Json {
       case Kind::kInt:
         out += std::to_string(int_);
         return;
-      case Kind::kDouble: {
-        if (!std::isfinite(double_)) {
-          out += "null";  // JSON has no NaN/inf
-          return;
-        }
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", double_);
-        // Prefer the shortest representation that round-trips.
-        for (int prec = 1; prec < 17; ++prec) {
-          char probe[32];
-          std::snprintf(probe, sizeof probe, "%.*g", prec, double_);
-          double back = 0.0;
-          std::sscanf(probe, "%lf", &back);
-          if (back == double_) {
-            out += probe;
-            return;
-          }
-        }
-        out += buf;
+      case Kind::kDouble:
+        io::append_double(out, double_);
         return;
-      }
       case Kind::kString:
-        escape(out, string_);
+        io::append_escaped(out, string_);
         return;
       case Kind::kArray: {
         if (elements_.empty()) {
@@ -146,7 +107,7 @@ class Json {
         out += "{\n";
         for (std::size_t i = 0; i < members_.size(); ++i) {
           out += pad;
-          escape(out, members_[i].first);
+          io::append_escaped(out, members_[i].first);
           out += ": ";
           members_[i].second.write(out, indent, depth + 1);
           if (i + 1 < members_.size()) out += ',';

@@ -1,50 +1,44 @@
 #pragma once
 // JSON request/response codec for the solver engine: the one wire
-// representation shared by `solver_cli --json`, the benches, and any
-// server front end, so every consumer reads and writes the same documents.
+// representation shared by `solver_cli --json`, the server frames, the
+// solve cache's store records, and the benches, so every consumer reads
+// and writes the same documents.
 //
-// Request document:
-//   {
-//     "gapsched": "request",
-//     "solver": "power_dp",
-//     "objective": "power",
-//     "params": { "alpha": 2.5, "max_spans": 1, "powerdown_threshold": -1,
-//                 "swap_size": 2, "block_size": 2, "time_limit_s": 0,
-//                 "validate": false, "decompose": true, "compress": true },
-//     "instance": { "processors": 1,
-//                   "jobs": [ [[0, 5]], [[2, 3], [8, 9]] ] }
-//   }
-// (each job is its list of inclusive [lo, hi] allowed intervals; omitted
-// params keep their defaults).
+// Every writer emits one line: members are '"key": value' joined by ','
+// with no other whitespace (so `grep '"disk_hits": [1-9]'` works on any
+// document). Request document:
+//   {"gapsched": "request","solver": "power_dp","objective": "power",
+//    "params": {"alpha": 2.5,"max_spans": 1,"powerdown_threshold": -1,
+//               "swap_size": 2,"block_size": 2,"time_limit_s": 0,
+//               "validate": false,"decompose": true,"compress": true},
+//    "instance": {"processors": 1,"jobs": [[[0,5]],[[2,3],[8,9]]]}}
+// (shown wrapped; each job is its list of inclusive [lo, hi] allowed
+// intervals; omitted params keep their defaults).
 //
 // Response document:
-//   {
-//     "gapsched": "result",
-//     "ok": true, "error": "", "feasible": true, "cost": 2,
-//     "transitions": 2, "timed_out": false,
-//     "audited": false, "audit_error": "",
-//     "stats": { "wall_ms": ..., "states": ..., "nodes": ...,
-//                "scheduled": ..., "components": ..., "cache_hit": false,
-//                "component_cache_hits": 0, "components_deduped": 0,
-//                "dead_time_removed": 0,
-//                "memo_arena_solves": 0, "memo_hash_solves": 0,
-//                "memo_parallel_solves": 0, "memo_find_calls": 0,
-//                "memo_probe_steps": 0, "memo_pruned": 0,
-//                "stages": { "canonicalize": { "ran": false, "ms": 0 },
-//                            ... one entry per pipeline stage, in order:
-//                            canonicalize, decompose, compress,
-//                            cache_lookup, dispatch, recombine, audit } },
-//     "schedule": { "jobs": 5,
-//                   "slots": [ { "job": 0, "time": 10, "processor": -1 } ] }
-//   }
+//   {"gapsched": "result","ok": true,"error": "","feasible": true,
+//    "cost": 2,"transitions": 2,"timed_out": false,"audited": false,
+//    "audit_error": "",
+//    "stats": {"wall_ms": ...,"states": ...,"nodes": ...,"scheduled": ...,
+//              "components": ...,"cache_hit": false,
+//              "component_cache_hits": 0,"components_deduped": 0,
+//              "dead_time_removed": 0,"memo_arena_solves": 0,
+//              "memo_hash_solves": 0,"memo_parallel_solves": 0,
+//              "memo_find_calls": 0,"memo_probe_steps": 0,"memo_pruned": 0,
+//              "stages": {"canonicalize": {"ran": false,"ms": 0}, ...
+//                         one entry per pipeline stage, in order:
+//                         canonicalize, decompose, compress,
+//                         cache_lookup, dispatch, recombine, audit}},
+//    "schedule": {"jobs": 5,
+//                 "slots": [{"job": 0,"time": 10,"processor": -1}]}}
 // (slots list only scheduled jobs; processor -1 means profile form; the
 // stats object always reports all seven stages with their ran/skip verdict
 // and per-request wall time — see engine::PipelineStage).
 //
-// The readers accept any standard JSON document with these fields (extra
-// fields are ignored) and return nullopt with *error set on malformed
-// input. Non-finite doubles degrade to null on write, matching
-// bench/json_report.hpp.
+// The readers accept any standard JSON document with these fields in any
+// layout, so store records written by earlier, pretty-printing versions
+// still load (extra fields are ignored), and return nullopt with *error
+// set on malformed input. Non-finite doubles degrade to null on write.
 
 #include <cstdint>
 #include <optional>
@@ -70,6 +64,10 @@ inline constexpr int kMaxParseDepth = 64;
 /// backslashes and every control character.
 void append_escaped(std::string& out, std::string_view s);
 
+/// Appends `value` in the shortest %g form that reads back to the same
+/// double; NaN and infinities (which JSON cannot spell) become null.
+void append_double(std::string& out, double value);
+
 /// Serializes a named engine request.
 std::string request_to_json(std::string_view solver,
                             const engine::SolveRequest& request);
@@ -93,22 +91,24 @@ std::optional<engine::SolveResult> result_from_json(
 // `stages` object) but reject wrong types and unknown stage names.
 
 /// Serializes SolveCache tallies:
-///   {"gapsched": "cache_stats", "hits": 0, "misses": 0, "insertions": 0,
-///    "evictions": 0, "entries": 0, "capacity": 0}
+///   {"gapsched": "cache_stats","hits": 0,"misses": 0,"insertions": 0,
+///    "evictions": 0,"entries": 0,"capacity": 0,"disk_hits": 0,
+///    "disk_rejects": 0,"spilled": 0,"disk_entries": 0}
 std::string cache_stats_to_json(const engine::CacheStats& stats);
 std::optional<engine::CacheStats> cache_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
 /// Serializes a Session's per-stage pipeline roll-up:
-///   {"gapsched": "pipeline_stats", "requests": 0,
-///    "stages": {"canonicalize": {"runs": 0, "skips": 0, "total_ms": 0},
+///   {"gapsched": "pipeline_stats","requests": 0,
+///    "stages": {"canonicalize": {"runs": 0,"skips": 0,"total_ms": 0},
 ///               ... one entry per PipelineStage ...}}
 std::string pipeline_stats_to_json(
     const engine::pipeline::PipelineStats& stats);
 std::optional<engine::pipeline::PipelineStats> pipeline_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
-/// One worker shard's roll-up on the wire (serve/shard.hpp fills it).
+/// One worker shard's roll-up: the server's per-shard tally, and its
+/// entry in the `stats` frame.
 struct ShardStatsWire {
   std::int64_t shard = 0;
   std::uint64_t requests = 0;
@@ -118,6 +118,17 @@ struct ShardStatsWire {
   std::uint64_t cache_hits = 0;
   std::uint64_t component_cache_hits = 0;
   engine::pipeline::PipelineStats pipeline;
+
+  /// Folds one finished response into the tallies.
+  void absorb(const engine::SolveResult& result) {
+    ++requests;
+    if (!result.ok) ++rejected;
+    if (result.timed_out) ++timed_out;
+    if (result.audited && !result.audit_error.empty()) ++refuted;
+    if (result.stats.cache_hit) ++cache_hits;
+    component_cache_hits += result.stats.component_cache_hits;
+    pipeline.absorb(result.stats);
+  }
 };
 
 /// The server `stats` frame body: the shared cache's tallies, the

@@ -1,8 +1,11 @@
 #pragma once
-// Minimal work-stealing-free thread pool used by the benchmark sweeps to
-// evaluate independent instances in parallel. The solver code itself is
-// single-threaded and deterministic; parallelism lives only at the harness
-// level, which keeps results bitwise reproducible regardless of thread count.
+// Minimal work-stealing-free thread pool: one FIFO queue, fixed workers.
+// It backs every pool in the library — a Session's batch pool
+// (Engine::solve_batch), the pipeline's shared Dispatch fan-out over
+// decomposition components, and dp_pool() for the DP candidate scan — and
+// the benchmark sweeps. Each solve is deterministic whatever the thread
+// count: parallel callers only split independent work (requests,
+// components, candidate branches) and merge it in a fixed order.
 
 #include <condition_variable>
 #include <cstddef>

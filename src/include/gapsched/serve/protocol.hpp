@@ -1,18 +1,19 @@
 #pragma once
 // gapsched::serve protocol layer — newline-delimited JSON frames over TCP.
 //
-// Every frame is one io/json.hpp document on a single line, terminated by
-// '\n', with a routing header spliced into the top-level object:
+// Every frame is one io/json.hpp document — the codec writes each on a
+// single line — terminated by '\n', with a routing header spliced in
+// front of the top-level object's members:
 //
 //   client -> server
 //     {"frame":"request","id":7,"deadline_ms":2000, <request document>}
 //     {"frame":"stats"}                 ask for the server's tallies
 //     {"frame":"drain"}                 begin graceful server drain
 //   server -> client
-//     {"frame":"hello","id":-1, "server":..,"protocol":1,"shards":N,...}
+//     {"frame":"hello","server":..,"protocol":1,"shards":N,"solvers":M}
 //     {"frame":"result","id":7, <result document>}     completion order!
-//     {"frame":"stats","id":-1, <server stats document>}
-//     {"frame":"drain","id":-1}         drain acknowledged
+//     {"frame":"stats", <server stats document>}
+//     {"frame":"drain"}                 drain acknowledged
 //     {"frame":"error","id":7,"message":"..."}         id -1 = no request
 //
 // The body fields live at the same top level as the header, so the
@@ -141,12 +142,13 @@ class TcpStream {
   /// Blocking read into `buf`; > 0 bytes, 0 on orderly EOF, < 0 on error.
   long recv_some(char* buf, std::size_t cap);
 
-  /// Shuts down both directions (unblocks a peer's recv) without
-  /// releasing the fd.
   /// Half-close: flush-side FIN (SHUT_WR). The peer sees EOF after
   /// receiving everything already sent; data it is still sending is NOT
   /// destroyed (unlike shutting the read side, which RSTs late arrivals).
   void shutdown_write();
+
+  /// Shuts down both directions (unblocks a peer's recv) without
+  /// releasing the fd.
   void shutdown_both();
 
   void close();

@@ -143,7 +143,7 @@ class Server {
   /// under the mutex.
   struct ShardState {
     mutable std::mutex mu;
-    ShardTally tally;
+    io::ShardStatsWire tally;
   };
   std::vector<std::unique_ptr<ShardState>> shard_states_;
   std::unique_ptr<ShardPool> shard_pool_;

@@ -31,7 +31,6 @@
 
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
-#include "gapsched/io/json.hpp"
 
 namespace gapsched::serve {
 
@@ -48,23 +47,6 @@ std::uint64_t shard_key(std::string_view solver_name);
 
 /// Maps a key onto one of `shards` workers (shards >= 1).
 std::size_t shard_of(std::uint64_t key, std::size_t shards);
-
-/// Per-shard roll-up, aggregated into the server's `stats` frame.
-struct ShardTally {
-  std::uint64_t requests = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t refuted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t component_cache_hits = 0;
-  engine::pipeline::PipelineStats pipeline;
-
-  /// Folds one finished response into the tallies.
-  void absorb(const engine::SolveResult& result);
-
-  /// The wire form of this tally for shard index `shard`.
-  io::ShardStatsWire wire(std::size_t shard) const;
-};
 
 /// A bounded multi-producer single-consumer queue. push() blocks while the
 /// queue is at capacity — that block is the backpressure seam — and

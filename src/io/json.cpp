@@ -1,13 +1,15 @@
 #include "gapsched/io/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <system_error>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,10 +37,6 @@ void append_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-namespace {
-
-// --------------------------------------------------------------- writing --
-
 void append_double(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";  // JSON has no NaN/inf
@@ -55,9 +53,7 @@ void append_double(std::string& out, double value) {
   }
 }
 
-void append_bool(std::string& out, bool value) {
-  out += value ? "true" : "false";
-}
+namespace {
 
 // --------------------------------------------------------------- parsing --
 
@@ -328,96 +324,384 @@ class Parser {
   std::string error_;
 };
 
-// ----------------------------------------------- typed field extraction --
+// ---------------------------------------------------------- field tables --
+// One row per wire member, {key, pointer to member}, in wire order. The
+// generic writer and reader below walk these tables, so a new counter on
+// any wire struct costs one struct member and one row here.
 
-bool get_bool(const JsonValue& obj, std::string_view key, bool* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return v == nullptr;
-  *out = v->boolean;
+template <typename S, typename T>
+struct Field {
+  std::string_view key;
+  T S::*member;
+};
+
+template <typename S, typename T>
+constexpr Field<S, T> row(std::string_view key, T S::*member) {
+  return {key, member};
+}
+
+constexpr auto fields(const engine::SolveParams*) {
+  using S = engine::SolveParams;
+  return std::make_tuple(row("alpha", &S::alpha),
+                         row("max_spans", &S::max_spans),
+                         row("powerdown_threshold", &S::powerdown_threshold),
+                         row("swap_size", &S::swap_size),
+                         row("block_size", &S::block_size),
+                         row("time_limit_s", &S::time_limit_s),
+                         row("validate", &S::validate),
+                         row("decompose", &S::decompose),
+                         row("compress", &S::compress));
+}
+
+constexpr auto fields(const engine::SolveRequest*) {
+  using S = engine::SolveRequest;
+  return std::make_tuple(row("objective", &S::objective),
+                         row("params", &S::params),
+                         row("instance", &S::instance));
+}
+
+constexpr auto fields(const engine::StageStats*) {
+  using S = engine::StageStats;
+  return std::make_tuple(row("ran", &S::ran), row("ms", &S::ms));
+}
+
+constexpr auto fields(const engine::SolveStats*) {
+  using S = engine::SolveStats;
+  return std::make_tuple(row("wall_ms", &S::wall_ms),
+                         row("states", &S::states),
+                         row("nodes", &S::nodes),
+                         row("scheduled", &S::scheduled),
+                         row("components", &S::components),
+                         row("cache_hit", &S::cache_hit),
+                         row("component_cache_hits", &S::component_cache_hits),
+                         row("components_deduped", &S::components_deduped),
+                         row("dead_time_removed", &S::dead_time_removed),
+                         row("memo_arena_solves", &S::memo_arena_solves),
+                         row("memo_hash_solves", &S::memo_hash_solves),
+                         row("memo_parallel_solves", &S::memo_parallel_solves),
+                         row("memo_find_calls", &S::memo_find_calls),
+                         row("memo_probe_steps", &S::memo_probe_steps),
+                         row("memo_pruned", &S::memo_pruned),
+                         row("stages", &S::stages));
+}
+
+constexpr auto fields(const engine::SolveResult*) {
+  using S = engine::SolveResult;
+  return std::make_tuple(row("ok", &S::ok), row("error", &S::error),
+                         row("feasible", &S::feasible), row("cost", &S::cost),
+                         row("transitions", &S::transitions),
+                         row("timed_out", &S::timed_out),
+                         row("audited", &S::audited),
+                         row("audit_error", &S::audit_error),
+                         row("stats", &S::stats),
+                         row("schedule", &S::schedule));
+}
+
+constexpr auto fields(const engine::CacheStats*) {
+  using S = engine::CacheStats;
+  return std::make_tuple(row("hits", &S::hits), row("misses", &S::misses),
+                         row("insertions", &S::insertions),
+                         row("evictions", &S::evictions),
+                         row("entries", &S::entries),
+                         row("capacity", &S::capacity),
+                         row("disk_hits", &S::disk_hits),
+                         row("disk_rejects", &S::disk_rejects),
+                         row("spilled", &S::spilled),
+                         row("disk_entries", &S::disk_entries));
+}
+
+constexpr auto fields(const engine::pipeline::StageTally*) {
+  using S = engine::pipeline::StageTally;
+  return std::make_tuple(row("runs", &S::runs), row("skips", &S::skips),
+                         row("total_ms", &S::total_ms));
+}
+
+constexpr auto fields(const engine::pipeline::PipelineStats*) {
+  using S = engine::pipeline::PipelineStats;
+  return std::make_tuple(row("requests", &S::requests),
+                         row("stages", &S::stages));
+}
+
+constexpr auto fields(const ShardStatsWire*) {
+  using S = ShardStatsWire;
+  return std::make_tuple(row("shard", &S::shard),
+                         row("requests", &S::requests),
+                         row("rejected", &S::rejected),
+                         row("timed_out", &S::timed_out),
+                         row("refuted", &S::refuted),
+                         row("cache_hits", &S::cache_hits),
+                         row("component_cache_hits", &S::component_cache_hits),
+                         row("pipeline", &S::pipeline));
+}
+
+constexpr auto fields(const ServerStatsWire*) {
+  using S = ServerStatsWire;
+  return std::make_tuple(row("cache", &S::cache), row("pipeline", &S::pipeline),
+                         row("shards", &S::shards));
+}
+
+constexpr auto fields(const FrameHead*) {
+  using S = FrameHead;
+  return std::make_tuple(row("frame", &S::frame), row("id", &S::id),
+                         row("deadline_ms", &S::deadline_ms),
+                         row("message", &S::message));
+}
+
+/// A wire struct: one with a field table above.
+template <typename S>
+concept Tabled = requires(const S* s) { fields(s); };
+
+/// The per-stage maps (SolveStats::stages, PipelineStats::stages): one
+/// member per pipeline stage, keyed by its name.
+template <typename T>
+using StageMap = std::array<T, engine::kPipelineStageCount>;
+
+// --------------------------------------------------------------- writing --
+// Every document is one line: '"key": value' members joined by ','.
+
+/// Writes one object member by member: key() opens a member and returns
+/// the buffer its value goes to; close() ends the object.
+class ObjectWriter {
+ public:
+  explicit ObjectWriter(std::string& out) : out_(out) {}
+
+  std::string& key(std::string_view name) {
+    out_ += first_ ? "{\"" : ",\"";
+    first_ = false;
+    out_ += name;
+    out_ += "\": ";
+    return out_;
+  }
+
+  void close() { out_ += first_ ? "{}" : "}"; }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+void put(std::string& out, bool value) { out += value ? "true" : "false"; }
+void put(std::string& out, double value) { append_double(out, value); }
+void put(std::string& out, const std::string& value) {
+  append_escaped(out, value);
+}
+void put(std::string& out, engine::Objective objective) {
+  append_escaped(out, engine::to_string(objective));
+}
+template <std::integral T>
+void put(std::string& out, T value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+void put(std::string& out, const Instance& instance) {
+  ObjectWriter w(out);
+  put(w.key("processors"), instance.processors);
+  w.key("jobs") += '[';
+  for (std::size_t j = 0; j < instance.n(); ++j) {
+    out += j == 0 ? "[" : ",[";
+    const auto& intervals = instance.jobs[j].allowed.intervals();
+    for (std::size_t k = 0; k < intervals.size(); ++k) {
+      out += k == 0 ? "[" : ",[";
+      put(out, intervals[k].lo);
+      out += ',';
+      put(out, intervals[k].hi);
+      out += ']';
+    }
+    out += ']';
+  }
+  out += ']';
+  w.close();
+}
+
+void put(std::string& out, const Schedule& schedule) {
+  ObjectWriter w(out);
+  put(w.key("jobs"), schedule.size());
+  w.key("slots") += '[';
+  bool first = true;
+  for (std::size_t j = 0; j < schedule.size(); ++j) {
+    const std::optional<Placement>& slot = schedule.at(j);
+    if (!slot.has_value()) continue;
+    if (!first) out += ',';
+    first = false;
+    ObjectWriter s(out);
+    put(s.key("job"), j);
+    put(s.key("time"), slot->time);
+    put(s.key("processor"), slot->processor);
+    s.close();
+  }
+  out += ']';
+  w.close();
+}
+
+template <Tabled S>
+void put(std::string& out, const S& s);
+
+template <typename T>
+void put(std::string& out, const StageMap<T>& stages) {
+  ObjectWriter w(out);
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    put(w.key(engine::to_string(static_cast<engine::PipelineStage>(i))),
+        stages[i]);
+  }
+  w.close();
+}
+
+template <typename T>
+void put(std::string& out, const std::vector<T>& items) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    put(out, items[i]);
+  }
+  out += ']';
+}
+
+template <Tabled S>
+void put_fields(ObjectWriter& w, const S& s) {
+  std::apply([&](const auto&... f) { (put(w.key(f.key), s.*f.member), ...); },
+             fields(&s));
+}
+
+template <Tabled S>
+void put(std::string& out, const S& s) {
+  ObjectWriter w(out);
+  put_fields(w, s);
+  w.close();
+}
+
+/// A tagged top-level document: {"gapsched": "<tag>", <s's members>}.
+template <Tabled S>
+std::string document(std::string_view tag, const S& s) {
+  std::string out;
+  ObjectWriter w(out);
+  append_escaped(w.key("gapsched"), tag);
+  put_fields(w, s);
+  w.close();
+  return out;
+}
+
+// --------------------------------------------------------------- reading --
+// take(value, &member, why) reads one value: false on a wrong type or an
+// out-of-range number. Absent members keep their defaults; a reader that
+// knows more than "wrong type" says so in *why.
+
+bool take(const JsonValue& v, bool* out, std::string*) {
+  if (v.kind != JsonValue::Kind::kBool) return false;
+  *out = v.boolean;
   return true;
 }
 
-bool get_double(const JsonValue& obj, std::string_view key, double* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kNumber) return false;
-  *out = v->number;
+bool take(const JsonValue& v, double* out, std::string*) {
+  if (v.kind != JsonValue::Kind::kNumber) return false;
+  *out = v.number;
   return true;
 }
 
-bool get_int(const JsonValue& obj, std::string_view key, std::int64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kNumber || !v->is_integer) return false;
-  *out = v->integer;
+bool take(const JsonValue& v, std::string* out, std::string*) {
+  if (v.kind != JsonValue::Kind::kString) return false;
+  *out = v.string;
   return true;
 }
 
-bool get_string(const JsonValue& obj, std::string_view key, std::string* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kString) return false;
-  *out = v->string;
-  return true;
-}
-
-/// True when `v` narrows to int without truncation — out-of-range wire
-/// input must be a parse error, never a plausible-looking wrong value.
-bool fits_int(std::int64_t v) {
-  return v >= std::numeric_limits<int>::min() &&
-         v <= std::numeric_limits<int>::max();
-}
-
-bool parse_params(const JsonValue& obj, engine::SolveParams* params,
-                  std::string* why) {
-  const JsonValue* p = obj.find("params");
-  if (p == nullptr) return true;  // all defaults
-  if (p->kind != JsonValue::Kind::kObject) {
-    *why = "'params' must be an object";
+/// An integer that fits T without truncation: out-of-range wire input
+/// (a negative count, an int field past INT_MAX) must be a parse error,
+/// never a plausible-looking wrong value.
+template <std::integral T>
+bool take(const JsonValue& v, T* out, std::string*) {
+  if (v.kind != JsonValue::Kind::kNumber || !v.is_integer ||
+      !std::in_range<T>(v.integer)) {
     return false;
   }
-  std::int64_t max_spans = static_cast<std::int64_t>(params->max_spans);
-  std::int64_t swap_size = params->swap_size;
-  std::int64_t block_size = params->block_size;
-  const bool ok = get_double(*p, "alpha", &params->alpha) &&
-                  get_int(*p, "max_spans", &max_spans) &&
-                  get_double(*p, "powerdown_threshold",
-                             &params->powerdown_threshold) &&
-                  get_int(*p, "swap_size", &swap_size) &&
-                  get_int(*p, "block_size", &block_size) &&
-                  get_double(*p, "time_limit_s", &params->time_limit_s) &&
-                  get_bool(*p, "validate", &params->validate) &&
-                  get_bool(*p, "decompose", &params->decompose) &&
-                  get_bool(*p, "compress", &params->compress);
-  if (!ok || max_spans < 0 || !fits_int(swap_size) || !fits_int(block_size)) {
-    *why = "malformed 'params' field";
-    return false;
-  }
-  params->max_spans = static_cast<std::size_t>(max_spans);
-  params->swap_size = static_cast<int>(swap_size);
-  params->block_size = static_cast<int>(block_size);
+  *out = static_cast<T>(v.integer);
   return true;
 }
 
-bool parse_instance(const JsonValue& obj, Instance* inst, std::string* why) {
-  const JsonValue* in = obj.find("instance");
-  if (in == nullptr || in->kind != JsonValue::Kind::kObject) {
-    *why = "missing 'instance' object";
+/// An objective name; "" keeps the default.
+bool take(const JsonValue& v, engine::Objective* out, std::string* why) {
+  if (v.kind != JsonValue::Kind::kString) return false;
+  if (v.string.empty()) return true;
+  const auto objective = engine::objective_from_string(v.string);
+  if (!objective.has_value()) {
+    *why = "unknown objective '" + v.string + "'";
     return false;
   }
-  std::int64_t processors = 1;
-  if (!get_int(*in, "processors", &processors) || !fits_int(processors)) {
-    *why = "malformed 'processors'";
+  *out = *objective;
+  return true;
+}
+
+template <Tabled S>
+bool take(const JsonValue& v, S* out, std::string* why);
+
+/// Stages may be listed in any order or left out; unknown names are a
+/// writer/reader version skew, never silently dropped.
+template <typename T>
+bool take(const JsonValue& v, StageMap<T>* out, std::string* why) {
+  if (v.kind != JsonValue::Kind::kObject) return false;
+  for (const auto& [name, entry] : v.members) {
+    const auto stage = engine::pipeline_stage_from_string(name);
+    if (!stage.has_value()) {
+      *why = "unknown pipeline stage '" + name + "'";
+      return false;
+    }
+    if (!take(entry, &(*out)[static_cast<std::size_t>(*stage)], why)) {
+      if (why->empty()) *why = "malformed stage entry '" + name + "'";
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+bool take(const JsonValue& v, std::vector<T>* out, std::string* why) {
+  if (v.kind != JsonValue::Kind::kArray) return false;
+  out->assign(v.elements.size(), T{});
+  for (std::size_t i = 0; i < v.elements.size(); ++i) {
+    if (!take(v.elements[i], &(*out)[i], why)) return false;
+  }
+  return true;
+}
+
+bool take(const JsonValue& v, Instance* out, std::string* why);
+bool take(const JsonValue& v, Schedule* out, std::string* why);
+
+/// Reads member `key` of `obj` when present; on failure *why names the
+/// key unless a nested reader already said more.
+template <typename T>
+bool take_member(const JsonValue& obj, std::string_view key, T* out,
+                 std::string* why) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || take(*v, out, why)) return true;
+  if (why->empty()) *why = "malformed '" + std::string(key) + "' field";
+  return false;
+}
+
+template <Tabled S>
+bool take_fields(const JsonValue& obj, S* s, std::string* why) {
+  return std::apply(
+      [&](const auto&... f) {
+        return (take_member(obj, f.key, &(s->*f.member), why) && ...);
+      },
+      fields(s));
+}
+
+template <Tabled S>
+bool take(const JsonValue& v, S* out, std::string* why) {
+  return v.kind == JsonValue::Kind::kObject && take_fields(v, out, why);
+}
+
+bool take(const JsonValue& v, Instance* out, std::string* why) {
+  if (v.kind != JsonValue::Kind::kObject ||
+      !take_member(v, "processors", &out->processors, why)) {
     return false;
   }
-  inst->processors = static_cast<int>(processors);
-  const JsonValue* jobs = in->find("jobs");
+  const JsonValue* jobs = v.find("jobs");
   if (jobs == nullptr || jobs->kind != JsonValue::Kind::kArray) {
     *why = "missing 'jobs' array";
     return false;
   }
-  inst->jobs.clear();
-  inst->jobs.reserve(jobs->elements.size());
+  out->jobs.clear();
+  out->jobs.reserve(jobs->elements.size());
   for (const JsonValue& job : jobs->elements) {
     if (job.kind != JsonValue::Kind::kArray) {
       *why = "each job must be an array of [lo, hi] intervals";
@@ -434,158 +718,74 @@ bool parse_instance(const JsonValue& obj, Instance* inst, std::string* why) {
       intervals.push_back(Interval{iv.elements[0].integer,
                                    iv.elements[1].integer});
     }
-    inst->jobs.push_back(Job{TimeSet(std::move(intervals))});
+    out->jobs.push_back(Job{TimeSet(std::move(intervals))});
   }
   return true;
 }
 
-// ------------------------------------------------- stats sub-documents --
-// Bare (untagged) writers/readers shared by the standalone documents and
-// the nested copies inside a server_stats document.
-
-void append_cache_stats(std::string& out, const engine::CacheStats& s) {
-  out += "{ \"hits\": " + std::to_string(s.hits);
-  out += ", \"misses\": " + std::to_string(s.misses);
-  out += ", \"insertions\": " + std::to_string(s.insertions);
-  out += ", \"evictions\": " + std::to_string(s.evictions);
-  out += ", \"entries\": " + std::to_string(s.entries);
-  out += ", \"capacity\": " + std::to_string(s.capacity);
-  out += ", \"disk_hits\": " + std::to_string(s.disk_hits);
-  out += ", \"disk_rejects\": " + std::to_string(s.disk_rejects);
-  out += ", \"spilled\": " + std::to_string(s.spilled);
-  out += ", \"disk_entries\": " + std::to_string(s.disk_entries);
-  out += " }";
-}
-
-bool read_cache_stats(const JsonValue& obj, engine::CacheStats* out,
-                      std::string* why) {
-  std::int64_t hits = 0, misses = 0, insertions = 0, evictions = 0;
-  std::int64_t entries = 0, capacity = 0;
-  std::int64_t disk_hits = 0, disk_rejects = 0, spilled = 0, disk_entries = 0;
-  if (!get_int(obj, "hits", &hits) || !get_int(obj, "misses", &misses) ||
-      !get_int(obj, "insertions", &insertions) ||
-      !get_int(obj, "evictions", &evictions) ||
-      !get_int(obj, "entries", &entries) ||
-      !get_int(obj, "capacity", &capacity) ||
-      !get_int(obj, "disk_hits", &disk_hits) ||
-      !get_int(obj, "disk_rejects", &disk_rejects) ||
-      !get_int(obj, "spilled", &spilled) ||
-      !get_int(obj, "disk_entries", &disk_entries) || hits < 0 ||
-      misses < 0 || insertions < 0 || evictions < 0 || entries < 0 ||
-      capacity < 0 || disk_hits < 0 || disk_rejects < 0 || spilled < 0 ||
-      disk_entries < 0) {
-    *why = "malformed cache stats field";
+bool take(const JsonValue& v, Schedule* out, std::string* why) {
+  std::size_t n = 0;
+  if (v.kind != JsonValue::Kind::kObject ||
+      !take_member(v, "jobs", &n, why)) {
     return false;
   }
-  out->hits = static_cast<std::size_t>(hits);
-  out->misses = static_cast<std::size_t>(misses);
-  out->insertions = static_cast<std::size_t>(insertions);
-  out->evictions = static_cast<std::size_t>(evictions);
-  out->entries = static_cast<std::size_t>(entries);
-  out->capacity = static_cast<std::size_t>(capacity);
-  out->disk_hits = static_cast<std::size_t>(disk_hits);
-  out->disk_rejects = static_cast<std::size_t>(disk_rejects);
-  out->spilled = static_cast<std::size_t>(spilled);
-  out->disk_entries = static_cast<std::size_t>(disk_entries);
-  return true;
-}
-
-void append_pipeline_stats(std::string& out,
-                           const engine::pipeline::PipelineStats& p) {
-  out += "{ \"requests\": " + std::to_string(p.requests);
-  out += ", \"stages\": {";
-  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
-    const engine::pipeline::StageTally& t = p.stages[i];
-    out += i == 0 ? " \"" : ", \"";
-    out += std::string(
-        engine::to_string(static_cast<engine::PipelineStage>(i)));
-    out += "\": { \"runs\": " + std::to_string(t.runs);
-    out += ", \"skips\": " + std::to_string(t.skips);
-    out += ", \"total_ms\": ";
-    append_double(out, t.total_ms);
-    out += " }";
-  }
-  out += " } }";
-}
-
-bool read_pipeline_stats(const JsonValue& obj,
-                         engine::pipeline::PipelineStats* out,
-                         std::string* why) {
-  std::int64_t requests = 0;
-  if (!get_int(obj, "requests", &requests) || requests < 0) {
-    *why = "malformed 'requests' field";
-    return false;
-  }
-  out->requests = static_cast<std::uint64_t>(requests);
-  const JsonValue* stages = obj.find("stages");
-  if (stages == nullptr) return true;  // tolerated: tallies stay zero
-  if (stages->kind != JsonValue::Kind::kObject) {
-    *why = "'stages' must be an object";
-    return false;
-  }
-  for (const auto& [name, entry] : stages->members) {
-    const auto stage = engine::pipeline_stage_from_string(name);
-    if (!stage.has_value()) {
-      *why = "unknown pipeline stage '" + name + "'";
+  Schedule schedule(n);
+  if (const JsonValue* slots = v.find("slots"); slots != nullptr) {
+    if (slots->kind != JsonValue::Kind::kArray) {
+      *why = "'schedule.slots' must be an array";
       return false;
     }
-    engine::pipeline::StageTally& t =
-        out->stages[static_cast<std::size_t>(*stage)];
-    std::int64_t runs = 0, skips = 0;
-    if (entry.kind != JsonValue::Kind::kObject ||
-        !get_int(entry, "runs", &runs) || !get_int(entry, "skips", &skips) ||
-        !get_double(entry, "total_ms", &t.total_ms) || runs < 0 ||
-        skips < 0) {
-      *why = "malformed stage tally '" + name + "'";
-      return false;
+    for (const JsonValue& slot : slots->elements) {
+      std::size_t job = n;  // absent: out of range
+      Time time = 0;
+      int processor = Placement::kUnassigned;
+      if (slot.kind != JsonValue::Kind::kObject ||
+          !take_member(slot, "job", &job, why) ||
+          !take_member(slot, "time", &time, why) ||
+          !take_member(slot, "processor", &processor, why) || job >= n) {
+        *why = "malformed schedule slot";
+        return false;
+      }
+      schedule.place(job, time, processor);
     }
-    t.runs = static_cast<std::uint64_t>(runs);
-    t.skips = static_cast<std::uint64_t>(skips);
   }
+  *out = std::move(schedule);
   return true;
+}
+
+/// Sets *error when the caller asked for it; converts to any empty optional.
+std::nullopt_t fail(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return std::nullopt;
+}
+
+/// Parses `text` and reads its members into a fresh S. `what` names the
+/// document in the not-an-object diagnostic.
+template <Tabled S>
+std::optional<S> read_document(std::string_view text, std::string_view what,
+                               std::string* error) {
+  Parser parser(text);
+  const std::optional<JsonValue> doc = parser.parse(error);
+  if (!doc.has_value()) return std::nullopt;
+  if (doc->kind != JsonValue::Kind::kObject) {
+    return fail(error, std::string(what) + " must be an object");
+  }
+  S s;
+  std::string why;
+  if (!take_fields(*doc, &s, &why)) return fail(error, std::move(why));
+  return s;
 }
 
 }  // namespace
 
 std::string request_to_json(std::string_view solver,
                             const engine::SolveRequest& request) {
-  const engine::SolveParams& p = request.params;
   std::string out;
-  out += "{\n  \"gapsched\": \"request\",\n  \"solver\": ";
-  append_escaped(out, solver);
-  out += ",\n  \"objective\": ";
-  append_escaped(out, engine::to_string(request.objective));
-  out += ",\n  \"params\": {\n    \"alpha\": ";
-  append_double(out, p.alpha);
-  out += ",\n    \"max_spans\": " + std::to_string(p.max_spans);
-  out += ",\n    \"powerdown_threshold\": ";
-  append_double(out, p.powerdown_threshold);
-  out += ",\n    \"swap_size\": " + std::to_string(p.swap_size);
-  out += ",\n    \"block_size\": " + std::to_string(p.block_size);
-  out += ",\n    \"time_limit_s\": ";
-  append_double(out, p.time_limit_s);
-  out += ",\n    \"validate\": ";
-  append_bool(out, p.validate);
-  out += ",\n    \"decompose\": ";
-  append_bool(out, p.decompose);
-  out += ",\n    \"compress\": ";
-  append_bool(out, p.compress);
-  out += "\n  },\n  \"instance\": {\n    \"processors\": " +
-         std::to_string(request.instance.processors);
-  out += ",\n    \"jobs\": [";
-  for (std::size_t j = 0; j < request.instance.n(); ++j) {
-    out += j == 0 ? "\n" : ",\n";
-    out += "      [";
-    const TimeSet& allowed = request.instance.jobs[j].allowed;
-    for (std::size_t k = 0; k < allowed.intervals().size(); ++k) {
-      if (k > 0) out += ", ";
-      const Interval& iv = allowed.intervals()[k];
-      out += '[' + std::to_string(iv.lo) + ", " + std::to_string(iv.hi) + ']';
-    }
-    out += ']';
-  }
-  out += request.instance.n() == 0 ? "]\n" : "\n    ]\n";
-  out += "  }\n}";
+  ObjectWriter w(out);
+  append_escaped(w.key("gapsched"), "request");
+  append_escaped(w.key("solver"), solver);
+  put_fields(w, request);
+  w.close();
   return out;
 }
 
@@ -593,387 +793,76 @@ std::optional<engine::SolveRequest> request_from_json(std::string_view text,
                                                       std::string* solver,
                                                       std::string* error) {
   Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
+  const std::optional<JsonValue> doc = parser.parse(error);
   if (!doc.has_value()) return std::nullopt;
   if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "request document must be an object";
-    return std::nullopt;
+    return fail(error, "request document must be an object");
   }
-  std::string why;
-  std::string solver_name;
-  if (!get_string(*doc, "solver", &solver_name) || solver_name.empty()) {
-    if (error != nullptr) *error = "missing 'solver' field";
-    return std::nullopt;
+  std::string name, why;
+  if (!take_member(*doc, "solver", &name, &why) || name.empty()) {
+    return fail(error, "missing 'solver' field");
+  }
+  if (doc->find("instance") == nullptr) {
+    return fail(error, "missing 'instance' object");
   }
   engine::SolveRequest request;
-  std::string objective_name;
-  if (!get_string(*doc, "objective", &objective_name)) {
-    if (error != nullptr) *error = "malformed 'objective'";
-    return std::nullopt;
-  }
-  if (!objective_name.empty()) {
-    const auto obj = engine::objective_from_string(objective_name);
-    if (!obj.has_value()) {
-      if (error != nullptr) *error = "unknown objective '" + objective_name + "'";
-      return std::nullopt;
-    }
-    request.objective = *obj;
-  }
-  if (!parse_params(*doc, &request.params, &why) ||
-      !parse_instance(*doc, &request.instance, &why)) {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  }
-  if (solver != nullptr) *solver = std::move(solver_name);
+  if (!take_fields(*doc, &request, &why)) return fail(error, std::move(why));
+  if (solver != nullptr) *solver = std::move(name);
   return request;
 }
 
 std::string result_to_json(const engine::SolveResult& result) {
-  std::string out;
-  out += "{\n  \"gapsched\": \"result\",\n  \"ok\": ";
-  append_bool(out, result.ok);
-  out += ",\n  \"error\": ";
-  append_escaped(out, result.error);
-  out += ",\n  \"feasible\": ";
-  append_bool(out, result.feasible);
-  out += ",\n  \"cost\": ";
-  append_double(out, result.cost);
-  out += ",\n  \"transitions\": " + std::to_string(result.transitions);
-  out += ",\n  \"timed_out\": ";
-  append_bool(out, result.timed_out);
-  out += ",\n  \"audited\": ";
-  append_bool(out, result.audited);
-  out += ",\n  \"audit_error\": ";
-  append_escaped(out, result.audit_error);
-  const engine::SolveStats& s = result.stats;
-  out += ",\n  \"stats\": {\n    \"wall_ms\": ";
-  append_double(out, s.wall_ms);
-  out += ",\n    \"states\": " + std::to_string(s.states);
-  out += ",\n    \"nodes\": " + std::to_string(s.nodes);
-  out += ",\n    \"scheduled\": " + std::to_string(s.scheduled);
-  out += ",\n    \"components\": " + std::to_string(s.components);
-  out += ",\n    \"cache_hit\": ";
-  append_bool(out, s.cache_hit);
-  out += ",\n    \"component_cache_hits\": " +
-         std::to_string(s.component_cache_hits);
-  out += ",\n    \"components_deduped\": " +
-         std::to_string(s.components_deduped);
-  out += ",\n    \"dead_time_removed\": " +
-         std::to_string(s.dead_time_removed);
-  out += ",\n    \"memo_arena_solves\": " + std::to_string(s.memo_arena_solves);
-  out += ",\n    \"memo_hash_solves\": " + std::to_string(s.memo_hash_solves);
-  out += ",\n    \"memo_parallel_solves\": " +
-         std::to_string(s.memo_parallel_solves);
-  out += ",\n    \"memo_find_calls\": " + std::to_string(s.memo_find_calls);
-  out += ",\n    \"memo_probe_steps\": " + std::to_string(s.memo_probe_steps);
-  out += ",\n    \"memo_pruned\": " + std::to_string(s.memo_pruned);
-  out += ",\n    \"stages\": {";
-  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
-    const engine::StageStats& st = s.stages[i];
-    out += i == 0 ? "\n      \"" : ",\n      \"";
-    out += std::string(
-        engine::to_string(static_cast<engine::PipelineStage>(i)));
-    out += "\": { \"ran\": ";
-    append_bool(out, st.ran);
-    out += ", \"ms\": ";
-    append_double(out, st.ms);
-    out += " }";
-  }
-  out += "\n    }";
-  out += "\n  },\n  \"schedule\": {\n    \"jobs\": " +
-         std::to_string(result.schedule.size());
-  out += ",\n    \"slots\": [";
-  bool first = true;
-  for (std::size_t j = 0; j < result.schedule.size(); ++j) {
-    const std::optional<Placement>& slot = result.schedule.at(j);
-    if (!slot.has_value()) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      { \"job\": " + std::to_string(j) +
-           ", \"time\": " + std::to_string(slot->time) +
-           ", \"processor\": " + std::to_string(slot->processor) + " }";
-  }
-  out += first ? "]\n" : "\n    ]\n";
-  out += "  }\n}";
-  return out;
+  return document("result", result);
 }
 
 std::optional<engine::SolveResult> result_from_json(std::string_view text,
                                                     std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "result document must be an object";
-    return std::nullopt;
-  }
-  engine::SolveResult result;
-  std::int64_t transitions = 0;
-  const bool ok = get_bool(*doc, "ok", &result.ok) &&
-                  get_string(*doc, "error", &result.error) &&
-                  get_bool(*doc, "feasible", &result.feasible) &&
-                  get_double(*doc, "cost", &result.cost) &&
-                  get_int(*doc, "transitions", &transitions) &&
-                  get_bool(*doc, "timed_out", &result.timed_out) &&
-                  get_bool(*doc, "audited", &result.audited) &&
-                  get_string(*doc, "audit_error", &result.audit_error);
-  if (!ok) {
-    if (error != nullptr) *error = "malformed result field";
-    return std::nullopt;
-  }
-  result.transitions = transitions;
-  if (const JsonValue* s = doc->find("stats");
-      s != nullptr && s->kind == JsonValue::Kind::kObject) {
-    std::int64_t states = 0, nodes = 0, scheduled = 0, components = 0;
-    std::int64_t comp_hits = 0, deduped = 0;
-    std::int64_t memo_arena = 0, memo_hash = 0, memo_parallel = 0;
-    std::int64_t memo_finds = 0, memo_probes = 0, memo_pruned = 0;
-    if (!get_double(*s, "wall_ms", &result.stats.wall_ms) ||
-        !get_int(*s, "states", &states) || !get_int(*s, "nodes", &nodes) ||
-        !get_int(*s, "scheduled", &scheduled) ||
-        !get_int(*s, "components", &components) ||
-        !get_bool(*s, "cache_hit", &result.stats.cache_hit) ||
-        !get_int(*s, "component_cache_hits", &comp_hits) ||
-        !get_int(*s, "components_deduped", &deduped) ||
-        !get_int(*s, "dead_time_removed", &result.stats.dead_time_removed) ||
-        !get_int(*s, "memo_arena_solves", &memo_arena) ||
-        !get_int(*s, "memo_hash_solves", &memo_hash) ||
-        !get_int(*s, "memo_parallel_solves", &memo_parallel) ||
-        !get_int(*s, "memo_find_calls", &memo_finds) ||
-        !get_int(*s, "memo_probe_steps", &memo_probes) ||
-        !get_int(*s, "memo_pruned", &memo_pruned)) {
-      if (error != nullptr) *error = "malformed 'stats' field";
-      return std::nullopt;
-    }
-    result.stats.states = static_cast<std::size_t>(states);
-    result.stats.nodes = static_cast<std::size_t>(nodes);
-    result.stats.scheduled = static_cast<std::size_t>(scheduled);
-    result.stats.components = static_cast<std::size_t>(components);
-    result.stats.component_cache_hits = static_cast<std::size_t>(comp_hits);
-    result.stats.components_deduped = static_cast<std::size_t>(deduped);
-    result.stats.memo_arena_solves = static_cast<std::size_t>(memo_arena);
-    result.stats.memo_hash_solves = static_cast<std::size_t>(memo_hash);
-    result.stats.memo_parallel_solves =
-        static_cast<std::size_t>(memo_parallel);
-    result.stats.memo_find_calls = static_cast<std::uint64_t>(memo_finds);
-    result.stats.memo_probe_steps = static_cast<std::uint64_t>(memo_probes);
-    result.stats.memo_pruned = static_cast<std::uint64_t>(memo_pruned);
-    if (const JsonValue* stages = s->find("stages"); stages != nullptr) {
-      if (stages->kind != JsonValue::Kind::kObject) {
-        if (error != nullptr) *error = "'stats.stages' must be an object";
-        return std::nullopt;
-      }
-      for (const auto& [name, entry] : stages->members) {
-        const auto stage = engine::pipeline_stage_from_string(name);
-        if (!stage.has_value()) {
-          if (error != nullptr) {
-            *error = "unknown pipeline stage '" + name + "'";
-          }
-          return std::nullopt;
-        }
-        engine::StageStats& st =
-            result.stats.stages[static_cast<std::size_t>(*stage)];
-        if (entry.kind != JsonValue::Kind::kObject ||
-            !get_bool(entry, "ran", &st.ran) ||
-            !get_double(entry, "ms", &st.ms)) {
-          if (error != nullptr) {
-            *error = "malformed stage entry '" + name + "'";
-          }
-          return std::nullopt;
-        }
-      }
-    }
-  }
-  if (const JsonValue* sched = doc->find("schedule");
-      sched != nullptr && sched->kind == JsonValue::Kind::kObject) {
-    std::int64_t n = 0;
-    if (!get_int(*sched, "jobs", &n) || n < 0) {
-      if (error != nullptr) *error = "malformed 'schedule.jobs'";
-      return std::nullopt;
-    }
-    Schedule schedule(static_cast<std::size_t>(n));
-    const JsonValue* slots = sched->find("slots");
-    if (slots != nullptr) {
-      if (slots->kind != JsonValue::Kind::kArray) {
-        if (error != nullptr) *error = "'schedule.slots' must be an array";
-        return std::nullopt;
-      }
-      for (const JsonValue& slot : slots->elements) {
-        std::int64_t job = -1, time = 0, processor = Placement::kUnassigned;
-        if (slot.kind != JsonValue::Kind::kObject ||
-            !get_int(slot, "job", &job) || !get_int(slot, "time", &time) ||
-            !get_int(slot, "processor", &processor) || job < 0 || job >= n ||
-            !fits_int(processor)) {
-          if (error != nullptr) *error = "malformed schedule slot";
-          return std::nullopt;
-        }
-        schedule.place(static_cast<std::size_t>(job), time,
-                       static_cast<int>(processor));
-      }
-    }
-    result.schedule = std::move(schedule);
-  }
-  return result;
+  return read_document<engine::SolveResult>(text, "result document", error);
 }
 
 std::string cache_stats_to_json(const engine::CacheStats& stats) {
-  std::string out = "{ \"gapsched\": \"cache_stats\", ";
-  std::string body;
-  append_cache_stats(body, stats);
-  out += body.substr(2);  // splice past the bare writer's "{ "
-  return out;
+  return document("cache_stats", stats);
 }
 
 std::optional<engine::CacheStats> cache_stats_from_json(std::string_view text,
                                                         std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string why = "cache stats document must be an object";
-  engine::CacheStats stats;
-  if (doc->kind == JsonValue::Kind::kObject &&
-      read_cache_stats(*doc, &stats, &why)) {
-    return stats;
-  }
-  if (error != nullptr) *error = why;
-  return std::nullopt;
+  return read_document<engine::CacheStats>(text, "cache stats document",
+                                           error);
 }
 
 std::string pipeline_stats_to_json(
     const engine::pipeline::PipelineStats& stats) {
-  std::string out = "{ \"gapsched\": \"pipeline_stats\", ";
-  std::string body;
-  append_pipeline_stats(body, stats);
-  out += body.substr(2);
-  return out;
+  return document("pipeline_stats", stats);
 }
 
 std::optional<engine::pipeline::PipelineStats> pipeline_stats_from_json(
     std::string_view text, std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string why = "pipeline stats document must be an object";
-  engine::pipeline::PipelineStats stats;
-  if (doc->kind == JsonValue::Kind::kObject &&
-      read_pipeline_stats(*doc, &stats, &why)) {
-    return stats;
-  }
-  if (error != nullptr) *error = why;
-  return std::nullopt;
+  return read_document<engine::pipeline::PipelineStats>(
+      text, "pipeline stats document", error);
 }
 
 std::string server_stats_to_json(const ServerStatsWire& stats) {
-  std::string out = "{ \"gapsched\": \"server_stats\", \"cache\": ";
-  append_cache_stats(out, stats.cache);
-  out += ", \"pipeline\": ";
-  append_pipeline_stats(out, stats.pipeline);
-  out += ", \"shards\": [";
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const ShardStatsWire& s = stats.shards[i];
-    out += i == 0 ? " " : ", ";
-    out += "{ \"shard\": " + std::to_string(s.shard);
-    out += ", \"requests\": " + std::to_string(s.requests);
-    out += ", \"rejected\": " + std::to_string(s.rejected);
-    out += ", \"timed_out\": " + std::to_string(s.timed_out);
-    out += ", \"refuted\": " + std::to_string(s.refuted);
-    out += ", \"cache_hits\": " + std::to_string(s.cache_hits);
-    out += ", \"component_cache_hits\": " +
-           std::to_string(s.component_cache_hits);
-    out += ", \"pipeline\": ";
-    append_pipeline_stats(out, s.pipeline);
-    out += " }";
-  }
-  out += stats.shards.empty() ? "] }" : " ] }";
-  return out;
+  return document("server_stats", stats);
 }
 
 std::optional<ServerStatsWire> server_stats_from_json(std::string_view text,
                                                       std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "server stats document must be an object";
-    return std::nullopt;
-  }
-  ServerStatsWire stats;
-  std::string why;
-  if (const JsonValue* cache = doc->find("cache"); cache != nullptr) {
-    if (cache->kind != JsonValue::Kind::kObject ||
-        !read_cache_stats(*cache, &stats.cache, &why)) {
-      if (error != nullptr) *error = "malformed 'cache' object";
-      return std::nullopt;
-    }
-  }
-  if (const JsonValue* pipe = doc->find("pipeline"); pipe != nullptr) {
-    if (pipe->kind != JsonValue::Kind::kObject ||
-        !read_pipeline_stats(*pipe, &stats.pipeline, &why)) {
-      if (error != nullptr) *error = "malformed 'pipeline' object: " + why;
-      return std::nullopt;
-    }
-  }
-  const JsonValue* shards = doc->find("shards");
-  if (shards == nullptr) return stats;  // tolerated: no per-shard view
-  if (shards->kind != JsonValue::Kind::kArray) {
-    if (error != nullptr) *error = "'shards' must be an array";
-    return std::nullopt;
-  }
-  for (const JsonValue& entry : shards->elements) {
-    ShardStatsWire s;
-    std::int64_t requests = 0, rejected = 0, timed_out = 0, refuted = 0;
-    std::int64_t cache_hits = 0, component_hits = 0;
-    if (entry.kind != JsonValue::Kind::kObject ||
-        !get_int(entry, "shard", &s.shard) ||
-        !get_int(entry, "requests", &requests) ||
-        !get_int(entry, "rejected", &rejected) ||
-        !get_int(entry, "timed_out", &timed_out) ||
-        !get_int(entry, "refuted", &refuted) ||
-        !get_int(entry, "cache_hits", &cache_hits) ||
-        !get_int(entry, "component_cache_hits", &component_hits) ||
-        s.shard < 0 || requests < 0 || rejected < 0 || timed_out < 0 ||
-        refuted < 0 || cache_hits < 0 || component_hits < 0) {
-      if (error != nullptr) *error = "malformed shard entry";
-      return std::nullopt;
-    }
-    s.requests = static_cast<std::uint64_t>(requests);
-    s.rejected = static_cast<std::uint64_t>(rejected);
-    s.timed_out = static_cast<std::uint64_t>(timed_out);
-    s.refuted = static_cast<std::uint64_t>(refuted);
-    s.cache_hits = static_cast<std::uint64_t>(cache_hits);
-    s.component_cache_hits = static_cast<std::uint64_t>(component_hits);
-    if (const JsonValue* pipe = entry.find("pipeline"); pipe != nullptr) {
-      if (pipe->kind != JsonValue::Kind::kObject ||
-          !read_pipeline_stats(*pipe, &s.pipeline, &why)) {
-        if (error != nullptr) *error = "malformed shard pipeline: " + why;
-        return std::nullopt;
-      }
-    }
-    stats.shards.push_back(std::move(s));
+  auto stats =
+      read_document<ServerStatsWire>(text, "server stats document", error);
+  if (!stats.has_value()) return std::nullopt;
+  for (const ShardStatsWire& shard : stats->shards) {
+    if (shard.shard < 0) return fail(error, "malformed 'shard' field");
   }
   return stats;
 }
 
 std::optional<FrameHead> frame_head_from_json(std::string_view text,
                                               std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "frame must be an object";
-    return std::nullopt;
-  }
-  FrameHead head;
-  if (!get_string(*doc, "frame", &head.frame) || head.frame.empty()) {
-    if (error != nullptr) *error = "missing 'frame' field";
-    return std::nullopt;
-  }
-  if (!get_int(*doc, "id", &head.id) ||
-      !get_double(*doc, "deadline_ms", &head.deadline_ms) ||
-      !get_string(*doc, "message", &head.message) || head.deadline_ms < 0.0 ||
-      !std::isfinite(head.deadline_ms)) {
-    if (error != nullptr) *error = "malformed frame header field";
-    return std::nullopt;
+  auto head = read_document<FrameHead>(text, "frame", error);
+  if (!head.has_value()) return std::nullopt;
+  if (head->frame.empty()) return fail(error, "missing 'frame' field");
+  if (!std::isfinite(head->deadline_ms) || head->deadline_ms < 0.0) {
+    return fail(error, "malformed 'deadline_ms' field");
   }
   return head;
 }

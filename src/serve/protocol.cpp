@@ -17,38 +17,12 @@ namespace gapsched::serve {
 
 namespace {
 
-/// Collapses the codec's pretty-printed documents onto one line. Raw
-/// newline bytes only ever appear as formatting (string values escape
-/// control characters), so dropping each '\n' and the indentation that
-/// follows it is content-preserving.
-std::string compact(std::string_view pretty) {
-  std::string out;
-  out.reserve(pretty.size());
-  std::size_t i = 0;
-  while (i < pretty.size()) {
-    const char c = pretty[i];
-    if (c == '\n') {
-      ++i;
-      while (i < pretty.size() && pretty[i] == ' ') ++i;
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
-}
-
-/// Splices a frame header into a one-line document: '{' + header + rest.
-std::string with_header(std::string head_fields, std::string_view doc) {
-  std::string out = "{" + std::move(head_fields);
-  // doc is "{...}" or "{}"; keep a separating comma only when non-empty.
-  std::string_view rest = doc.substr(1);
-  while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\n')) {
-    rest.remove_prefix(1);
-  }
-  if (rest != "}") out += ",";
-  out += rest;
-  return out;
+/// Splices a frame header into a one-line codec document: '{' + header +
+/// ',' + the document's members.
+std::string with_header(std::string head, std::string doc) {
+  head += ',';
+  doc.insert(1, head);
+  return doc;
 }
 
 }  // namespace
@@ -69,20 +43,18 @@ std::string request_frame(std::int64_t id, std::string_view solver,
     std::snprintf(buf, sizeof buf, ",\"deadline_ms\":%.6g", deadline_ms);
     head += buf;
   }
-  return with_header(std::move(head),
-                     compact(io::request_to_json(solver, request)));
+  return with_header(std::move(head), io::request_to_json(solver, request));
 }
 
 std::string result_frame(std::int64_t id, const engine::SolveResult& result) {
   return with_header("\"frame\":\"result\",\"id\":" + std::to_string(id),
-                     compact(io::result_to_json(result)));
+                     io::result_to_json(result));
 }
 
 std::string stats_request_frame() { return "{\"frame\":\"stats\"}"; }
 
 std::string stats_frame(const io::ServerStatsWire& stats) {
-  return with_header("\"frame\":\"stats\"",
-                     compact(io::server_stats_to_json(stats)));
+  return with_header("\"frame\":\"stats\"", io::server_stats_to_json(stats));
 }
 
 std::string drain_frame() { return "{\"frame\":\"drain\"}"; }

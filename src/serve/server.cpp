@@ -81,6 +81,7 @@ bool Server::start(std::string* error) {
   shard_states_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shard_states_.push_back(std::make_unique<ShardState>());
+    shard_states_.back()->tally.shard = static_cast<std::int64_t>(i);
   }
   shard_pool_ =
       std::make_unique<ShardPool>(options_.shards, options_.shard_queue);
@@ -323,7 +324,7 @@ io::ServerStatsWire Server::stats() const {
   for (std::size_t i = 0; i < shard_states_.size(); ++i) {
     const ShardState& state = *shard_states_[i];
     std::lock_guard<std::mutex> lk(state.mu);
-    out.shards.push_back(state.tally.wire(i));
+    out.shards.push_back(state.tally);
     // Aggregate = the per-shard roll-ups folded together.
     out.pipeline.requests += state.tally.pipeline.requests;
     for (std::size_t s = 0; s < engine::kPipelineStageCount; ++s) {

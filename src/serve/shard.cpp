@@ -34,29 +34,6 @@ std::size_t shard_of(std::uint64_t key, std::size_t shards) {
          shards;
 }
 
-void ShardTally::absorb(const engine::SolveResult& result) {
-  ++requests;
-  if (!result.ok) ++rejected;
-  if (result.timed_out) ++timed_out;
-  if (result.audited && !result.audit_error.empty()) ++refuted;
-  if (result.stats.cache_hit) ++cache_hits;
-  component_cache_hits += result.stats.component_cache_hits;
-  pipeline.absorb(result.stats);
-}
-
-io::ShardStatsWire ShardTally::wire(std::size_t shard) const {
-  io::ShardStatsWire w;
-  w.shard = static_cast<std::int64_t>(shard);
-  w.requests = requests;
-  w.rejected = rejected;
-  w.timed_out = timed_out;
-  w.refuted = refuted;
-  w.cache_hits = cache_hits;
-  w.component_cache_hits = component_cache_hits;
-  w.pipeline = pipeline;
-  return w;
-}
-
 ShardPool::ShardPool(std::size_t shards, std::size_t queue_capacity) {
   const std::size_t n = shards == 0 ? 1 : shards;
   queues_.reserve(n);

@@ -229,6 +229,15 @@ TEST(JsonCodec, MalformedDocumentsAreRejectedWithDiagnostics) {
                                       "processor": -1}]}})",
                        &error)
           .has_value());  // slot out of range
+
+  // Wrong-typed sub-objects are diagnostics, not silently default stats or
+  // an empty schedule; the diagnostic names the key.
+  EXPECT_FALSE(result_from_json(R"({"ok": true, "stats": 5})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("stats"), std::string::npos) << error;
+  EXPECT_FALSE(result_from_json(R"({"ok": true, "schedule": "x"})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("schedule"), std::string::npos) << error;
 }
 
 TEST(JsonCodec, DuplicateKeysAreRejected) {
@@ -397,6 +406,149 @@ TEST(JsonCodec, StringEscapesSurvive) {
   const auto parsed = result_from_json(result_to_json(r), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->error, "line\none\t\"quoted\" \\ back");
+}
+
+TEST(JsonCodec, AppendDoubleWritesTheShortestRoundTripForm) {
+  const auto spell = [](double value) {
+    std::string out;
+    append_double(out, value);
+    return out;
+  };
+  EXPECT_EQ(spell(0.0), "0");
+  EXPECT_EQ(spell(-0.0), "-0");
+  EXPECT_EQ(spell(0.1), "0.1");
+  EXPECT_EQ(spell(1e-7), "1e-07");
+  EXPECT_EQ(spell(1e21), "1e+21");
+  EXPECT_EQ(spell(123456789.125), "123456789.125");
+  EXPECT_EQ(spell(std::nan("")), "null");
+}
+
+// A result document exactly as the earlier pretty-printing writer emitted
+// it (and as store files written by it still hold): every stats field, all
+// seven stages, and schedule slots.
+constexpr const char* kPrettyResult = R"({
+  "gapsched": "result",
+  "ok": true,
+  "error": "",
+  "feasible": true,
+  "cost": 7.5,
+  "transitions": 3,
+  "timed_out": true,
+  "audited": true,
+  "audit_error": "cost \"off\"\tby one",
+  "stats": {
+    "wall_ms": 12.25,
+    "states": 101,
+    "nodes": 102,
+    "scheduled": 2,
+    "components": 104,
+    "cache_hit": true,
+    "component_cache_hits": 105,
+    "components_deduped": 106,
+    "dead_time_removed": -107,
+    "memo_arena_solves": 108,
+    "memo_hash_solves": 109,
+    "memo_parallel_solves": 110,
+    "memo_find_calls": 111,
+    "memo_probe_steps": 112,
+    "memo_pruned": 113,
+    "stages": {
+      "canonicalize": { "ran": true, "ms": 0.5 },
+      "decompose": { "ran": false, "ms": 1 },
+      "compress": { "ran": true, "ms": 1.5 },
+      "cache_lookup": { "ran": false, "ms": 2 },
+      "dispatch": { "ran": true, "ms": 2.5 },
+      "recombine": { "ran": false, "ms": 3 },
+      "audit": { "ran": true, "ms": 3.5 }
+    }
+  },
+  "schedule": {
+    "jobs": 3,
+    "slots": [
+      { "job": 0, "time": 4, "processor": 1 },
+      { "job": 2, "time": -9, "processor": -1 }
+    ]
+  }
+})";
+
+TEST(JsonCodec, PrettyPrintedResultsFromEarlierWritersStillLoad) {
+  SolveResult r;
+  r.ok = true;
+  r.feasible = true;
+  r.cost = 7.5;
+  r.transitions = 3;
+  r.timed_out = true;
+  r.audited = true;
+  r.audit_error = "cost \"off\"\tby one";
+  r.stats.wall_ms = 12.25;
+  r.stats.states = 101;
+  r.stats.nodes = 102;
+  r.stats.scheduled = 2;
+  r.stats.components = 104;
+  r.stats.cache_hit = true;
+  r.stats.component_cache_hits = 105;
+  r.stats.components_deduped = 106;
+  r.stats.dead_time_removed = -107;
+  r.stats.memo_arena_solves = 108;
+  r.stats.memo_hash_solves = 109;
+  r.stats.memo_parallel_solves = 110;
+  r.stats.memo_find_calls = 111;
+  r.stats.memo_probe_steps = 112;
+  r.stats.memo_pruned = 113;
+  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
+    r.stats.stages[i].ran = (i % 2) == 0;
+    r.stats.stages[i].ms = 0.5 * static_cast<double>(i + 1);
+  }
+  r.schedule = Schedule(3);
+  r.schedule.place(0, 4, 1);
+  r.schedule.place(2, -9);
+
+  const std::string one_line = result_to_json(r);
+  EXPECT_EQ(one_line.find('\n'), std::string::npos);
+  EXPECT_LT(one_line.size(), std::string(kPrettyResult).size());
+
+  std::string error;
+  const auto from_pretty = result_from_json(kPrettyResult, &error);
+  ASSERT_TRUE(from_pretty.has_value()) << error;
+  const auto from_one_line = result_from_json(one_line, &error);
+  ASSERT_TRUE(from_one_line.has_value()) << error;
+  // Equal values: the writer covers every field, so equal re-serialized
+  // text means equal results; spot checks guard against a field both
+  // sides drop.
+  EXPECT_EQ(result_to_json(*from_pretty), result_to_json(*from_one_line));
+  EXPECT_EQ(result_to_json(*from_pretty), one_line);
+  EXPECT_EQ(from_pretty->audit_error, r.audit_error);
+  EXPECT_TRUE(from_pretty->timed_out);
+  EXPECT_EQ(from_pretty->stats.dead_time_removed, -107);
+  EXPECT_EQ(from_pretty->stats.memo_pruned, 113u);
+  EXPECT_DOUBLE_EQ(from_pretty->stats.stages[6].ms, 3.5);
+  EXPECT_TRUE(from_pretty->stats.stages[6].ran);
+  EXPECT_EQ(from_pretty->schedule, r.schedule);
+  EXPECT_EQ(from_one_line->schedule, r.schedule);
+}
+
+// Frames are checked by ServeProtocol.FramesAreSingleLines.
+TEST(JsonCodec, EveryDocumentIsOneLine) {
+  engine::Engine eng;
+  SolveRequest request;
+  request.instance = Instance::one_interval({{0, 3}, {1, 4}, {10, 12}});
+  const SolveResult solved = eng.solve("gap_dp", request);
+  ASSERT_TRUE(solved.ok) << solved.error;
+  ServerStatsWire stats;
+  stats.shards.resize(2);
+  stats.shards[1].shard = 1;
+
+  const std::string texts[] = {
+      request_to_json("gap_dp", request),
+      result_to_json(solved),
+      result_to_json(SolveResult::rejected("two\nlines")),
+      cache_stats_to_json(eng.cache_stats()),
+      pipeline_stats_to_json(eng.pipeline_stats()),
+      server_stats_to_json(stats),
+  };
+  for (const std::string& text : texts) {
+    EXPECT_EQ(text.find('\n'), std::string::npos) << text;
+  }
 }
 
 TEST(JsonCodec, CacheStatsRoundTrip) {

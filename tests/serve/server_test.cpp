@@ -308,10 +308,11 @@ TEST(ServeServer, DeadlineExpiredInQueueAnswersTimedOutWithoutSolving) {
         scenario_request("mega_mixed", 900 + static_cast<std::uint64_t>(i),
                          engine::Objective::kGaps)));
   }
-  // 0.01 ms: expired long before the shard reaches it.
+  // One clock tick (1e-6 ms): expired whenever the shard pops it, however
+  // fast the work in front drains.
   frames.push_back(request_frame(
       10, "gap_dp",
-      scenario_request("sparse_spread", 2, engine::Objective::kGaps), 0.01));
+      scenario_request("sparse_spread", 2, engine::Objective::kGaps), 1e-6));
 
   Collected got;
   ASSERT_NO_FATAL_FAILURE(exchange(*channel, frames, frames.size(), &got));
