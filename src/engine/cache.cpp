@@ -1,5 +1,6 @@
 #include "gapsched/engine/cache.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -44,18 +45,22 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
                         const SolveParams& params, const Instance& canonical) {
   std::string text;
   text.reserve(48 + canonical.n() * 12);
+  const auto append_int = [](std::string& out, auto value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+  };
   text += info.name;
   text += '|';
   text += to_string(objective);
   text += "|p";
-  text += std::to_string(canonical.processors);
+  append_int(text, canonical.processors);
   if ((info.params & kUsesAlpha) != 0) {
     text += "|a=";
     append_double(text, params.alpha);
   }
   if ((info.params & kUsesMaxSpans) != 0) {
     text += "|k=";
-    text += std::to_string(params.max_spans);
+    append_int(text, params.max_spans);
   }
   if ((info.params & kUsesThreshold) != 0) {
     text += "|t=";
@@ -63,16 +68,16 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
   }
   if ((info.params & kUsesPacking) != 0) {
     text += "|s=";
-    text += std::to_string(params.swap_size);
+    append_int(text, params.swap_size);
     text += ",b=";
-    text += std::to_string(params.block_size);
+    append_int(text, params.block_size);
   }
   for (const Job& job : canonical.jobs) {
     text += '|';
     for (const Interval& iv : job.allowed.intervals()) {
-      text += std::to_string(iv.lo);
+      append_int(text, iv.lo);
       text += ',';
-      text += std::to_string(iv.hi);
+      append_int(text, iv.hi);
       text += ';';
     }
   }

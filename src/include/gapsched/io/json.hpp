@@ -29,17 +29,21 @@
 //                         one entry per pipeline stage, in order:
 //                         canonicalize, decompose, compress,
 //                         cache_lookup, dispatch, recombine, audit}},
-//    "schedule": {"jobs": 5,
-//                 "slots": [{"job": 0,"time": 10,"processor": -1}]}}
-// (slots list only scheduled jobs; processor -1 means profile form; the
-// stats object always reports all seven stages with their ran/skip verdict
-// and per-request wall time — see engine::PipelineStage).
+//    "schedule": {"jobs": 5,"slots": [[0,10,-1]]}}
+// (slots are [job,time,processor] for the scheduled jobs only; processor
+// -1 means profile form; the stats object always reports all seven stages
+// with their ran/skip verdict and per-request wall time — see
+// engine::PipelineStage).
 //
-// The readers accept any standard JSON document with these fields in any
-// layout, so store records written by earlier, pretty-printing versions
-// still load (extra fields are ignored), and return nullopt with *error
-// set on malformed input. Non-finite doubles degrade to null on write.
+// The readers take any standard JSON document with these members in any
+// order, so records from earlier writers (pretty-printed, or with
+// {"job","time","processor"} slots) still load. One pull reader fills the
+// structs straight from the text: unknown members are skipped but still
+// validated, duplicate keys are rejected in every object, and a syntax
+// error anywhere wins over a type error; malformed input returns nullopt
+// with *error set. Non-finite doubles degrade to null on write.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -52,13 +56,17 @@
 
 namespace gapsched::io {
 
-/// Deepest accepted nesting of any document on the wire. The parser reads
-/// untrusted socket bytes (serve/protocol.hpp), so recursion depth is a
-/// resource limit, not a style choice: a document nested deeper than this
-/// is rejected with a clean parse error instead of recursing toward a
-/// stack overflow. Engine documents nest 6 levels; 64 leaves an order of
-/// magnitude of headroom.
+/// Deepest accepted nesting of any document on the wire. The reader
+/// recurses once per nested array or object of untrusted socket bytes
+/// (serve/protocol.hpp), so depth is a resource limit: a document nested
+/// deeper, ignored members included, is rejected as "nested too deeply"
+/// before the stack is at risk. Engine documents nest 6 levels.
 inline constexpr int kMaxParseDepth = 64;
+
+/// Most jobs a document or text file (io/serialize.hpp) may declare or
+/// list, since a count sizes an allocation before any job is read: 2^21,
+/// the bcd DP's n < 2^21 bound, above what an 8 MiB frame can carry.
+inline constexpr std::size_t kMaxJobs = std::size_t{1} << 21;
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes and every control character.

@@ -1,15 +1,17 @@
 #include "gapsched/io/json.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <system_error>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,275 +57,6 @@ void append_double(std::string& out, double value) {
 
 namespace {
 
-// --------------------------------------------------------------- parsing --
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::int64_t integer = 0;
-  bool is_integer = false;
-  std::string string;
-  std::vector<JsonValue> elements;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-/// Minimal recursive-descent parser for standard JSON (no comments, no
-/// trailing commas). Depth-limited so adversarial input cannot blow the
-/// stack.
-class Parser {
-  /// 2^53: every integer of at most this magnitude is exact in a double.
-  static constexpr std::int64_t kExactIntInDouble = std::int64_t{1} << 53;
-
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    JsonValue v;
-    if (!value(v, 0)) {
-      if (error != nullptr) *error = error_;
-      return std::nullopt;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error != nullptr) *error = at("trailing characters after document");
-      return std::nullopt;
-    }
-    return v;
-  }
-
- private:
-
-  std::string at(std::string msg) {
-    return msg + " (at byte " + std::to_string(pos_) + ")";
-  }
-
-  bool fail(std::string msg) {
-    if (error_.empty()) error_ = at(std::move(msg));
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value(JsonValue& out, int depth) {
-    // depth counts nesting levels already entered, so the value being
-    // parsed sits at nesting level depth + 1: reject exactly the
-    // documents nested deeper than kMaxParseDepth.
-    if (depth >= kMaxParseDepth) return fail("document nested too deeply");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of document");
-    const char c = text_[pos_];
-    if (c == '{') return object(out, depth);
-    if (c == '[') return array(out, depth);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.string);
-    }
-    if (c == 't') {
-      if (!literal("true")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (c == 'f') {
-      if (!literal("false")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (c == 'n') {
-      if (!literal("null")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return number(out);
-  }
-
-  bool number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected a value");
-    const std::string_view token = text_.substr(start, pos_ - start);
-    out.kind = JsonValue::Kind::kNumber;
-    if (integral) {
-      // An integral token (-?[0-9]*) that fits int64 converts straight from
-      // the view. Up to 2^53 in magnitude the double conversion is exact,
-      // so `number` is what strtod reads ("-0" included: -0.0).
-      const char* last = token.data() + token.size();
-      std::int64_t v = 0;
-      const auto [end, ec] = std::from_chars(token.data(), last, v);
-      if (ec == std::errc{} && end == last) {
-        out.integer = v;
-        out.is_integer = true;
-        if (v >= -kExactIntInDouble && v <= kExactIntInDouble) {
-          out.number = v == 0 && token.front() == '-' ? -0.0
-                                                      : static_cast<double>(v);
-          return true;
-        }
-      }
-    }
-    // Fractions, exponents, and integers beyond the exact range.
-    const std::string owned(token);
-    char* end = nullptr;
-    out.number = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size()) return fail("malformed number");
-    return true;
-  }
-
-  bool string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return fail("bad \\u escape");
-            }
-          }
-          // The engine documents are ASCII; anything else degrades to '?'.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool object(JsonValue& out, int depth) {
-    ++pos_;  // '{'
-    out.kind = JsonValue::Kind::kObject;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    // Most objects are small (a schedule slot has three members): one
-    // allocation instead of three growth steps.
-    out.members.reserve(4);
-    for (;;) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected an object key");
-      }
-      std::string key;
-      if (!string(key)) return false;
-      // Duplicate keys make a document ambiguous (which value wins depends
-      // on the reader); the wire format rejects them outright so mutated
-      // or hand-built input can never smuggle a second "cost" past the
-      // first.
-      if (out.find(key) != nullptr) {
-        return fail("duplicate object key '" + key + "'");
-      }
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      JsonValue member;
-      if (!value(member, depth + 1)) return false;
-      out.members.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JsonValue& out, int depth) {
-    ++pos_;  // '['
-    out.kind = JsonValue::Kind::kArray;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue element;
-      if (!value(element, depth + 1)) return false;
-      out.elements.push_back(std::move(element));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
 // ---------------------------------------------------------- field tables --
 // One row per wire member, {key, pointer to member}, in wire order. The
 // generic writer and reader below walk these tables, so a new counter on
@@ -351,6 +84,11 @@ constexpr auto fields(const engine::SolveParams*) {
                          row("validate", &S::validate),
                          row("decompose", &S::decompose),
                          row("compress", &S::compress));
+}
+
+constexpr auto fields(const Instance*) {
+  return std::make_tuple(row("processors", &Instance::processors),
+                         row("jobs", &Instance::jobs));
 }
 
 constexpr auto fields(const engine::SolveRequest*) {
@@ -447,9 +185,56 @@ constexpr auto fields(const FrameHead*) {
                          row("message", &S::message));
 }
 
+/// A request document: the request plus the name of the solver to run.
+struct RequestDocument : engine::SolveRequest {
+  std::string solver;
+};
+
+constexpr auto fields(const RequestDocument*) {
+  return std::tuple_cat(
+      std::make_tuple(row("solver", &RequestDocument::solver)),
+      fields(static_cast<const engine::SolveRequest*>(nullptr)));
+}
+
+/// One schedule slot, [job,time,processor] on the wire; the object form
+/// earlier writers emitted goes through the table. An absent job is out of
+/// range.
+struct Slot {
+  std::size_t job = std::numeric_limits<std::size_t>::max();
+  Time time = 0;
+  int processor = Placement::kUnassigned;
+};
+
+constexpr auto fields(const Slot*) {
+  return std::make_tuple(row("job", &Slot::job), row("time", &Slot::time),
+                         row("processor", &Slot::processor));
+}
+
+/// The wire form a Schedule is read through.
+struct ScheduleWire {
+  std::size_t jobs = 0;
+  std::vector<Slot> slots;
+};
+
+constexpr auto fields(const ScheduleWire*) {
+  return std::make_tuple(row("jobs", &ScheduleWire::jobs),
+                         row("slots", &ScheduleWire::slots));
+}
+
 /// A wire struct: one with a field table above.
 template <typename S>
 concept Tabled = requires(const S* s) { fields(s); };
+
+/// S's field table, and its keys in table order.
+template <Tabled S>
+constexpr auto kTable = fields(static_cast<const S*>(nullptr));
+
+template <Tabled S>
+constexpr auto kKeys = std::apply(
+    [](const auto&... f) {
+      return std::array<std::string_view, sizeof...(f)>{f.key...};
+    },
+    kTable<S>);
 
 /// The per-stage maps (SolveStats::stages, PipelineStats::stages): one
 /// member per pipeline stage, keyed by its name.
@@ -494,25 +279,15 @@ void put(std::string& out, T value) {
   out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
-void put(std::string& out, const Instance& instance) {
-  ObjectWriter w(out);
-  put(w.key("processors"), instance.processors);
-  w.key("jobs") += '[';
-  for (std::size_t j = 0; j < instance.n(); ++j) {
-    out += j == 0 ? "[" : ",[";
-    const auto& intervals = instance.jobs[j].allowed.intervals();
-    for (std::size_t k = 0; k < intervals.size(); ++k) {
-      out += k == 0 ? "[" : ",[";
-      put(out, intervals[k].lo);
-      out += ',';
-      put(out, intervals[k].hi);
-      out += ']';
-    }
-    out += ']';
-  }
+/// Writes a fixed-length array: [a,b,...].
+template <typename... T>
+void put_tuple(std::string& out, const T&... values) {
+  char sep = '[';
+  ((out += std::exchange(sep, ','), put(out, values)), ...);
   out += ']';
-  w.close();
 }
+
+void put(std::string& out, const Interval& iv) { put_tuple(out, iv.lo, iv.hi); }
 
 void put(std::string& out, const Schedule& schedule) {
   ObjectWriter w(out);
@@ -524,16 +299,13 @@ void put(std::string& out, const Schedule& schedule) {
     if (!slot.has_value()) continue;
     if (!first) out += ',';
     first = false;
-    ObjectWriter s(out);
-    put(s.key("job"), j);
-    put(s.key("time"), slot->time);
-    put(s.key("processor"), slot->processor);
-    s.close();
+    put_tuple(out, j, slot->time, slot->processor);
   }
   out += ']';
   w.close();
 }
 
+void put(std::string& out, const Job& job);
 template <Tabled S>
 void put(std::string& out, const S& s);
 
@@ -555,6 +327,10 @@ void put(std::string& out, const std::vector<T>& items) {
     put(out, items[i]);
   }
   out += ']';
+}
+
+void put(std::string& out, const Job& job) {
+  put(out, job.allowed.intervals());
 }
 
 template <Tabled S>
@@ -582,176 +358,419 @@ std::string document(std::string_view tag, const S& s) {
 }
 
 // --------------------------------------------------------------- reading --
-// take(value, &member, why) reads one value: false on a wrong type or an
-// out-of-range number. Absent members keep their defaults; a reader that
-// knows more than "wrong type" says so in *why.
+// One pull reader writes each value straight into its wire struct; keys and
+// strings are views into the input unless they hold escapes. A syntax error
+// (bad token, nesting past kMaxParseDepth, duplicate key, trailing bytes)
+// ends the read. The first semantic error (wrong type, out-of-range number,
+// unknown stage) is recorded and the rest is only validated, so a syntax
+// error anywhere still wins. Absent members keep their defaults.
 
-bool take(const JsonValue& v, bool* out, std::string*) {
-  if (v.kind != JsonValue::Kind::kBool) return false;
-  *out = v.boolean;
-  return true;
+std::string malformed(std::string_view key) {
+  return "malformed '" + std::string(key) + "' field";
 }
 
-bool take(const JsonValue& v, double* out, std::string*) {
-  if (v.kind != JsonValue::Kind::kNumber) return false;
-  *out = v.number;
-  return true;
-}
+std::uint64_t bit(int row) { return std::uint64_t{1} << row; }
 
-bool take(const JsonValue& v, std::string* out, std::string*) {
-  if (v.kind != JsonValue::Kind::kString) return false;
-  *out = v.string;
-  return true;
-}
+class Reader {
+  /// 2^53: every integer of at most this magnitude is exact in a double.
+  static constexpr std::int64_t kExactIntInDouble = std::int64_t{1} << 53;
+  /// Thrown by fail(): a syntax error ends the read.
+  struct SyntaxError {
+    std::string why;
+  };
 
-/// An integer that fits T without truncation: out-of-range wire input
-/// (a negative count, an int field past INT_MAX) must be a parse error,
-/// never a plausible-looking wrong value.
-template <std::integral T>
-bool take(const JsonValue& v, T* out, std::string*) {
-  if (v.kind != JsonValue::Kind::kNumber || !v.is_integer ||
-      !std::in_range<T>(v.integer)) {
-    return false;
-  }
-  *out = static_cast<T>(v.integer);
-  return true;
-}
+ public:
+  explicit Reader(std::string_view text) : text_(text) {}
 
-/// An objective name; "" keeps the default.
-bool take(const JsonValue& v, engine::Objective* out, std::string* why) {
-  if (v.kind != JsonValue::Kind::kString) return false;
-  if (v.string.empty()) return true;
-  const auto objective = engine::objective_from_string(v.string);
-  if (!objective.has_value()) {
-    *why = "unknown objective '" + v.string + "'";
-    return false;
-  }
-  *out = *objective;
-  return true;
-}
-
-template <Tabled S>
-bool take(const JsonValue& v, S* out, std::string* why);
-
-/// Stages may be listed in any order or left out; unknown names are a
-/// writer/reader version skew, never silently dropped.
-template <typename T>
-bool take(const JsonValue& v, StageMap<T>* out, std::string* why) {
-  if (v.kind != JsonValue::Kind::kObject) return false;
-  for (const auto& [name, entry] : v.members) {
-    const auto stage = engine::pipeline_stage_from_string(name);
-    if (!stage.has_value()) {
-      *why = "unknown pipeline stage '" + name + "'";
-      return false;
+  /// Reads the document into *s; *seen (when given) gets one bit per table
+  /// row present. False with *error set to the syntax error, if any, else
+  /// to the first semantic one. `what` names the document for the
+  /// not-an-object error.
+  template <Tabled S>
+  bool document(S* s, std::string_view what, std::uint64_t* seen,
+                std::string* error) {
+    try {
+      if (!opens('{')) {
+        mismatch(std::string(what) + " must be an object");
+      } else if (const std::uint64_t rows = members(s); seen != nullptr) {
+        *seen = rows;
+      }
+      skip_ws();
+      if (pos_ != text_.size()) fail("trailing characters after document");
+    } catch (SyntaxError& e) {
+      semantic_ = std::move(e.why);  // outranks any semantic error
     }
-    if (!take(entry, &(*out)[static_cast<std::size_t>(*stage)], why)) {
-      if (why->empty()) *why = "malformed stage entry '" + name + "'";
-      return false;
+    if (semantic_.empty()) return true;
+    if (error != nullptr) *error = std::move(semantic_);
+    return false;
+  }
+
+ private:
+  [[noreturn]] void fail(std::string_view msg) {
+    throw SyntaxError{std::string(msg) + " (at byte " + std::to_string(pos_) +
+                      ")"};
+  }
+
+  void note(std::string why) {
+    if (semantic_.empty()) semantic_ = std::move(why);
+  }
+
+  /// True once a semantic error is on record: values are then skipped.
+  bool failed() const { return !semantic_.empty(); }
+
+  void skip_ws() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+            text_[pos_] == '\r')) {
+      ++pos_;
     }
   }
-  return true;
-}
 
-template <typename T>
-bool take(const JsonValue& v, std::vector<T>* out, std::string* why) {
-  if (v.kind != JsonValue::Kind::kArray) return false;
-  out->assign(v.elements.size(), T{});
-  for (std::size_t i = 0; i < v.elements.size(); ++i) {
-    if (!take(v.elements[i], &(*out)[i], why)) return false;
+  /// Consumes `c` when it is the next non-blank byte.
+  bool at(char c) {
+    skip_ws();
+    return pos_ < text_.size() && text_[pos_] == c && (++pos_, true);
   }
-  return true;
-}
 
-bool take(const JsonValue& v, Instance* out, std::string* why);
-bool take(const JsonValue& v, Schedule* out, std::string* why);
-
-/// Reads member `key` of `obj` when present; on failure *why names the
-/// key unless a nested reader already said more.
-template <typename T>
-bool take_member(const JsonValue& obj, std::string_view key, T* out,
-                 std::string* why) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || take(*v, out, why)) return true;
-  if (why->empty()) *why = "malformed '" + std::string(key) + "' field";
-  return false;
-}
-
-template <Tabled S>
-bool take_fields(const JsonValue& obj, S* s, std::string* why) {
-  return std::apply(
-      [&](const auto&... f) {
-        return (take_member(obj, f.key, &(s->*f.member), why) && ...);
-      },
-      fields(s));
-}
-
-template <Tabled S>
-bool take(const JsonValue& v, S* out, std::string* why) {
-  return v.kind == JsonValue::Kind::kObject && take_fields(v, out, why);
-}
-
-bool take(const JsonValue& v, Instance* out, std::string* why) {
-  if (v.kind != JsonValue::Kind::kObject ||
-      !take_member(v, "processors", &out->processors, why)) {
-    return false;
+  /// The first byte of the next value. depth_ counts the levels already
+  /// entered, so the value sits at level depth_ + 1: exactly the documents
+  /// nested deeper than kMaxParseDepth fail.
+  char begin() {
+    if (depth_ >= kMaxParseDepth) fail("document nested too deeply");
+    skip_ws();
+    if (pos_ >= text_.size()) fail("unexpected end of document");
+    return text_[pos_];
   }
-  const JsonValue* jobs = v.find("jobs");
-  if (jobs == nullptr || jobs->kind != JsonValue::Kind::kArray) {
-    *why = "missing 'jobs' array";
-    return false;
+
+  /// True when the next value opens with `c`; it stays unread either way.
+  bool opens(char c) { return begin() == c; }
+
+  void literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) fail("bad literal");
+    pos_ += word.size();
   }
-  out->jobs.clear();
-  out->jobs.reserve(jobs->elements.size());
-  for (const JsonValue& job : jobs->elements) {
-    if (job.kind != JsonValue::Kind::kArray) {
-      *why = "each job must be an array of [lo, hi] intervals";
-      return false;
+
+  /// Reads a number token; *integer (when given) gets it if the token is
+  /// integral and fits int64.
+  double number(std::optional<std::int64_t>* integer = nullptr) {
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    bool integral = true;
+    for (; pos_ < text_.size(); ++pos_) {
+      const char c = text_[pos_];
+      if (c >= '0' && c <= '9') continue;
+      if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-') break;
+      integral = false;
+    }
+    if (pos_ == start) fail("expected a value");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    std::int64_t v = 0;
+    const char* last = token.data() + token.size();
+    if (const auto [end, ec] = std::from_chars(token.data(), last, v);
+        integral && ec == std::errc{} && end == last) {
+      // An integral token (-?[0-9]*) that fits int64 converts straight from
+      // the view. Up to 2^53 in magnitude the double conversion is exact,
+      // so it is what strtod reads ("-0" included: -0.0).
+      if (integer != nullptr) *integer = v;
+      if (v >= -kExactIntInDouble && v <= kExactIntInDouble) {
+        return v == 0 && token.front() == '-' ? -0.0 : static_cast<double>(v);
+      }
+    }
+    // Fractions, exponents, and integers beyond the exact range.
+    const std::string owned(token);
+    char* end = nullptr;
+    const double value = std::strtod(owned.c_str(), &end);
+    if (end != owned.c_str() + owned.size()) fail("malformed number");
+    return value;
+  }
+
+  /// The string token at pos_: a view of the input when it has no escapes,
+  /// else decoded into *scratch.
+  std::string_view string(std::string* scratch) {
+    const std::size_t start = ++pos_;  // opening quote
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+      return text_.substr(start, pos_++ - start);
+    }
+    scratch->assign(text_, start, pos_ - start);
+    static constexpr std::string_view kEscapes = "\"\\/ntrbf";
+    static constexpr std::string_view kDecoded = "\"\\/\n\t\r\b\f";
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') return *scratch;
+      if (c != '\\') {
+        *scratch += c;
+      } else if (pos_ < text_.size() && text_[pos_] == 'u') {
+        if (++pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        const char* hex = text_.data() + pos_;
+        if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+          fail("bad \\u escape");
+        }
+        pos_ += 4;
+        // The engine documents are ASCII; anything else degrades to '?'.
+        *scratch += code < 0x80 ? static_cast<char>(code) : '?';
+      } else if (pos_ < text_.size()) {
+        const std::size_t i = kEscapes.find(text_[pos_++]);
+        if (i == std::string_view::npos) fail("unknown escape");
+        *scratch += kDecoded[i];
+      }
+    }
+    fail("unterminated string");
+  }
+
+  /// Walks the array at pos_, calling element() once per element.
+  template <typename Element>
+  void array(Element&& element) {
+    ++pos_;  // '['
+    ++depth_;
+    if (!at(']')) {
+      do {
+        failed() ? skip() : element();
+      } while (at(','));
+      if (!at(']')) fail("expected ',' or ']'");
+    }
+    --depth_;
+  }
+
+  /// Walks the object at pos_. row(key) maps a key to its bit (0..63), or
+  /// -1 when the key is unknown; member(row, key) reads the value. Returns
+  /// the bits of the keys present. A duplicate key makes a document
+  /// ambiguous (which value wins depends on the reader), so it is a syntax
+  /// error, caught after decoding: known keys by the seen-bitmask, unknown
+  /// ones (rare) in a list shared by the open objects.
+  template <typename Row, typename Member>
+  std::uint64_t object(Row&& row, Member&& member) {
+    ++pos_;  // '{'
+    ++depth_;
+    std::uint64_t seen = 0;
+    if (!at('}')) {
+      const std::size_t unknown_base = unknown_keys_.size();
+      std::string scratch;
+      do {
+        skip_ws();
+        if (pos_ >= text_.size() || text_[pos_] != '"') {
+          fail("expected an object key");
+        }
+        const std::string_view key = string(&scratch);
+        const int r = row(key);
+        if (r >= 0 ? (std::exchange(seen, seen | bit(r)) & bit(r)) != 0
+                   : std::find(unknown_keys_.begin() + unknown_base,
+                               unknown_keys_.end(),
+                               key) != unknown_keys_.end()) {
+          fail("duplicate object key '" + std::string(key) + "'");
+        }
+        if (r < 0) unknown_keys_.emplace_back(key);
+        if (!at(':')) fail("expected ':'");
+        failed() ? skip() : member(r, key);
+      } while (at(','));
+      if (!at('}')) fail("expected ',' or '}'");
+      unknown_keys_.resize(unknown_base);
+    }
+    --depth_;
+    return seen;
+  }
+
+  /// Reads and validates one value of any type, keeping nothing.
+  void skip() {
+    switch (begin()) {
+      case '{':
+        object([](std::string_view) { return -1; },
+               [this](int, std::string_view) { skip(); });
+        return;
+      case '[': return array([this] { skip(); });
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      case '"': string(&scratch_); return;
+      default: number();
+    }
+  }
+
+  /// Records `why` and skips the value it is about.
+  void mismatch(std::string why) {
+    note(std::move(why));
+    skip();
+  }
+
+  /// Reads one bool, number or string into *out; false (the value
+  /// skipped) on a wrong type. An integer must fit T without truncation:
+  /// out-of-range wire input (a negative count, an int field past INT_MAX)
+  /// is an error, never a plausible-looking wrong value.
+  template <typename T>
+  bool scalar(T* out) {
+    const char c = begin();
+    if constexpr (std::is_same_v<T, bool>) {
+      if (c != 't' && c != 'f') return skip(), false;
+      *out = c == 't';
+      literal(*out ? "true" : "false");
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (c != '"') return skip(), false;
+      out->assign(string(&scratch_));
+    } else {
+      if (c == '{' || c == '[' || c == '"' || c == 't' || c == 'f' ||
+          c == 'n') {
+        return skip(), false;
+      }
+      if constexpr (std::is_floating_point_v<T>) {
+        *out = number();
+      } else {
+        std::optional<std::int64_t> n;
+        number(&n);
+        if (!n.has_value() || !std::in_range<T>(*n)) return false;
+        *out = static_cast<T>(*n);
+      }
+    }
+    return true;
+  }
+
+  // ---- read(&member, key): one value into its wire member.
+
+  template <typename T>
+    requires std::is_arithmetic_v<T> || std::is_same_v<T, std::string>
+  void read(T* out, std::string_view key) {
+    if (!scalar(out)) note(malformed(key));
+  }
+
+  /// An objective name; "" keeps the default.
+  void read(engine::Objective* out, std::string_view key) {
+    std::string name;
+    if (!scalar(&name)) return note(malformed(key));
+    if (name.empty()) return;
+    const auto objective = engine::objective_from_string(name);
+    if (!objective.has_value()) return note("unknown objective '" + name + "'");
+    *out = *objective;
+  }
+
+  template <Tabled S>
+  void read(S* out, std::string_view key) {
+    if (!opens('{')) return mismatch(malformed(key));
+    members(out);
+  }
+
+  /// Reads the object at pos_ through S's field table; returns the bits of
+  /// the rows present.
+  template <Tabled S>
+  std::uint64_t members(S* out) {
+    constexpr auto& keys = kKeys<S>;
+    return object(
+        [](std::string_view key) {
+          const auto it = std::find(keys.begin(), keys.end(), key);
+          return it == keys.end() ? -1 : static_cast<int>(it - keys.begin());
+        },
+        [&](int r, std::string_view) {
+          int i = 0;
+          std::apply(
+              [&](const auto&... f) {
+                ((i++ == r ? read(&(out->*f.member), f.key) : void()), ...);
+              },
+              kTable<S>);
+          if (r < 0) skip();
+        });
+  }
+
+  /// Stages may be listed in any order or left out; unknown names are a
+  /// writer/reader version skew, never silently dropped.
+  template <typename T>
+  void read(StageMap<T>* out, std::string_view key) {
+    if (!opens('{')) return mismatch(malformed(key));
+    object(
+        [](std::string_view name) {
+          const auto stage = engine::pipeline_stage_from_string(name);
+          return stage.has_value() ? static_cast<int>(*stage) : -1;
+        },
+        [&](int r, std::string_view name) {
+          if (r < 0) {
+            return mismatch("unknown pipeline stage '" + std::string(name) +
+                            "'");
+          }
+          read(&(*out)[static_cast<std::size_t>(r)], name);
+        });
+  }
+
+  template <typename T>
+  void read(std::vector<T>* out, std::string_view key) {
+    if (!opens('[')) return mismatch(malformed(key));
+    out->clear();
+    array([&] {
+      if (out->size() == kMaxJobs) {
+        return mismatch("'" + std::string(key) + "' lists more than " +
+                        std::to_string(kMaxJobs) + " entries");
+      }
+      read(&out->emplace_back(), key);
+    });
+  }
+
+  /// An instance must list its jobs.
+  void read(Instance* out, std::string_view key) {
+    if (!opens('{')) return mismatch(malformed(key));
+    if ((members(out) & bit(1)) == 0) note("missing 'jobs' array");
+  }
+
+  void read(Job* out, std::string_view) {
+    if (!opens('[')) {
+      return mismatch("each job must be an array of [lo, hi] intervals");
     }
     std::vector<Interval> intervals;
-    intervals.reserve(job.elements.size());
-    for (const JsonValue& iv : job.elements) {
-      if (iv.kind != JsonValue::Kind::kArray || iv.elements.size() != 2 ||
-          !iv.elements[0].is_integer || !iv.elements[1].is_integer) {
-        *why = "each interval must be an integer pair [lo, hi]";
-        return false;
+    array([&] {
+      Interval& iv = intervals.emplace_back();
+      if (!tuple(&iv.lo, &iv.hi)) {
+        note("each interval must be an integer pair [lo, hi]");
       }
-      intervals.push_back(Interval{iv.elements[0].integer,
-                                   iv.elements[1].integer});
-    }
-    out->jobs.push_back(Job{TimeSet(std::move(intervals))});
+    });
+    *out = Job{TimeSet(std::move(intervals))};
   }
-  return true;
-}
 
-bool take(const JsonValue& v, Schedule* out, std::string* why) {
-  std::size_t n = 0;
-  if (v.kind != JsonValue::Kind::kObject ||
-      !take_member(v, "jobs", &n, why)) {
-    return false;
-  }
-  Schedule schedule(n);
-  if (const JsonValue* slots = v.find("slots"); slots != nullptr) {
-    if (slots->kind != JsonValue::Kind::kArray) {
-      *why = "'schedule.slots' must be an array";
-      return false;
+  /// `jobs` and `slots` may come in either order, so slots are checked
+  /// against the job count once both are read.
+  void read(Schedule* out, std::string_view key) {
+    ScheduleWire wire;
+    read(&wire, key);
+    if (wire.jobs > kMaxJobs) {
+      note("'jobs' count " + std::to_string(wire.jobs) +
+           " is above the limit of " + std::to_string(kMaxJobs));
     }
-    for (const JsonValue& slot : slots->elements) {
-      std::size_t job = n;  // absent: out of range
-      Time time = 0;
-      int processor = Placement::kUnassigned;
-      if (slot.kind != JsonValue::Kind::kObject ||
-          !take_member(slot, "job", &job, why) ||
-          !take_member(slot, "time", &time, why) ||
-          !take_member(slot, "processor", &processor, why) || job >= n) {
-        *why = "malformed schedule slot";
-        return false;
-      }
-      schedule.place(job, time, processor);
+    if (failed()) return;
+    *out = Schedule(wire.jobs);
+    for (const Slot& slot : wire.slots) {
+      if (slot.job >= wire.jobs) return note("malformed schedule slot");
+      out->place(slot.job, slot.time, slot.processor);
     }
   }
-  *out = std::move(schedule);
-  return true;
-}
+
+  /// [job,time,processor], or the object earlier writers emitted.
+  void read(Slot* out, std::string_view) {
+    if (begin() == '{') {
+      members(out);
+    } else if (!tuple(&out->job, &out->time, &out->processor)) {
+      note("malformed schedule slot");
+    }
+  }
+
+  /// Reads an array of exactly sizeof...(T) scalars into *out...; false
+  /// (the value consumed) on any other shape or type.
+  template <typename... T>
+  bool tuple(T*... out) {
+    if (!opens('[')) return skip(), false;
+    bool ok = true;
+    std::size_t count = 0;
+    array([&] {
+      std::size_t i = 0;
+      if (!((i++ == count && (ok = scalar(out) && ok, true)) || ...)) skip();
+      ++count;
+    });
+    return ok && count == sizeof...(T);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::string semantic_;
+  std::string scratch_;  // decoded strings that are used at once
+  std::vector<std::string> unknown_keys_;
+};
 
 /// Sets *error when the caller asked for it; converts to any empty optional.
 std::nullopt_t fail(std::string* error, std::string why) {
@@ -759,20 +778,14 @@ std::nullopt_t fail(std::string* error, std::string why) {
   return std::nullopt;
 }
 
-/// Parses `text` and reads its members into a fresh S. `what` names the
-/// document in the not-an-object diagnostic.
+/// Reads `text` into a fresh S; *seen (when given) gets one bit per table
+/// row present. `what` names the document in the not-an-object diagnostic.
 template <Tabled S>
 std::optional<S> read_document(std::string_view text, std::string_view what,
-                               std::string* error) {
-  Parser parser(text);
-  const std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    return fail(error, std::string(what) + " must be an object");
-  }
+                               std::string* error,
+                               std::uint64_t* seen = nullptr) {
   S s;
-  std::string why;
-  if (!take_fields(*doc, &s, &why)) return fail(error, std::move(why));
+  if (!Reader(text).document(&s, what, seen, error)) return std::nullopt;
   return s;
 }
 
@@ -792,23 +805,17 @@ std::string request_to_json(std::string_view solver,
 std::optional<engine::SolveRequest> request_from_json(std::string_view text,
                                                       std::string* solver,
                                                       std::string* error) {
-  Parser parser(text);
-  const std::optional<JsonValue> doc = parser.parse(error);
+  std::uint64_t seen = 0;
+  auto doc = read_document<RequestDocument>(text, "request document", error,
+                                            &seen);
   if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    return fail(error, "request document must be an object");
-  }
-  std::string name, why;
-  if (!take_member(*doc, "solver", &name, &why) || name.empty()) {
-    return fail(error, "missing 'solver' field");
-  }
-  if (doc->find("instance") == nullptr) {
+  if (doc->solver.empty()) return fail(error, "missing 'solver' field");
+  static_assert(kKeys<RequestDocument>[3] == "instance");
+  if ((seen & bit(3)) == 0) {
     return fail(error, "missing 'instance' object");
   }
-  engine::SolveRequest request;
-  if (!take_fields(*doc, &request, &why)) return fail(error, std::move(why));
-  if (solver != nullptr) *solver = std::move(name);
-  return request;
+  if (solver != nullptr) *solver = std::move(doc->solver);
+  return std::move(static_cast<engine::SolveRequest&>(*doc));
 }
 
 std::string result_to_json(const engine::SolveResult& result) {

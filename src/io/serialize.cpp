@@ -1,29 +1,27 @@
 #include "gapsched/io/serialize.hpp"
 
+#include <algorithm>
 #include <sstream>
+
+#include "gapsched/io/json.hpp"
 
 namespace gapsched {
 
 namespace {
 
-bool fail(std::string* error, const std::string& msg) {
+/// Sets *error when the caller asked for it; converts to any empty optional.
+std::nullopt_t fail(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
-  return false;
+  return std::nullopt;
 }
 
 // Reads the next non-comment, non-blank line.
 bool next_line(std::istream& is, std::string* line) {
   while (std::getline(is, *line)) {
-    const auto pos = line->find('#');
-    if (pos != std::string::npos) line->resize(pos);
-    bool blank = true;
-    for (char c : *line) {
-      if (!isspace(static_cast<unsigned char>(c))) {
-        blank = false;
-        break;
-      }
+    line->resize(std::min(line->find('#'), line->size()));  // drop comments
+    if (line->find_first_not_of(" \t\n\v\f\r") != std::string::npos) {
+      return true;
     }
-    if (!blank) return true;
   }
   return false;
 }
@@ -52,53 +50,42 @@ std::string instance_to_string(const Instance& inst) {
 std::optional<Instance> read_instance(std::istream& is, std::string* error) {
   std::string line;
   if (!next_line(is, &line) || line != "gapsched-instance v1") {
-    fail(error, "missing gapsched-instance v1 header");
-    return std::nullopt;
+    return fail(error, "missing gapsched-instance v1 header");
   }
   Instance inst;
   std::size_t n = 0;
   {
     std::string kw;
-    if (!next_line(is, &line)) {
-      fail(error, "missing processors line");
-      return std::nullopt;
-    }
+    if (!next_line(is, &line)) return fail(error, "missing processors line");
     std::istringstream ls(line);
     if (!(ls >> kw >> inst.processors) || kw != "processors" ||
         inst.processors < 1) {
-      fail(error, "bad processors line: " + line);
-      return std::nullopt;
+      return fail(error, "bad processors line: " + line);
     }
-    if (!next_line(is, &line)) {
-      fail(error, "missing jobs line");
-      return std::nullopt;
-    }
+    if (!next_line(is, &line)) return fail(error, "missing jobs line");
     std::istringstream ls2(line);
-    if (!(ls2 >> kw >> n) || kw != "jobs") {
-      fail(error, "bad jobs line: " + line);
-      return std::nullopt;
+    if (!(ls2 >> kw >> n) || kw != "jobs" || n > io::kMaxJobs) {
+      return fail(error, "bad jobs line: " + line);
     }
   }
   inst.jobs.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
     if (!next_line(is, &line)) {
-      fail(error, "missing job line " + std::to_string(j));
-      return std::nullopt;
+      return fail(error, "missing job line " + std::to_string(j));
     }
     std::istringstream ls(line);
     std::string kw;
     std::size_t k = 0;
     if (!(ls >> kw >> k) || kw != "job" || k == 0) {
-      fail(error, "bad job line: " + line);
-      return std::nullopt;
+      return fail(error, "bad job line: " + line);
     }
+    // Each interval takes at least four bytes (" 0 3") of the line.
     std::vector<Interval> ivs;
-    ivs.reserve(k);
+    ivs.reserve(std::min(k, line.size() / 4));
     for (std::size_t i = 0; i < k; ++i) {
       Interval iv;
       if (!(ls >> iv.lo >> iv.hi) || iv.empty()) {
-        fail(error, "bad interval in job line: " + line);
-        return std::nullopt;
+        return fail(error, "bad interval in job line: " + line);
       }
       ivs.push_back(iv);
     }
@@ -131,20 +118,15 @@ void write_schedule(std::ostream& os, const Schedule& s) {
 std::optional<Schedule> read_schedule(std::istream& is, std::string* error) {
   std::string line;
   if (!next_line(is, &line) || line != "gapsched-schedule v1") {
-    fail(error, "missing gapsched-schedule v1 header");
-    return std::nullopt;
+    return fail(error, "missing gapsched-schedule v1 header");
   }
-  if (!next_line(is, &line)) {
-    fail(error, "missing jobs line");
-    return std::nullopt;
-  }
+  if (!next_line(is, &line)) return fail(error, "missing jobs line");
   std::size_t n = 0;
   {
     std::istringstream ls(line);
     std::string kw;
-    if (!(ls >> kw >> n) || kw != "jobs") {
-      fail(error, "bad jobs line: " + line);
-      return std::nullopt;
+    if (!(ls >> kw >> n) || kw != "jobs" || n > io::kMaxJobs) {
+      return fail(error, "bad jobs line: " + line);
     }
   }
   Schedule s(n);
@@ -154,16 +136,14 @@ std::optional<Schedule> read_schedule(std::istream& is, std::string* error) {
     std::size_t j = 0;
     Time t = 0;
     if (!(ls >> kw >> j >> t >> proc) || kw != "slot" || j >= n) {
-      fail(error, "bad slot line: " + line);
-      return std::nullopt;
+      return fail(error, "bad slot line: " + line);
     }
     int p = Placement::kUnassigned;
     if (proc != "-") {
       try {
         p = std::stoi(proc);
       } catch (...) {
-        fail(error, "bad processor in slot line: " + line);
-        return std::nullopt;
+        return fail(error, "bad processor in slot line: " + line);
       }
     }
     s.place(j, t, p);

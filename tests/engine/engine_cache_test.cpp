@@ -504,6 +504,35 @@ TEST(SolveCacheLru, NormalizesStoredResults) {
   EXPECT_FALSE(hit->stats.cache_hit);
 }
 
+TEST(SolveCacheLru, KeyTextIsByteStableAcrossVersions) {
+  // Store files are keyed by this text: any byte of drift turns every
+  // stored answer into a miss. Pinned for both parameter layouts, with
+  // multi-interval jobs, negative times and a time past 2^31.
+  Instance inst;
+  inst.processors = 2;
+  inst.jobs.push_back(Job{TimeSet{{Interval{0, 3}, Interval{8, 9}}}});
+  inst.jobs.push_back(Job{TimeSet{{Interval{-12, -5}}}});
+  inst.jobs.push_back(
+      Job{TimeSet{{Interval{100, 100}, Interval{4000000000, 4000000002}}}});
+  SolveParams params;
+  params.alpha = 2.5;
+  const auto& registry = SolverRegistry::instance();
+  EXPECT_EQ(make_cache_key(registry.find("power_dp")->info(),
+                           Objective::kPower, params, inst)
+                .text,
+            "power_dp|power|p2|a=2.5|0,3;8,9;|-12,-5;"
+            "|100,100;4000000000,4000000002;");
+  inst.processors = 1;
+  params.alpha = 0.1;
+  params.swap_size = 3;
+  params.block_size = 4;
+  EXPECT_EQ(make_cache_key(registry.find("powermin_approx")->info(),
+                           Objective::kPower, params, inst)
+                .text,
+            "powermin_approx|power|p1|a=0.10000000000000001|s=3,b=4"
+            "|0,3;8,9;|-12,-5;|100,100;4000000000,4000000002;");
+}
+
 // ------------------------------------------------------------- summaries --
 
 TEST(BatchSummaryTest, CountsTimedOutRejectedAndRefutedSeparately) {

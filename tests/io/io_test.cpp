@@ -8,6 +8,7 @@
 
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/csv.hpp"
+#include "gapsched/io/json.hpp"
 #include "../support/temp_path.hpp"
 
 namespace gapsched {
@@ -52,6 +53,42 @@ TEST(Serialize, RejectsGarbage) {
       instance_from_string(
           "gapsched-instance v1\nprocessors 1\njobs 1\njob 1 5 3\n", &error)
           .has_value());  // empty interval
+}
+
+// Declared counts size allocations before any job is read: a count past
+// io::kMaxJobs, or more intervals than the line can hold, must be a
+// diagnostic at once, never std::bad_alloc.
+TEST(Serialize, HostileCountsAreRejectedWithoutAllocating) {
+  std::string error;
+  EXPECT_FALSE(instance_from_string("gapsched-instance v1\nprocessors 1\n"
+                                    "jobs 1000000000000000\njob 1 0 3\n",
+                                    &error)
+                   .has_value());
+  EXPECT_NE(error.find("bad jobs line"), std::string::npos) << error;
+  EXPECT_FALSE(instance_from_string("gapsched-instance v1\nprocessors 1\n"
+                                    "jobs 1\njob 100000000000000 0 3\n",
+                                    &error)
+                   .has_value());
+  EXPECT_NE(error.find("bad interval"), std::string::npos) << error;
+  std::istringstream schedule(
+      "gapsched-schedule v1\njobs 1000000000000000\nslot 0 1 -\n");
+  EXPECT_FALSE(read_schedule(schedule, &error).has_value());
+  EXPECT_NE(error.find("bad jobs line"), std::string::npos) << error;
+}
+
+TEST(Serialize, CountsUpToTheLimitAreAccepted) {
+  std::ostringstream text;
+  text << "gapsched-schedule v1\njobs " << io::kMaxJobs << "\nslot "
+       << io::kMaxJobs - 1 << " 7 -\n";
+  std::istringstream is(text.str());
+  std::string error;
+  const auto parsed = read_schedule(is, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->size(), io::kMaxJobs);
+  EXPECT_EQ(parsed->at(io::kMaxJobs - 1)->time, 7);
+  std::istringstream over("gapsched-schedule v1\njobs " +
+                          std::to_string(io::kMaxJobs + 1) + "\n");
+  EXPECT_FALSE(read_schedule(over, &error).has_value());
 }
 
 TEST(Serialize, CommentsAndBlanksIgnored) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -699,6 +701,214 @@ TEST(JsonCodec, FrameHeadParsesHeaderFieldsAndIgnoresTheBody) {
   EXPECT_FALSE(frame_head_from_json(
                    R"({"frame": "request", "deadline_ms": -5})", &error)
                    .has_value());
+}
+
+// The same result as kPrettyResult, exactly as the one-line writer before
+// slot triples emitted it: slots are {"job","time","processor"} objects.
+constexpr const char* kObjectSlotResult =
+    R"({"gapsched": "result","ok": true,"error": "","feasible": true)"
+    R"(,"cost": 7.5,"transitions": 3,"timed_out": true,"audited": true)"
+    R"(,"audit_error": "cost \"off\"\tby one","stats": {"wall_ms": 12.25)"
+    R"(,"states": 101,"nodes": 102,"scheduled": 2,"components": 104)"
+    R"(,"cache_hit": true,"component_cache_hits": 105)"
+    R"(,"components_deduped": 106,"dead_time_removed": -107)"
+    R"(,"memo_arena_solves": 108,"memo_hash_solves": 109)"
+    R"(,"memo_parallel_solves": 110,"memo_find_calls": 111)"
+    R"(,"memo_probe_steps": 112,"memo_pruned": 113)"
+    R"(,"stages": {"canonicalize": {"ran": true,"ms": 0.5})"
+    R"(,"decompose": {"ran": false,"ms": 1},"compress": {"ran": true)"
+    R"(,"ms": 1.5},"cache_lookup": {"ran": false,"ms": 2})"
+    R"(,"dispatch": {"ran": true,"ms": 2.5},"recombine": {"ran": false)"
+    R"(,"ms": 3},"audit": {"ran": true,"ms": 3.5}}},"schedule": {"jobs": 3)"
+    R"(,"slots": [{"job": 0,"time": 4,"processor": 1},{"job": 2,"time": -9)"
+    R"(,"processor": -1}]}})";
+
+TEST(JsonCodec, ResultsWithObjectSlotsStillLoadAndNowWriteTriples) {
+  std::string error;
+  const auto pretty = result_from_json(kPrettyResult, &error);
+  ASSERT_TRUE(pretty.has_value()) << error;
+  const auto one_line = result_from_json(kObjectSlotResult, &error);
+  ASSERT_TRUE(one_line.has_value()) << error;
+
+  const std::string written = result_to_json(*one_line);
+  const std::string triples =
+      R"("schedule": {"jobs": 3,"slots": [[0,4,1],[2,-9,-1]]})";
+  EXPECT_NE(written.find(triples), std::string::npos) << written;
+  EXPECT_LT(written.size(), std::string(kObjectSlotResult).size());
+  const auto reread = result_from_json(written, &error);
+  ASSERT_TRUE(reread.has_value()) << error;
+  // The writer covers every field, so equal text means equal values.
+  EXPECT_EQ(result_to_json(*pretty), written);
+  EXPECT_EQ(result_to_json(*reread), written);
+  EXPECT_EQ(reread->schedule, one_line->schedule);
+  EXPECT_EQ(reread->schedule, pretty->schedule);
+  EXPECT_EQ(reread->schedule.at(2)->time, -9);
+  EXPECT_EQ(reread->schedule.at(0)->processor, 1);
+  EXPECT_FALSE(reread->schedule.is_scheduled(1));
+}
+
+TEST(JsonCodec, SlotFormsMixAndMalformedTriplesAreRejected) {
+  std::string error;
+  const auto mixed = result_from_json(
+      R"({"ok": true, "schedule": {"jobs": 3, "slots": [
+            [0, 4, 1], {"processor": -1, "time": -9, "job": 2}]}})",
+      &error);
+  ASSERT_TRUE(mixed.has_value()) << error;
+  EXPECT_EQ(mixed->schedule.at(0), (Placement{4, 1}));
+  EXPECT_EQ(mixed->schedule.at(2), (Placement{-9, Placement::kUnassigned}));
+
+  for (const char* slot : {"[0, 4]", "[0, 4, 1, 2]", R"([0, "4", 1])",
+                           "[-1, 4, 1]", "[3, 0, -1]", "[0, 1.5, -1]",
+                           "[0, 4, 4294967296]", "7", "[]"}) {
+    const std::string doc =
+        std::string(R"({"ok": true, "schedule": {"jobs": 3, "slots": [)") +
+        slot + "]}}";
+    EXPECT_FALSE(result_from_json(doc, &error).has_value()) << slot;
+    EXPECT_NE(error.find("malformed schedule slot"), std::string::npos)
+        << slot << ": " << error;
+  }
+}
+
+TEST(JsonCodec, DeclaredJobCountsAboveKMaxJobsAreRejectedAtOnce) {
+  // A declared count sizes the schedule before any slot is read; past
+  // kMaxJobs it is a diagnostic, not std::bad_alloc or a long stall. Best
+  // of three runs, so a preempted run does not fail the bound.
+  for (const char* doc : {R"({"schedule": {"jobs": 1000000000000000}})",
+                          R"({"schedule": {"jobs": 30000000}})"}) {
+    std::string error;
+    auto best = std::chrono::steady_clock::duration::max();
+    for (int run = 0; run < 3; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      EXPECT_FALSE(result_from_json(doc, &error).has_value()) << doc;
+      best = std::min(best, std::chrono::steady_clock::now() - start);
+    }
+    EXPECT_NE(error.find("'jobs' count"), std::string::npos) << error;
+    EXPECT_LT(best, std::chrono::milliseconds(1)) << doc;
+  }
+  std::string error;
+  const auto at_limit = result_from_json(
+      R"({"schedule": {"jobs": )" + std::to_string(kMaxJobs) + "}}", &error);
+  ASSERT_TRUE(at_limit.has_value()) << error;
+  EXPECT_EQ(at_limit->schedule.size(), kMaxJobs);
+}
+
+// ---------------------------------------------------- reader edge cases --
+
+TEST(JsonCodec, MembersMayComeInAnyOrder) {
+  std::string solver, error;
+  const auto request = request_from_json(
+      R"({"instance": {"jobs": [[[2, 6]]], "processors": 2},
+          "params": {"compress": false, "alpha": 3}, "objective": "power",
+          "solver": "power_dp", "gapsched": "request"})",
+      &solver, &error);
+  ASSERT_TRUE(request.has_value()) << error;
+  EXPECT_EQ(solver, "power_dp");
+  EXPECT_EQ(request->objective, Objective::kPower);
+  EXPECT_DOUBLE_EQ(request->params.alpha, 3.0);
+  EXPECT_FALSE(request->params.compress);
+  EXPECT_EQ(request->instance.processors, 2);
+  ASSERT_EQ(request->instance.n(), 1u);
+
+  // Slots listed before the job count they are checked against.
+  const auto result = result_from_json(
+      R"({"schedule": {"slots": [[1, 8, -1]], "jobs": 2}, "ok": true})",
+      &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_EQ(result->schedule.size(), 2u);
+  EXPECT_EQ(result->schedule.at(1), (Placement{8, Placement::kUnassigned}));
+  EXPECT_FALSE(result_from_json(
+                   R"({"schedule": {"slots": [[2, 8, -1]], "jobs": 2}})",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("malformed schedule slot"), std::string::npos) << error;
+  EXPECT_FALSE(
+      result_from_json(R"({"schedule": {"slots": [[0, 8, -1]]}})", &error)
+          .has_value());  // no job count: every slot is out of range
+}
+
+TEST(JsonCodec, KeysAreComparedAfterDecoding) {
+  std::string error;
+  EXPECT_FALSE(
+      result_from_json(R"({"ok": true, "cost": 1, "\u0063ost": 2})", &error)
+          .has_value());
+  EXPECT_NE(error.find("duplicate object key 'cost'"), std::string::npos)
+      << error;
+  EXPECT_FALSE(result_from_json(R"({"junk": 1, "ok": true, "j\u0075nk": 2})",
+                                &error)
+                   .has_value());
+  EXPECT_NE(error.find("duplicate object key 'junk'"), std::string::npos)
+      << error;
+  // An escaped key reads as the member it spells.
+  const auto r = result_from_json(R"({"c\u006fst": 4.5})", &error);
+  ASSERT_TRUE(r.has_value()) << error;
+  EXPECT_DOUBLE_EQ(r->cost, 4.5);
+}
+
+TEST(JsonCodec, IgnoredMembersAreStillFullyValidated) {
+  std::string error;
+  // A duplicate key inside an unknown member is rejected like any other.
+  EXPECT_FALSE(result_from_json(
+                   R"({"ok": true, "junk": {"x": [1, {"a": 1, "a": 2}]}})",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("duplicate object key 'a'"), std::string::npos)
+      << error;
+  // So is bad syntax.
+  EXPECT_FALSE(
+      result_from_json(R"({"ok": true, "junk": [1, tru]})", &error)
+          .has_value());
+  EXPECT_NE(error.find("bad literal"), std::string::npos) << error;
+  // Objects nested in an unknown member up to 64 levels in total read
+  // fine (the root plus 63); one level more is too deep.
+  const auto nested = [](int levels) {
+    std::string doc = R"({"ok": true, "junk": )";
+    for (int i = 0; i < levels; ++i) doc += R"({"x": )";
+    doc += "{}";
+    for (int i = 0; i < levels; ++i) doc += '}';
+    return doc + '}';
+  };
+  EXPECT_TRUE(result_from_json(nested(kMaxParseDepth - 2), &error).has_value())
+      << error;
+  EXPECT_FALSE(
+      result_from_json(nested(kMaxParseDepth - 1), &error).has_value());
+  EXPECT_NE(error.find("nested too deeply"), std::string::npos) << error;
+}
+
+TEST(JsonCodec, SyntaxErrorsWinOverEarlierTypeErrors) {
+  std::string error;
+  // A wrong-typed field, then a truncation: the truncation is reported.
+  EXPECT_FALSE(result_from_json(R"({"ok": 5, "cost": 1)", &error).has_value());
+  EXPECT_EQ(error.find("'ok'"), std::string::npos) << error;
+  EXPECT_NE(error.find("(at byte"), std::string::npos) << error;
+  // Without the truncation, the type error is.
+  EXPECT_FALSE(result_from_json(R"({"ok": 5, "cost": 1})", &error).has_value());
+  EXPECT_NE(error.find("malformed 'ok' field"), std::string::npos) << error;
+  // The first type error wins over later ones.
+  EXPECT_FALSE(
+      result_from_json(R"({"cost": "x", "ok": 5})", &error).has_value());
+  EXPECT_NE(error.find("malformed 'cost' field"), std::string::npos) << error;
+}
+
+TEST(JsonCodec, FrameHeadOfAFullRequestFrame) {
+  SolveRequest request;
+  request.objective = Objective::kPower;
+  request.params.alpha = 2.5;
+  request.instance = Instance::one_interval({{0, 5}, {2, 3}, {9, 14}});
+  std::string body = request_to_json("power_dp", request);
+  const std::string frame =
+      R"({"frame": "request","id": 77,"deadline_ms": 12.5,)" + body.substr(1);
+  std::string error;
+  const auto head = frame_head_from_json(frame, &error);
+  ASSERT_TRUE(head.has_value()) << error;
+  EXPECT_EQ(head->frame, "request");
+  EXPECT_EQ(head->id, 77);
+  EXPECT_DOUBLE_EQ(head->deadline_ms, 12.5);
+  EXPECT_TRUE(head->message.empty());
+  // The body is validated on the way past: a broken instance breaks the
+  // head too.
+  EXPECT_FALSE(
+      frame_head_from_json(frame.substr(0, frame.size() - 2), &error)
+          .has_value());
 }
 
 }  // namespace
