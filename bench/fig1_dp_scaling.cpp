@@ -23,7 +23,6 @@ int main(int, char** argv) {
 
   Table table({"n", "p", "ms_median", "states", "bound_n5p3", "states/bound",
                "loglog_slope_vs_prev_n"});
-  ThreadPool pool;
   std::mutex mu;
 
   const std::size_t ns[] = {8, 12, 16, 20, 24, 28, 32, 40};
@@ -36,7 +35,7 @@ int main(int, char** argv) {
       // Median of 3 seeded repetitions, instances sized to stay feasible.
       std::vector<double> ms(3);
       std::vector<std::size_t> states(3);
-      parallel_for(pool, 3, [&](std::size_t rep) {
+      parallel_for(3, [&](std::size_t rep) {
         Prng rng(bench::kSeed + rep * 31 + n * 7 + static_cast<std::size_t>(p));
         Instance inst = gen_feasible_one_interval(
             rng, n, static_cast<Time>(2 * n), 3, p);

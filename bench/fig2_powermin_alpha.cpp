@@ -28,13 +28,12 @@ int main(int, char** argv) {
 
   Table table({"alpha", "feasible", "mean_ratio", "max_ratio", "thm3_bound",
                "trivial_bound", "mean_pairs"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (double alpha : alphas) {
     int feasible = 0;
     double sum_ratio = 0.0, max_ratio = 0.0, sum_pairs = 0.0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 10007 +
                static_cast<std::uint64_t>(alpha * 16));
       Instance inst = gen_multi_interval(rng, 8, 24, 2, 2);

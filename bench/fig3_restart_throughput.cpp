@@ -25,13 +25,12 @@ int main(int, char** argv) {
 
   Table table({"k", "mean_greedy", "mean_opt", "mean_ratio", "min_ratio",
                "envelope_1/(2sqrt_n)"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (std::size_t k = 1; k <= 5; ++k) {
     double sum_g = 0.0, sum_o = 0.0, sum_r = 0.0, min_r = 2.0;
     int used = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 887);
       Instance inst = gen_multi_interval(rng, kN, 22, 2, 2);
       const std::size_t greedy = restart_greedy(inst, k).scheduled;

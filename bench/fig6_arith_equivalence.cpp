@@ -26,13 +26,12 @@ int main(int, char** argv) {
   constexpr int kTrials = 30;
   Table table({"p", "trials", "equal", "unembed_valid", "dp_ms_mean",
                "embedded_bf_ms_mean"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (int p : {2, 3, 4}) {
     int equal = 0, valid = 0, used = 0;
     double dp_ms = 0.0, bf_ms = 0.0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 613 + static_cast<std::uint64_t>(p));
       Instance inst = gen_feasible_one_interval(rng, 7, 9, 2, p);
       ArithmeticEmbedding emb = embed_multiprocessor(inst);

@@ -29,14 +29,13 @@ int main(int, char** argv) {
 
   Table table({"workload", "alpha", "mean_online", "mean_offline",
                "mean_ratio", "max_ratio"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (const char* family : {"uniform", "adversarial"}) {
     for (double alpha : alphas) {
       double sum_on = 0.0, sum_off = 0.0, sum_r = 0.0, max_r = 0.0;
       int used = 0;
-      parallel_for(pool, kTrials, [&](std::size_t trial) {
+      parallel_for(kTrials, [&](std::size_t trial) {
         Prng rng(bench::kSeed + trial * 409 +
                  static_cast<std::uint64_t>(alpha * 8));
         Instance inst = std::string(family) == "uniform"

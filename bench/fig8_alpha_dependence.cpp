@@ -25,7 +25,6 @@ int main(int, char** argv) {
   constexpr int kTrials = 30;
   Table table({"B(=alpha)", "universe", "mean_cover_opt", "mean_cover_greedy",
                "mean_power_ratio", "max_power_ratio"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (std::size_t b : {2u, 3u, 4u, 6u, 8u}) {
@@ -33,7 +32,7 @@ int main(int, char** argv) {
     const std::size_t sets = universe;  // redundancy so greedy can err
     double cover_opt = 0.0, cover_greedy = 0.0, sum_r = 0.0, max_r = 0.0;
     int used = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 829 + b * 11);
       SetCoverInstance sc = gen_random_set_cover(rng, universe, sets, b);
       const SetCoverResult exact = exact_set_cover(sc);

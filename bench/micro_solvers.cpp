@@ -7,7 +7,7 @@
 // scenarios:
 //   baseline  hash memo + pruning off  (the pre-arena inner loop)
 //   tuned     auto layout + pruning    (the engine's production config)
-//   parallel  tuned + dp_pool()        (intra-component candidate scan)
+//   parallel  tuned + full executor width (intra-component candidate scan)
 // Every tuned answer is audited by the independent oracle and cross-checked
 // against the baseline and the parallel run; any refutation makes the
 // binary exit non-zero so the CI micro-bench lane fails loudly instead of
@@ -134,7 +134,7 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
                                     .prune = false};
   const dp::DpOptions tuned_opts{};  // auto layout + pruning (production)
   dp::DpOptions parallel_opts;
-  parallel_opts.pool = &dp::dp_pool();
+  parallel_opts.threads = 0;  // executor_threads()
   parallel_opts.parallel_min_box = 0;
 
   bench::Json row = bench::Json::object();
@@ -184,7 +184,7 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
     tuned_j.set("ns_op", tuned_ns).set("memo", memo_json(tuned.memo));
     bench::Json par_j = bench::Json::object();
     par_j.set("ns_op", par_ns)
-        .set("threads", dp::dp_pool().thread_count())
+        .set("threads", executor_threads())
         .set("memo", memo_json(par.memo));
     row.set("baseline", std::move(base_j));
     row.set("tuned", std::move(tuned_j));
@@ -223,7 +223,7 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
     tuned_j.set("ns_op", tuned_ns).set("memo", memo_json(tuned.memo));
     bench::Json par_j = bench::Json::object();
     par_j.set("ns_op", par_ns)
-        .set("threads", dp::dp_pool().thread_count())
+        .set("threads", executor_threads())
         .set("memo", memo_json(par.memo));
     row.set("baseline", std::move(base_j));
     row.set("tuned", std::move(tuned_j));

@@ -45,11 +45,10 @@ int main(int, char** argv) {
 
   Table table({"family", "n", "p", "trials", "feasible", "gap_agree",
                "power_agree", "sched_valid"});
-  ThreadPool pool;
 
   for (const Family& f : kFamilies) {
     std::atomic<int> feasible{0}, gap_agree{0}, power_agree{0}, valid{0};
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 1009 +
                static_cast<std::uint64_t>(&f - kFamilies) * 77);
       Instance inst =

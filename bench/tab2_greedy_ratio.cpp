@@ -41,13 +41,12 @@ int main(int, char** argv) {
 
   Table table({"family", "trials", "feasible", "mean_ratio", "max_ratio",
                "greedy_optimal_pct"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (const Family& f : kFamilies) {
     int feasible = 0, optimal = 0;
     double sum_ratio = 0.0, max_ratio = 0.0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 7919 +
                static_cast<std::uint64_t>(&f - kFamilies));
       Instance inst;

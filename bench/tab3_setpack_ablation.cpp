@@ -25,14 +25,13 @@ int main(int, char** argv) {
 
   Table table({"block_k", "swap_size", "trials", "mean_blocks",
                "mean_transitions", "mean_power", "mean_ms"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (int block = 2; block <= 3; ++block) {
     for (int swap = 0; swap <= 2; ++swap) {
       int used = 0;
       double blocks = 0.0, spans = 0.0, power = 0.0, ms = 0.0;
-      parallel_for(pool, kTrials, [&](std::size_t trial) {
+      parallel_for(kTrials, [&](std::size_t trial) {
         Prng rng(bench::kSeed + trial * 42043);  // same instances per config
         Instance inst = gen_multi_interval(rng, 14, 40, 2, 2);
         if (!is_feasible(inst)) return;

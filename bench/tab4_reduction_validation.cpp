@@ -36,13 +36,12 @@ int main(int, char** argv) {
 
   Table table({"shape", "trials", "gap_map_ok", "power_map_ok",
                "extract_ok", "mean_cover", "mean_greedy_cover"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (const Shape& s : kShapes) {
     int gap_ok = 0, power_ok = 0, extract_ok = 0;
     double sum_cover = 0.0, sum_greedy = 0.0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 271 +
                static_cast<std::uint64_t>(&s - kShapes) * 13);
       SetCoverInstance sc =

@@ -47,13 +47,12 @@ int main(int, char** argv) {
                 "value maps hold on 100% of random instances");
 
   Table table({"reduction", "trials", "checked", "map_holds"});
-  ThreadPool pool;
   std::mutex mu;
 
   // Theorem 7: multi-interval -> 2-interval (+1 for the extra block).
   {
     int checked = 0, ok = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 331);
       Instance inst = random_multi(rng, 3, 4, 14);
       TwoIntervalReduction red = reduce_multi_to_two_interval(inst);
@@ -74,7 +73,7 @@ int main(int, char** argv) {
   // Theorem 8: multi-interval -> 3-unit (+1 for the extra block).
   {
     int checked = 0, ok = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 733);
       Instance inst;
       inst.processors = 1;
@@ -102,7 +101,7 @@ int main(int, char** argv) {
   // Theorem 9 forward: two-unit -> disjoint-unit (within +-1).
   {
     int checked = 0, ok = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 1117);
       Instance inst = gen_unit_points(rng, 6, 14, 2);
       TwoUnitDisjointReduction red = reduce_two_unit_to_disjoint(inst);
@@ -124,7 +123,7 @@ int main(int, char** argv) {
   // Theorem 9 backward: disjoint-unit -> two-unit (within +-1).
   {
     int checked = 0, ok = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 1327);
       Instance inst;
       inst.processors = 1;
@@ -157,7 +156,7 @@ int main(int, char** argv) {
   // Theorem 10: B-set cover -> disjoint-unit (exact equality).
   {
     int checked = 0, ok = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 1429);
       SetCoverInstance sc = gen_random_set_cover(rng, 5, 4, 3);
       const SetCoverResult cover = exact_set_cover(sc);

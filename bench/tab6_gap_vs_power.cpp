@@ -29,13 +29,12 @@ int main(int, char** argv) {
   Table table({"alpha", "mean_power_opt", "mean_power_of_gap_opt",
                "overhead_pct", "mean_trans_power_opt", "mean_trans_gap_opt",
                "schedules_identical_pct"});
-  ThreadPool pool;
   std::mutex mu;
 
   for (double alpha : alphas) {
     double p_opt = 0.0, p_gap = 0.0, t_p = 0.0, t_g = 0.0;
     int same = 0, used = 0;
-    parallel_for(pool, kTrials, [&](std::size_t trial) {
+    parallel_for(kTrials, [&](std::size_t trial) {
       Prng rng(bench::kSeed + trial * 97);  // same instances for all alpha
       Instance inst = gen_uniform_one_interval(rng, 9, 18, 4, 1);
       if (!is_feasible(inst)) return;

@@ -359,7 +359,7 @@ int main(int, char** argv) {
   };
   const auto [pass1_on_ms, sum1] = timed_stream(cached);
   const auto [pass2_on_ms, sum2] = timed_stream(cached);
-  timed_stream(uncached);  // warm the pool, as pass 1 did for `cached`
+  timed_stream(uncached);  // warm-up pass, as pass 1 was for `cached`
   const auto [pass2_off_ms, sum_off] = timed_stream(uncached);
   const double sweep_speedup =
       pass2_on_ms > 0.0 ? pass2_off_ms / pass2_on_ms : 0.0;

@@ -6,7 +6,7 @@
 // Walks through the core API: Instance construction, the Theorem 1 gap DP,
 // the Theorem 2 power DP, schedule validation and metrics — then the same
 // solves again through a persistent engine::Engine, the uniform stateful
-// entry point the CLI and benches use (registry + solve cache + pool).
+// entry point the CLI and benches use (registry + solve cache).
 
 #include <iostream>
 
@@ -53,8 +53,8 @@ int main() {
   }
 
   // The engine view of the same solves: construct one Engine (it owns the
-  // solver registry, a content-addressed solve cache, and the batch worker
-  // pool), hand it a SolveRequest, get a uniform SolveResult back. This is
+  // solver registry, a content-addressed solve cache, and the batch width),
+  // hand it a SolveRequest, get a uniform SolveResult back. This is
   // how the CLI dispatches and how Engine::solve_batch fans out.
   std::cout << "\nvia the engine:\n";
   engine::Engine eng;

@@ -1,6 +1,6 @@
 // Command-line front end of the solver engine: every algorithm family is
 // reached through a persistent gapsched::engine::Engine (registry + solve
-// cache + worker pool), never by hand-wired calls.
+// cache + pipeline stats), never by hand-wired calls.
 //
 //   $ ./solver_cli --list                        # enumerate the registry
 //   $ ./solver_cli gap_dp instance.txt           # Theorem 1 exact
@@ -472,7 +472,7 @@ int main(int argc, char** argv) {
   }
 
   // One persistent engine for the whole invocation: registry, solve cache,
-  // worker pool, and (with --store) the persistent disk tier.
+  // and (with --store) the persistent disk tier.
   engine::Engine eng(eng_options);
   if (!eng_options.store_path.empty() && eng.store() == nullptr) {
     // A corrupt or foreign store file costs persistence, never the solve.

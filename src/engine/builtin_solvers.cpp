@@ -37,13 +37,12 @@ class BuiltinSolver : public Solver {
 };
 
 /// Execution options for the Theorem 1/2 DP solvers: default layout/pruning
-/// plus the dedicated DP worker pool, so dense components parallelize their
-/// top-level candidate scan even when dispatched from the engine's own
-/// fanout workers (dp_pool() is a separate pool precisely to make that
-/// nesting safe).
+/// plus the full executor width, so dense components parallelize their
+/// top-level candidate scan — also when Dispatch already fanned them out
+/// on the executor, since a nested parallel_for runs on its caller too.
 dp::DpOptions dp_options() {
   dp::DpOptions opts;
-  opts.pool = &dp::dp_pool();
+  opts.threads = 0;
   return opts;
 }
 

@@ -24,24 +24,13 @@ namespace gapsched::engine::pipeline {
 
 namespace {
 
-/// Components are fanned over the fan-out pool only when more than one is
+/// Components are fanned out on the executor only when more than one is
 /// left to solve and the largest is at least this many jobs: dispatch
 /// overhead exceeds an entire small-cluster DP solve, so small
 /// decompositions (and every single solve) run inline.
 constexpr std::size_t kParallelFanoutMinComponentJobs = 16;
 
 constexpr std::size_t kNoDup = static_cast<std::size_t>(-1);
-
-/// Shared fan-out pool, lazily constructed on the first large
-/// decomposition and reused for every later one. A per-solve pool would
-/// pay thread spawn inside the timed solve and nest a fresh pool under
-/// every batch worker. Component tasks never submit back into this pool,
-/// so concurrent solves sharing it cannot deadlock — parallel_for's global
-/// wait_idle only makes them wait out each other's tasks.
-ThreadPool& shared_fanout_pool() {
-  static ThreadPool pool;
-  return pool;
-}
 
 /// Decomposition is sound exactly for the families whose reported objective
 /// is provably additive across far-apart components: the exact gap and
@@ -256,7 +245,7 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
 }
 
 /// Runs the family adapter (do_solve) on every component left to solve —
-/// fanned over the shared pool when several large ones remain — and
+/// fanned out on the executor when several large ones remain — and
 /// publishes fresh results to the cache. Skipped entirely when the cache
 /// already served everything.
 void Pipeline::dispatch(SolveContext& ctx) {
@@ -299,7 +288,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
     solve_ms[c] = solve_watch.millis();
   };
   if (ctx.to_solve.size() > 1 && largest >= kParallelFanoutMinComponentJobs) {
-    parallel_for(shared_fanout_pool(), ctx.to_solve.size(), solve_component);
+    parallel_for(ctx.to_solve.size(), solve_component);
   } else {
     for (std::size_t i = 0; i < ctx.to_solve.size(); ++i) solve_component(i);
   }

@@ -1,6 +1,9 @@
 #include "gapsched/engine/session.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 
 #include "gapsched/parallel/thread_pool.hpp"
 
@@ -9,8 +12,6 @@ namespace gapsched::engine {
 Session::Session(const SolverRegistry& registry, SolveCache* cache,
                  std::size_t threads)
     : registry_(registry), cache_(cache), threads_(threads) {}
-
-Session::~Session() = default;
 
 SolveResult Session::solve(std::string_view solver,
                            const SolveRequest& request) {
@@ -46,17 +47,32 @@ std::vector<SolveResult> Session::solve_stream(
   }
   const SolveHooks hooks{cache_};
   std::mutex callback_mu;
-  parallel_for(batch_pool(), jobs.size(), [&](std::size_t i) {
-    results[i] = solvers[i] != nullptr
-                     ? solvers[i]->solve(jobs[i].request, hooks)
-                     : SolveResult::rejected("unknown solver '" +
-                                             jobs[i].solver + "'");
-    record(results[i]);
-    if (on_result) {
-      std::lock_guard<std::mutex> lk(callback_mu);
-      on_result(i, results[i]);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < jobs.size();
+         i = next.fetch_add(1)) {
+      results[i] = solvers[i] != nullptr
+                       ? solvers[i]->solve(jobs[i].request, hooks)
+                       : SolveResult::rejected("unknown solver '" +
+                                               jobs[i].solver + "'");
+      record(results[i]);
+      if (on_result) {
+        std::lock_guard<std::mutex> lk(callback_mu);
+        on_result(i, results[i]);
+      }
     }
-  });
+  };
+  // Whole requests run on threads scoped to this call, never on the
+  // executor: a solve grows its thread's malloc arena, and the executor's
+  // long-lived workers would keep that memory for the life of the process,
+  // raising a server's peak RSS after one large batch. Components and DP
+  // chunks inside each solve still fan out on the executor.
+  const std::size_t width = std::min(
+      threads_ == 0 ? executor_threads() : threads_, jobs.size());
+  std::vector<std::thread> threads;
+  threads.reserve(width);
+  for (std::size_t t = 0; t < width; ++t) threads.emplace_back(drain);
+  for (std::thread& t : threads) t.join();
   return results;
 }
 
@@ -73,14 +89,6 @@ void Session::reset_pipeline_stats() {
 void Session::record(const SolveResult& result) {
   std::lock_guard<std::mutex> lk(stats_mu_);
   stats_.absorb(result.stats);
-}
-
-ThreadPool& Session::batch_pool() {
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
-  }
-  return *pool_;
 }
 
 }  // namespace gapsched::engine

@@ -42,15 +42,16 @@
 //  3. Wider state packing: the 128-bit StateKey of dp_common.hpp
 //     (n <= 4095, |Theta| < 2^20, p <= 4095).
 //
-//  4. Intra-component parallel DP (DpOptions::pool): the root candidate
-//     axis is cut into contiguous chunks evaluated concurrently over the
-//     shared lock-free arena, then merged in candidate order with strict
-//     '<'. Every DP state's value is a pure function of the state, the
-//     arena publishes each state exactly once, and the merge visits
-//     chunks in the same order the serial scan visits candidates — so
-//     feasibility, optimum, schedule, and the memoized state count are
-//     bit-identical for every thread count (only the find/prune tallies,
-//     which count racing duplicate work, may vary).
+//  4. Intra-component parallel DP (DpOptions::threads): the root
+//     candidate axis is cut into contiguous chunks evaluated concurrently
+//     on the process-wide executor over the shared lock-free arena, then
+//     merged in candidate order with strict '<'. Every DP state's value
+//     is a pure function of the state, the arena publishes each state
+//     exactly once, and the merge visits chunks in the same order the
+//     serial scan visits candidates — so feasibility, optimum, schedule,
+//     and the memoized state count are bit-identical for every thread
+//     count (only the find/prune tallies, which count racing duplicate
+//     work, may vary).
 
 #include <algorithm>
 #include <cstdint>
@@ -223,9 +224,12 @@ class DpEngine {
     Worker main_worker;
     bool ran_parallel = false;
     if constexpr (Memo::kConcurrent) {
-      if (opts_.pool != nullptr && opts_.pool->thread_count() > 1 &&
-          n >= 2 && i_min < i_max && box_volume >= opts_.parallel_min_box) {
-        run_root_parallel(main_worker, i_min, i_max, n, cap_l1, cap_l2);
+      const std::size_t width =
+          opts_.threads == 0 ? executor_threads() : opts_.threads;
+      if (width > 1 && n >= 2 && i_min < i_max &&
+          box_volume >= opts_.parallel_min_box) {
+        run_root_parallel(main_worker, i_min, i_max, n, cap_l1, cap_l2,
+                          width);
         ran_parallel = true;
       }
     }
@@ -440,7 +444,7 @@ class DpEngine {
   /// memo, so the root loop in run() afterwards only re-reads them.
   void run_root_parallel(Worker& main_worker, std::size_t i_min,
                          std::size_t i_max, std::size_t n, int cap_l1,
-                         int cap_l2) {
+                         int cap_l2, std::size_t width) {
     std::vector<std::size_t>& jobs = main_worker.jobs_at(0);
     const Time t_min = ctx_.theta[i_min];
     const Time t_max = ctx_.theta[i_max];
@@ -456,8 +460,7 @@ class DpEngine {
     if (last <= first) return;
 
     const std::size_t span = last - first;
-    const std::size_t chunks =
-        std::min(span, opts_.pool->thread_count() * 4);
+    const std::size_t chunks = std::min(span, width * 4);
     const std::size_t combos = static_cast<std::size_t>(cap_l1 + 1) *
                                static_cast<std::size_t>(cap_l2 + 1);
     struct Cell {
@@ -467,7 +470,7 @@ class DpEngine {
     std::vector<std::vector<Cell>> partial(chunks);
     std::mutex stats_mu;
 
-    parallel_for(*opts_.pool, chunks, [&](std::size_t c) {
+    parallel_for(chunks, [&](std::size_t c) {
       const std::size_t base = span / chunks;
       const std::size_t rem = span % chunks;
       const std::size_t b =

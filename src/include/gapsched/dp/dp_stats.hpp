@@ -2,17 +2,12 @@
 // Tuning knobs and per-solve memo diagnostics of the Theorem 1/2 DP
 // execution layer. Split out of dp_common.hpp so result headers
 // (gap_dp.hpp / power_dp.hpp) can carry MemoStats without pulling in the
-// memo-table machinery, and so DpOptions can name a ThreadPool without a
-// heavyweight include.
+// memo-table machinery.
 
 #include <cstddef>
 #include <cstdint>
 
-namespace gapsched {
-
-class ThreadPool;
-
-namespace dp {
+namespace gapsched::dp {
 
 /// Memo storage strategy for one DP solve.
 enum class MemoLayout : std::uint8_t {
@@ -39,13 +34,14 @@ struct DpOptions {
   /// allocate; ~21 bytes per entry. Above this kAuto / kArena fall back to
   /// the hash table.
   std::size_t arena_max_entries = std::size_t{1} << 21;
-  /// Worker pool for the intra-solve parallel top-level candidate scan.
-  /// nullptr (the default) keeps the solve fully serial. The answer is
-  /// bit-identical for every pool size — see the determinism note in
-  /// dp_engine.hpp.
-  ThreadPool* pool = nullptr;
+  /// Width of the intra-solve parallel top-level candidate scan, which
+  /// runs on the process-wide executor (parallel/thread_pool.hpp) in
+  /// threads * 4 chunks. 1 (the default) keeps the solve fully serial;
+  /// 0 means executor_threads(). The answer is bit-identical for every
+  /// width — see the determinism note in dp_engine.hpp.
+  std::size_t threads = 1;
   /// Minimum state-box volume before the parallel scan is worth its task
-  /// overhead; solves below it stay serial even with a pool.
+  /// overhead; solves below it stay serial at any width.
   std::size_t parallel_min_box = std::size_t{1} << 15;
 };
 
@@ -69,11 +65,4 @@ struct MemoStats {
   bool parallel = false;
 };
 
-/// Process-wide worker pool for intra-component parallel DP, created
-/// lazily on first use (hardware-concurrency threads). Distinct from the
-/// engine's batch/fanout pools so a DP running *on* one of those pools can
-/// fan its candidate scan out without self-deadlocking on wait_idle().
-ThreadPool& dp_pool();
-
-}  // namespace dp
-}  // namespace gapsched
+}  // namespace gapsched::dp

@@ -48,7 +48,7 @@ struct GapDpResult {
 GapDpResult solve_gap_dp(const Instance& inst);
 
 /// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan pool). Every option combination returns
+/// parallel candidate-scan width). Every option combination returns
 /// bit-identical answers; only speed and diagnostics differ.
 GapDpResult solve_gap_dp(const Instance& inst, const dp::DpOptions& opts);
 

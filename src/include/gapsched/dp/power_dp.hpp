@@ -44,7 +44,7 @@ struct PowerDpResult {
 PowerDpResult solve_power_dp(const Instance& inst, double alpha);
 
 /// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan pool). Every option combination returns
+/// parallel candidate-scan width). Every option combination returns
 /// bit-identical answers; only speed and diagnostics differ.
 PowerDpResult solve_power_dp(const Instance& inst, double alpha,
                              const dp::DpOptions& opts);

@@ -10,8 +10,8 @@
 //     per engine without touching the process-wide instance()),
 //   * an execution Session (engine/session.hpp): the single seam
 //     solve/solve_batch/solve_stream go through, owning the pipeline's
-//     SolveHooks environment, the lazily-spawned batch worker pool, and
-//     the lifetime per-stage PipelineStats roll-up (pipeline_stats()),
+//     SolveHooks environment, the batch width, and the lifetime
+//     per-stage PipelineStats roll-up (pipeline_stats()),
 //   * a content-addressed solve cache (engine/cache.hpp): requests are
 //     keyed by the canonical form of (prep-canonicalized — and, for gap
 //     components, dead-time-compressed — instance, objective, the
@@ -178,7 +178,7 @@ class Engine {
   std::unique_ptr<store::DiskStore> store_;
   std::string store_error_;
   std::unique_ptr<SolveCache> cache_;  // null when options_.cache is false
-  std::unique_ptr<Session> session_;   // owns batch pool + pipeline stats
+  std::unique_ptr<Session> session_;   // owns batch width + pipeline stats
 };
 
 }  // namespace gapsched::engine

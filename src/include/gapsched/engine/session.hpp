@@ -6,10 +6,10 @@
 //
 //   * the SolveHooks environment every request is threaded through — the
 //     content-addressed solve cache (owned by the caller, typically an
-//     Engine; null disables sharing) and, optionally, a pinned component
-//     fan-out pool,
-//   * the batch worker pool solve_batch/solve_stream fan requests over,
-//     lazily spawned on the first batch,
+//     Engine; null disables sharing),
+//   * the batch width: solve_batch/solve_stream run each batch on that many
+//     threads of their own, spawned for the call and joined before it
+//     returns,
 //   * the lifetime PipelineStats roll-up: per-stage run/skip counts and
 //     summed wall time of every request this session pushed through the
 //     pipeline.
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
@@ -32,10 +31,6 @@
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
 
-namespace gapsched {
-class ThreadPool;
-}  // namespace gapsched
-
 namespace gapsched::engine {
 
 class SolveCache;
@@ -43,11 +38,10 @@ class SolveCache;
 class Session {
  public:
   /// `registry` and `cache` are borrowed and must outlive the session;
-  /// `cache` may be null (nothing shared across requests). `threads` sizes
-  /// the batch worker pool (0 = hardware concurrency).
+  /// `cache` may be null (nothing shared across requests). `threads` is the
+  /// number of threads a batch runs on (0 = hardware concurrency).
   Session(const SolverRegistry& registry, SolveCache* cache,
           std::size_t threads);
-  ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -78,16 +72,12 @@ class Session {
   void reset_pipeline_stats();
 
  private:
-  ThreadPool& batch_pool();
   /// Folds one finished result into the stats roll-up.
   void record(const SolveResult& result);
 
   const SolverRegistry& registry_;
   SolveCache* cache_;  // borrowed; null when caching is off
   std::size_t threads_;
-
-  std::mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily spawned by batch_pool()
 
   mutable std::mutex stats_mu_;
   pipeline::PipelineStats stats_;

@@ -15,7 +15,6 @@
 #include "gapsched/dp/dp_common.hpp"
 #include "gapsched/dp/gap_dp.hpp"
 #include "gapsched/dp/power_dp.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
@@ -106,9 +105,8 @@ TEST(DpParity, ArenaVsHashAcrossScenarioCatalog) {
 TEST(DpParity, ParallelRootScanBitIdenticalAt1And2And8Threads) {
   const std::vector<Instance> draws = catalog_draws(1);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
     dp::DpOptions par_opts;
-    par_opts.pool = &pool;
+    par_opts.threads = threads;  // 1 is serial; 2 and 8 scan 8 and 32 chunks
     par_opts.parallel_min_box = 0;  // force the parallel path on any size
     for (const Instance& inst : draws) {
       const std::string what = "threads=" + std::to_string(threads) +

@@ -3,20 +3,26 @@
 // Session/Engine PipelineStats roll-up, solve_stream callback ordering and
 // request-order guarantees, concurrent streams contending on one shared
 // cache, and the no-double-audit invariant (cache hits are re-audited
-// exactly once, by the serving request). The concurrency tests here also
-// run under the CI ASan/UBSan and TSan lanes.
+// exactly once, by the serving request), and concurrent decomposed solves
+// nesting DP chunks inside component tasks on the one executor. The
+// concurrency tests here also run under the CI ASan/UBSan and TSan lanes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "gapsched/dp/gap_dp.hpp"
+#include "gapsched/dp/power_dp.hpp"
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/engine/session.hpp"
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/parallel/thread_pool.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched::engine {
@@ -385,6 +391,82 @@ TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
   const SolveResult warm = survivor.solve("gap_dp", req);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.stats.cache_hit);
+}
+
+// ------------------------------------------- concurrent executor stress --
+
+/// Three far-apart poly_scale:20 draws: three 20-job components, each over
+/// the Dispatch fan-out bar and each dense enough for the DP's parallel
+/// root scan, so one request nests DP chunks inside component tasks.
+Instance three_parallel_components() {
+  Instance out;
+  Time offset = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Instance tile = *scenarios::make_scenario("poly_scale:20", seed);
+    for (const Job& job : tile.jobs) {
+      out.jobs.push_back(Job{job.allowed.shifted(offset)});
+    }
+    offset += tile.latest_deadline() + 1000;
+  }
+  return out;
+}
+
+TEST(ExecutorStress, ConcurrentDecomposedSolvesMatchTheSerialDp) {
+  if (executor_threads() < 2) {
+    GTEST_SKIP() << "the DP scan is serial on a one-thread executor";
+  }
+  constexpr double kAlpha = 2.5;
+  const Instance inst = three_parallel_components();
+  const GapDpResult gap_ref = solve_gap_dp(inst, dp::DpOptions{});
+  const PowerDpResult power_ref =
+      solve_power_dp(inst, kAlpha, dp::DpOptions{});
+  ASSERT_TRUE(gap_ref.feasible);
+  ASSERT_TRUE(power_ref.feasible);
+
+  EngineOptions opts;
+  opts.cache = false;  // every request solves
+  Engine eng(opts);
+  SolveParams params;
+  params.alpha = kAlpha;
+  params.validate = true;
+  const SolveRequest gap_req{inst, Objective::kGaps, params};
+  const SolveRequest power_req{inst, Objective::kPower, params};
+
+  constexpr std::size_t kCallers = 8;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<SolveResult>> results(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        results[c].push_back(eng.solve("gap_dp", gap_req));
+        results[c].push_back(eng.solve("power_dp", power_req));
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  const SolveResult& gap_first = results[0][0];
+  const SolveResult& power_first = results[0][1];
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < results[c].size(); ++i) {
+      const SolveResult& r = results[c][i];
+      const bool gap = i % 2 == 0;
+      const std::string what = "caller " + std::to_string(c) + " solve " +
+                               std::to_string(i);
+      ASSERT_TRUE(r.ok) << what << ": " << r.error;
+      ASSERT_TRUE(r.feasible) << what;
+      EXPECT_EQ(r.audit_error, "") << what;
+      EXPECT_GT(r.stats.components, 1u) << what;
+      EXPECT_GT(r.stats.memo_parallel_solves, 0u) << what;
+      if (gap) {
+        EXPECT_EQ(r.transitions, gap_ref.transitions) << what;
+      } else {
+        EXPECT_EQ(r.cost, power_ref.power) << what;
+      }
+      EXPECT_EQ(r.schedule, (gap ? gap_first : power_first).schedule) << what;
+    }
+  }
 }
 
 }  // namespace

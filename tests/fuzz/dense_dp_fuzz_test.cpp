@@ -28,7 +28,6 @@
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/serialize.hpp"
 #include "gapsched/oracle/oracle.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/util/prng.hpp"
 #include "fuzz_support.hpp"
 
@@ -46,9 +45,8 @@ std::string check_dense_gap(const Instance& inst) {
   const GapDpResult tuned = solve_gap_dp(inst);
   const GapDpResult hashed =
       solve_gap_dp(inst, dp::DpOptions{.layout = dp::MemoLayout::kHash});
-  ThreadPool pool(2);
   dp::DpOptions par_opts;
-  par_opts.pool = &pool;
+  par_opts.threads = 2;
   par_opts.parallel_min_box = 0;
   const GapDpResult par = solve_gap_dp(inst, par_opts);
 

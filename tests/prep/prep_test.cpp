@@ -274,7 +274,7 @@ TEST(Decompose, InfeasibleComponentMakesWholeInfeasible) {
 
 TEST(Decompose, ManySingletonComponentsMatchClosedForm) {
   // 40 pinned jobs, 40 singleton components (solved inline — components
-  // this small stay off the ThreadPool). Optima are known in closed form
+  // this small stay off the executor). Optima are known in closed form
   // (one span per job).
   std::vector<std::pair<Time, Time>> windows;
   for (int i = 0; i < 40; ++i) {
@@ -304,7 +304,7 @@ TEST(Decompose, ManySingletonComponentsMatchClosedForm) {
 
 TEST(Decompose, ThreadPoolFanoutMatchesClosedFormForLargeComponents) {
   // 3 clusters of 18 pinned jobs each: the largest component crosses the
-  // parallel fan-out bar, so this exercises the ThreadPool path end to
+  // parallel fan-out bar, so this exercises the executor fan-out end to
   // end. Within a cluster the 18 consecutive pinned jobs form one busy
   // run, so the optimum is one transition per cluster.
   std::vector<std::pair<Time, Time>> windows;

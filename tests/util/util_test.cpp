@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/util/prng.hpp"
@@ -81,27 +86,82 @@ TEST(Table, CsvOutput) {
   EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversIndices) {
-  ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(64);
-  parallel_for(pool, 64, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
+TEST(ThreadPool, ParallelForOverNothingNeverCallsTheBody) {
+  std::atomic<int> calls{0};
+  parallel_for(0, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceOnExecutorWorkers) {
+  constexpr std::size_t kN = 5000;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<int> on_caller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  parallel_for(kN, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  // A thread outside the executor only waits.
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ThreadPool, NestedLoopsFromConcurrentCallersComplete) {
+  // Three levels of nesting from 8 callers at once: every inner call runs
+  // on an executor worker that also waits on its own group, which a
+  // pool-wide wait would turn into a self-deadlock.
+  constexpr std::size_t kCallers = 8;
+  constexpr std::size_t kFan = 4;
+  std::vector<std::atomic<int>> hits(kCallers * kFan * kFan * kFan);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&hits, c] {
+      parallel_for(kFan, [&hits, c](std::size_t a) {
+        parallel_for(kFan, [&hits, c, a](std::size_t b) {
+          parallel_for(kFan, [&hits, c, a, b](std::size_t d) {
+            hits[((c * kFan + a) * kFan + b) * kFan + d].fetch_add(1);
+          });
+        });
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, CallerDoesNotWaitForAnotherCallersWork) {
+  if (executor_threads() < 2) {
+    GTEST_SKIP() << "needs a second executor worker";
+  }
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> started;
+  std::thread blocked([&] {
+    parallel_for(1, [&](std::size_t) {
+      started.set_value();
+      released.wait();
+    });
+  });
+  started.get_future().wait();
+  // One worker is now parked on the latch; an unrelated loop must still
+  // finish on the others.
+  std::future<void> other = std::async(std::launch::async, [] {
+    std::atomic<int> calls{0};
+    parallel_for(4, [&](std::size_t) { calls.fetch_add(1); });
+  });
+  const std::future_status status = other.wait_for(std::chrono::seconds(5));
+  release.set_value();
+  blocked.join();
+  other.wait();
+  EXPECT_EQ(status, std::future_status::ready);
 }
 
 }  // namespace
