@@ -5,13 +5,12 @@
 //
 // The DP section A/Bs the Theorem 1/2 execution layer on fixed-seed dense
 // scenarios:
-//   baseline  hash memo + pruning off  (the pre-arena inner loop)
-//   tuned     auto layout + pruning    (the engine's production config)
-//   parallel  tuned + full executor width (intra-component candidate scan)
+//   baseline  hash memo + pruning off    (the pre-arena inner loop)
+//   tuned     default layout + pruning   (the engine's production config)
 // Every tuned answer is audited by the independent oracle and cross-checked
-// against the baseline and the parallel run; any refutation makes the
-// binary exit non-zero so the CI micro-bench lane fails loudly instead of
-// archiving corrupt numbers.
+// against the baseline; any refutation makes the binary exit non-zero so
+// the CI micro-bench lane fails loudly instead of archiving corrupt
+// numbers.
 
 #include <chrono>
 #include <cmath>
@@ -31,7 +30,6 @@
 #include "gapsched/greedy/fhkn_greedy.hpp"
 #include "gapsched/matching/feasibility.hpp"
 #include "gapsched/oracle/oracle.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/powermin/powermin_approx.hpp"
 #include "json_report.hpp"
 
@@ -98,8 +96,8 @@ const char* layout_name(dp::MemoLayout layout) {
   switch (layout) {
     case dp::MemoLayout::kHash: return "hash";
     case dp::MemoLayout::kArena: return "arena";
-    default: return "auto";
   }
+  return "?";
 }
 
 bench::Json memo_json(const dp::MemoStats& m) {
@@ -110,7 +108,6 @@ bench::Json memo_json(const dp::MemoStats& m) {
   j.set("find_calls", static_cast<std::int64_t>(m.find_calls));
   j.set("probe_steps", static_cast<std::int64_t>(m.probe_steps));
   j.set("pruned", static_cast<std::int64_t>(m.pruned));
-  j.set("parallel", m.parallel);
   return j;
 }
 
@@ -132,10 +129,7 @@ bool pr5_rejected(const Instance& inst) {
 bench::Json run_dp_scenario(const DpScenario& sc) {
   const dp::DpOptions baseline_opts{.layout = dp::MemoLayout::kHash,
                                     .prune = false};
-  const dp::DpOptions tuned_opts{};  // auto layout + pruning (production)
-  dp::DpOptions parallel_opts;
-  parallel_opts.threads = 0;  // executor_threads()
-  parallel_opts.parallel_min_box = 0;
+  const dp::DpOptions tuned_opts{};  // default layout + pruning (production)
 
   bench::Json row = bench::Json::object();
   row.set("name", sc.name);
@@ -146,21 +140,16 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
   const bool legacy_reject = pr5_rejected(sc.inst);
   row.set("pr5_rejected", legacy_reject);
 
-  double base_ns = 0.0, tuned_ns = 0.0, par_ns = 0.0;
+  double base_ns = 0.0, tuned_ns = 0.0;
   if (sc.power) {
     const PowerDpResult base = solve_power_dp(sc.inst, sc.alpha, baseline_opts);
     const PowerDpResult tuned = solve_power_dp(sc.inst, sc.alpha, tuned_opts);
-    const PowerDpResult par = solve_power_dp(sc.inst, sc.alpha, parallel_opts);
     if (!tuned.error.empty()) refute(sc.name + ": tuned solve rejected");
     if (base.feasible != tuned.feasible ||
         (tuned.feasible &&
          std::abs(base.power - tuned.power) >
              1e-9 * (1.0 + std::abs(tuned.power)))) {
       refute(sc.name + ": baseline/tuned power mismatch");
-    }
-    if (par.feasible != tuned.feasible ||
-        (tuned.feasible && par.power != tuned.power)) {
-      refute(sc.name + ": parallel power not bit-identical");
     }
     if (tuned.feasible) {
       const oracle::ScheduleAudit audit =
@@ -177,32 +166,21 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
     }
     base_ns = time_ns([&] { solve_power_dp(sc.inst, sc.alpha, baseline_opts); });
     tuned_ns = time_ns([&] { solve_power_dp(sc.inst, sc.alpha, tuned_opts); });
-    par_ns = time_ns([&] { solve_power_dp(sc.inst, sc.alpha, parallel_opts); });
     bench::Json base_j = bench::Json::object();
     base_j.set("ns_op", base_ns).set("memo", memo_json(base.memo));
     bench::Json tuned_j = bench::Json::object();
     tuned_j.set("ns_op", tuned_ns).set("memo", memo_json(tuned.memo));
-    bench::Json par_j = bench::Json::object();
-    par_j.set("ns_op", par_ns)
-        .set("threads", executor_threads())
-        .set("memo", memo_json(par.memo));
     row.set("baseline", std::move(base_j));
     row.set("tuned", std::move(tuned_j));
-    row.set("parallel", std::move(par_j));
     row.set("feasible", tuned.feasible);
     row.set("states", tuned.states);
   } else {
     const GapDpResult base = solve_gap_dp(sc.inst, baseline_opts);
     const GapDpResult tuned = solve_gap_dp(sc.inst, tuned_opts);
-    const GapDpResult par = solve_gap_dp(sc.inst, parallel_opts);
     if (!tuned.error.empty()) refute(sc.name + ": tuned solve rejected");
     if (base.feasible != tuned.feasible ||
         (tuned.feasible && base.transitions != tuned.transitions)) {
       refute(sc.name + ": baseline/tuned transitions mismatch");
-    }
-    if (par.feasible != tuned.feasible ||
-        (tuned.feasible && par.transitions != tuned.transitions)) {
-      refute(sc.name + ": parallel transitions not bit-identical");
     }
     if (tuned.feasible) {
       const oracle::ScheduleAudit audit =
@@ -216,30 +194,20 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
     }
     base_ns = time_ns([&] { solve_gap_dp(sc.inst, baseline_opts); });
     tuned_ns = time_ns([&] { solve_gap_dp(sc.inst, tuned_opts); });
-    par_ns = time_ns([&] { solve_gap_dp(sc.inst, parallel_opts); });
     bench::Json base_j = bench::Json::object();
     base_j.set("ns_op", base_ns).set("memo", memo_json(base.memo));
     bench::Json tuned_j = bench::Json::object();
     tuned_j.set("ns_op", tuned_ns).set("memo", memo_json(tuned.memo));
-    bench::Json par_j = bench::Json::object();
-    par_j.set("ns_op", par_ns)
-        .set("threads", executor_threads())
-        .set("memo", memo_json(par.memo));
     row.set("baseline", std::move(base_j));
     row.set("tuned", std::move(tuned_j));
-    row.set("parallel", std::move(par_j));
     row.set("feasible", tuned.feasible);
     row.set("states", tuned.states);
   }
   row.set("speedup_tuned_vs_baseline",
           tuned_ns > 0.0 ? base_ns / tuned_ns : 0.0);
-  row.set("speedup_parallel_vs_baseline",
-          par_ns > 0.0 ? base_ns / par_ns : 0.0);
-  std::printf("%-28s baseline %12.0f ns  tuned %12.0f ns  (%.2fx)  parallel "
-              "%12.0f ns  (%.2fx)\n",
+  std::printf("%-28s baseline %12.0f ns  tuned %12.0f ns  (%.2fx)\n",
               sc.name.c_str(), base_ns, tuned_ns,
-              tuned_ns > 0.0 ? base_ns / tuned_ns : 0.0, par_ns,
-              par_ns > 0.0 ? base_ns / par_ns : 0.0);
+              tuned_ns > 0.0 ? base_ns / tuned_ns : 0.0);
   return row;
 }
 

@@ -36,16 +36,6 @@ class BuiltinSolver : public Solver {
   SolverInfo info_;
 };
 
-/// Execution options for the Theorem 1/2 DP solvers: default layout/pruning
-/// plus the full executor width, so dense components parallelize their
-/// top-level candidate scan — also when Dispatch already fanned them out
-/// on the executor, since a nested parallel_for runs on its caller too.
-dp::DpOptions dp_options() {
-  dp::DpOptions opts;
-  opts.threads = 0;
-  return opts;
-}
-
 /// Folds a component solve's memo diagnostics into the request's stats.
 void fold_memo_stats(SolveStats& stats, const dp::MemoStats& memo) {
   if (memo.layout == dp::MemoLayout::kArena) {
@@ -53,7 +43,6 @@ void fold_memo_stats(SolveStats& stats, const dp::MemoStats& memo) {
   } else {
     ++stats.memo_hash_solves;
   }
-  if (memo.parallel) ++stats.memo_parallel_solves;
   stats.memo_find_calls += memo.find_calls;
   stats.memo_probe_steps += memo.probe_steps;
   stats.memo_pruned += memo.pruned;
@@ -107,7 +96,7 @@ class GapDpSolver final : public BuiltinSolver {
                            static_cast<int>(dp::kMaxDpProcessors)}) {}
 
   SolveResult do_solve(const SolveRequest& req) const override {
-    GapDpResult r = solve_gap_dp(req.instance, dp_options());
+    GapDpResult r = solve_gap_dp(req.instance);
     // Packed-state limit rejection (post-decomposition: a single component
     // is genuinely too big for the DP's packed memo keys).
     if (!r.error.empty()) return SolveResult::rejected(std::move(r.error));
@@ -281,8 +270,7 @@ class PowerDpSolver final : public BuiltinSolver {
                        .params = kUsesAlpha}) {}
 
   SolveResult do_solve(const SolveRequest& req) const override {
-    PowerDpResult r =
-        solve_power_dp(req.instance, req.params.alpha, dp_options());
+    PowerDpResult r = solve_power_dp(req.instance, req.params.alpha);
     if (!r.error.empty()) return SolveResult::rejected(std::move(r.error));
     SolveResult out = power_result(r.feasible, r.power, std::move(r.schedule));
     out.stats.states = r.states;

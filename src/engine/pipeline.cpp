@@ -343,7 +343,6 @@ void Pipeline::recombine(SolveContext& ctx) {
       out.stats.nodes += ctx.parts[c].stats.nodes;
       out.stats.memo_arena_solves += ctx.parts[c].stats.memo_arena_solves;
       out.stats.memo_hash_solves += ctx.parts[c].stats.memo_hash_solves;
-      out.stats.memo_parallel_solves += ctx.parts[c].stats.memo_parallel_solves;
       out.stats.memo_find_calls += ctx.parts[c].stats.memo_find_calls;
       out.stats.memo_probe_steps += ctx.parts[c].stats.memo_probe_steps;
       out.stats.memo_pruned += ctx.parts[c].stats.memo_pruned;

@@ -18,7 +18,6 @@
 // StateKey, and a dense direct-indexed ArenaMemo over the state box.
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -221,8 +220,8 @@ static_assert(sizeof(Choice) <= 12, "Choice packing regressed");
 /// open-addressing hash map from packed state keys to (value, Choice), i.e.
 /// one probe serves both the memo hit and the later reconstruction walk.
 /// Linear probing over a power-of-two slot array of plain structs keeps the
-/// hot path allocation-free and cache-friendly. Serial only — the parallel
-/// candidate scan requires the (lock-free) ArenaMemo below.
+/// hot path allocation-free and cache-friendly. Not thread-safe: each
+/// solve owns its memo.
 template <class Value>
 class MemoTable {
  public:
@@ -315,14 +314,7 @@ class MemoTable {
 ///   x  [0, l_max] ^ 2
 /// chosen when the box volume fits DpOptions::arena_max_entries. A lookup
 /// is one mixed-radix index computation and one byte load — no hashing, no
-/// probing, no growth.
-///
-/// Concurrency: safe for the parallel candidate scan. A per-entry byte
-/// flag moves 0 (absent) -> 1 (claimed, via CAS) -> 2 (published, release
-/// store); readers acquire-load the flag and treat anything below 2 as
-/// absent, recomputing instead of waiting. Both DPs compute a pure
-/// function of the state, so a lost claim race only duplicates work and
-/// every published value is identical — answers stay deterministic.
+/// probing, no growth. Not thread-safe, like MemoTable.
 template <class Value>
 class ArenaMemo {
  public:
@@ -335,17 +327,17 @@ class ArenaMemo {
         stride_i2_(stride_k_ * (static_cast<std::uint64_t>(k_max) + 1)),
         stride_i1_(stride_i2_ * extent),
         volume_(stride_i1_ * extent),
-        flags_(new std::atomic<std::uint8_t>[volume_]()),
+        used_(new bool[volume_]()),
         values_(new Value[volume_]),
         choices_(new Choice[volume_]) {}
 
   std::uint64_t volume() const { return volume_; }
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  std::size_t size() const { return size_; }
 
   bool find(std::size_t i1, std::size_t i2, std::size_t k, int q, int l1,
             int l2, Value* value) const {
     const std::uint64_t at = index(i1, i2, k, q, l1, l2);
-    if (flags_[at].load(std::memory_order_acquire) != 2) return false;
+    if (!used_[at]) return false;
     *value = values_[at];
     return true;
   }
@@ -353,24 +345,18 @@ class ArenaMemo {
   void insert(std::size_t i1, std::size_t i2, std::size_t k, int q, int l1,
               int l2, const Value& value, const Choice& choice) {
     const std::uint64_t at = index(i1, i2, k, q, l1, l2);
-    std::uint8_t expected = 0;
-    if (!flags_[at].compare_exchange_strong(expected, 1,
-                                            std::memory_order_acq_rel)) {
-      // Another worker claimed this state; its (identical) value wins.
-      return;
-    }
+    assert(!used_[at]);
     values_[at] = value;
     choices_[at] = choice;
-    flags_[at].store(2, std::memory_order_release);
-    size_.fetch_add(1, std::memory_order_relaxed);
+    used_[at] = true;
+    ++size_;
   }
 
-  /// Choice of a published state (reconstruction walk; serial, after the
-  /// solve has completed).
+  /// Choice of a memoized state (the reconstruction walk).
   const Choice& choice_at(std::size_t i1, std::size_t i2, std::size_t k,
                           int q, int l1, int l2) const {
     const std::uint64_t at = index(i1, i2, k, q, l1, l2);
-    assert(flags_[at].load(std::memory_order_acquire) == 2);
+    assert(used_[at]);
     return choices_[at];
   }
 
@@ -393,10 +379,10 @@ class ArenaMemo {
   std::uint64_t d_q_, d_l_;
   std::uint64_t stride_k_, stride_i2_, stride_i1_;
   std::uint64_t volume_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> flags_;
+  std::unique_ptr<bool[]> used_;
   std::unique_ptr<Value[]> values_;
   std::unique_ptr<Choice[]> choices_;
-  std::atomic<std::size_t> size_{0};
+  std::size_t size_ = 0;
 };
 
 }  // namespace gapsched::dp

@@ -3,7 +3,7 @@
 // dynamic programs. The two objectives share one recursion shape — the
 // W(t1, t2, k, q, l1, l2) window decomposition of dp_common.hpp — and
 // differ only in base-case feasibility, glue cost, and value arithmetic,
-// captured here as a Policy. The engine adds four coordinated
+// captured here as a Policy. The engine adds three coordinated
 // optimisations over the per-objective solvers it replaced:
 //
 //  1. Memo layout selection (run_dp): a dense direct-indexed ArenaMemo
@@ -42,28 +42,18 @@
 //  3. Wider state packing: the 128-bit StateKey of dp_common.hpp
 //     (n <= 4095, |Theta| < 2^20, p <= 4095).
 //
-//  4. Intra-component parallel DP (DpOptions::threads): the root
-//     candidate axis is cut into contiguous chunks evaluated concurrently
-//     on the process-wide executor over the shared lock-free arena, then
-//     merged in candidate order with strict '<'. Every DP state's value
-//     is a pure function of the state, the arena publishes each state
-//     exactly once, and the merge visits chunks in the same order the
-//     serial scan visits candidates — so feasibility, optimum, schedule,
-//     and the memoized state count are bit-identical for every thread
-//     count (only the find/prune tallies, which count racing duplicate
-//     work, may vary).
+// Every solve is one serial top-down recursion on the calling thread, so
+// values, schedules and the memo counters are deterministic.
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "gapsched/core/schedule.hpp"
 #include "gapsched/dp/dp_common.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 
 namespace gapsched::dp {
 
@@ -141,8 +131,6 @@ struct PowerPolicy {
 template <class Value>
 class HashMemo {
  public:
-  static constexpr bool kConcurrent = false;
-
   bool find(std::size_t i1, std::size_t i2, std::size_t k, int q, int l1,
             int l2, Value* value) const {
     const auto* e = table_.find(pack_state(i1, i2, k, q, l1, l2));
@@ -166,11 +154,10 @@ class HashMemo {
 };
 
 /// ArenaMemo already speaks the index interface; this shim only adds the
-/// trait + probe accessor so the engine can treat both layouts uniformly.
+/// probe accessor so the engine can treat both layouts uniformly.
 template <class Value>
 class DenseMemo : public ArenaMemo<Value> {
  public:
-  static constexpr bool kConcurrent = true;
   using ArenaMemo<Value>::ArenaMemo;
   std::uint64_t probe_steps() const { return 0; }
 };
@@ -188,19 +175,16 @@ class DpEngine {
     Schedule schedule{0};
     std::uint64_t find_calls = 0;
     std::uint64_t pruned = 0;
-    bool parallel = false;
   };
 
-  DpEngine(const DpContext& ctx, const Policy& policy, const DpOptions& opts,
-           Memo& memo)
+  DpEngine(const DpContext& ctx, const Policy& policy, bool prune, Memo& memo)
       : ctx_(ctx),
         policy_(policy),
-        opts_(opts),
         memo_(memo),
         p_(ctx.inst->processors),
-        prune_(opts.prune) {}
+        prune_(prune) {}
 
-  Outcome run(std::uint64_t box_volume) {
+  Outcome run() {
     Outcome out;
     const std::size_t n = ctx_.inst->n();
     const std::size_t i_min = ctx_.index_of(ctx_.inst->earliest_release());
@@ -221,24 +205,11 @@ class DpEngine {
       cap_l2 = std::min(p_, e2);
     }
 
-    Worker main_worker;
-    bool ran_parallel = false;
-    if constexpr (Memo::kConcurrent) {
-      const std::size_t width =
-          opts_.threads == 0 ? executor_threads() : opts_.threads;
-      if (width > 1 && n >= 2 && i_min < i_max &&
-          box_volume >= opts_.parallel_min_box) {
-        run_root_parallel(main_worker, i_min, i_max, n, cap_l1, cap_l2,
-                          width);
-        ran_parallel = true;
-      }
-    }
-
     Value best = Policy::inf();
     int best_l1 = -1, best_l2 = -1;
     for (int l1 = 0; l1 <= cap_l1; ++l1) {
       for (int l2 = 0; l2 <= cap_l2; ++l2) {
-        const Value w = solve(main_worker, i_min, i_max, n, 0, l1, l2, 0);
+        const Value w = solve(i_min, i_max, n, 0, l1, l2, 0);
         const Value total = policy_.root_total(l1, w);
         if (total < best) {
           best = total;
@@ -248,9 +219,8 @@ class DpEngine {
       }
     }
 
-    out.find_calls = main_worker.find_calls + shared_find_calls_;
-    out.pruned = main_worker.pruned + shared_pruned_;
-    out.parallel = ran_parallel;
+    out.find_calls = find_calls_;
+    out.pruned = pruned_;
     if (best_l1 < 0) {
       out.schedule = Schedule(n);
       return out;
@@ -265,39 +235,26 @@ class DpEngine {
   }
 
  private:
-  /// Per-thread recursion state: depth-indexed job-set scratch (a deque so
-  /// references survive growth) and local diagnostics counters.
-  struct Worker {
-    std::deque<std::vector<std::size_t>> scratch;
-    std::uint64_t find_calls = 0;
-    std::uint64_t pruned = 0;
+  /// Depth-indexed job-set scratch (a deque so references survive growth).
+  std::vector<std::size_t>& jobs_at(std::size_t depth) {
+    while (scratch_.size() <= depth) scratch_.emplace_back();
+    return scratch_[depth];
+  }
 
-    std::vector<std::size_t>& jobs_at(std::size_t depth) {
-      while (scratch.size() <= depth) scratch.emplace_back();
-      return scratch[depth];
-    }
-  };
-
-  Value solve(Worker& w, std::size_t i1, std::size_t i2, std::size_t k,
-              int q, int l1, int l2, std::size_t depth) {
-    ++w.find_calls;
+  Value solve(std::size_t i1, std::size_t i2, std::size_t k, int q, int l1,
+              int l2, std::size_t depth) {
+    ++find_calls_;
     Value v{};
     if (memo_.find(i1, i2, k, q, l1, l2, &v)) return v;
     Choice choice{};
-    const Value best = compute(w, i1, i2, k, q, l1, l2, depth, 0,
-                               std::numeric_limits<std::size_t>::max(),
-                               &choice);
+    const Value best = compute(i1, i2, k, q, l1, l2, depth, &choice);
     memo_.insert(i1, i2, k, q, l1, l2, best, choice);
     return best;
   }
 
-  // W(t1, t2, k, q, l1, l2): the window recursion. [cand_begin, cand_end)
-  // optionally restricts the candidate scan for jk (the parallel root
-  // chunks); base cases ignore it (chunked calls are never base cases).
-  Value compute(Worker& w, std::size_t i1, std::size_t i2, std::size_t k,
-                int q, int l1, int l2, std::size_t depth,
-                std::size_t cand_begin, std::size_t cand_end,
-                Choice* out_choice) {
+  // W(t1, t2, k, q, l1, l2): the window recursion.
+  Value compute(std::size_t i1, std::size_t i2, std::size_t k, int q, int l1,
+                int l2, std::size_t depth, Choice* out_choice) {
     const Time t1 = ctx_.theta[i1];
     const Time t2 = ctx_.theta[i2];
     Value best = Policy::inf();
@@ -317,7 +274,7 @@ class DpEngine {
         choice.kind = Choice::Kind::kBaseEmpty;
       }
     } else {
-      std::vector<std::size_t>& jobs = w.jobs_at(depth);
+      std::vector<std::size_t>& jobs = jobs_at(depth);
       ctx_.fill_job_positions(t1, t2, k, jobs);
       bool viable = jobs.size() == k;
       if (viable && Policy::kOccupancy && prune_) {
@@ -330,7 +287,7 @@ class DpEngine {
           if (ctx_.deadline_bd[x] >= t2) ++e2;
         }
         if (l1 > e1 || l2 > q + e2) {
-          ++w.pruned;
+          ++pruned_;
           viable = false;
         }
       }
@@ -339,11 +296,10 @@ class DpEngine {
         const Time lo = std::max(t1, ctx_.release_bd[jk_pos]);
         const Time hi = std::min(t2, ctx_.deadline_bd[jk_pos]);
         auto it = std::lower_bound(ctx_.theta.begin(), ctx_.theta.end(), lo);
-        std::size_t first = static_cast<std::size_t>(it - ctx_.theta.begin());
+        const std::size_t first =
+            static_cast<std::size_t>(it - ctx_.theta.begin());
         std::size_t last = first;
         while (last < ctx_.theta.size() && ctx_.theta[last] <= hi) ++last;
-        first = std::max(first, cand_begin);
-        last = std::min(last, cand_end);
 
         for (std::size_t idx = first; idx < last; ++idx) {
           if (!ctx_.is_core[idx]) continue;
@@ -351,8 +307,7 @@ class DpEngine {
           if (tp == t2) {
             // jk takes one of the t2 slots; same window, one fewer job.
             if (l2 >= q + 1) {
-              const Value v = solve(w, i1, i2, k - 1, q + 1, l1, l2,
-                                    depth + 1);
+              const Value v = solve(i1, i2, k - 1, q + 1, l1, l2, depth + 1);
               if (v < best) {
                 best = v;
                 choice = Choice{};
@@ -389,7 +344,7 @@ class DpEngine {
                     (tp - t1 + 1) * static_cast<std::int64_t>(p_) ||
                 static_cast<std::int64_t>(right_jobs) + q >
                     (t2 - tp) * static_cast<std::int64_t>(p_)) {
-              ++w.pruned;
+              ++pruned_;
               continue;
             }
           }
@@ -407,11 +362,10 @@ class DpEngine {
             }
           }
           for (int lp = 1; lp <= lp_hi; ++lp) {
-            const Value left =
-                solve(w, i1, idx, left_jobs, 1, l1, lp, depth + 1);
+            const Value left = solve(i1, idx, left_jobs, 1, l1, lp, depth + 1);
             if (Policy::is_inf(left)) continue;
             for (int ldp = 0; ldp <= ldp_hi; ++ldp) {
-              const Value right = solve(w, ridx, i2,
+              const Value right = solve(ridx, i2,
                                         static_cast<std::size_t>(right_jobs),
                                         q, ldp, l2, depth + 1);
               if (Policy::is_inf(right)) continue;
@@ -434,82 +388,6 @@ class DpEngine {
 
     *out_choice = choice;
     return best;
-  }
-
-  /// Parallel top-level scan: the root candidate axis is cut into
-  /// contiguous chunks; each task evaluates every root (l1, l2) interface
-  /// over its chunk against the shared arena, and the merge folds chunks
-  /// in candidate order with strict '<' — reproducing exactly the serial
-  /// first-improvement scan. Merged root entries are published to the
-  /// memo, so the root loop in run() afterwards only re-reads them.
-  void run_root_parallel(Worker& main_worker, std::size_t i_min,
-                         std::size_t i_max, std::size_t n, int cap_l1,
-                         int cap_l2, std::size_t width) {
-    std::vector<std::size_t>& jobs = main_worker.jobs_at(0);
-    const Time t_min = ctx_.theta[i_min];
-    const Time t_max = ctx_.theta[i_max];
-    ctx_.fill_job_positions(t_min, t_max, n, jobs);
-    if (jobs.size() != n) return;  // serial path recomputes the (inf) roots
-    const std::size_t jk_pos = jobs.back();
-    const Time lo = std::max(t_min, ctx_.release_bd[jk_pos]);
-    const Time hi = std::min(t_max, ctx_.deadline_bd[jk_pos]);
-    auto it = std::lower_bound(ctx_.theta.begin(), ctx_.theta.end(), lo);
-    const std::size_t first = static_cast<std::size_t>(it - ctx_.theta.begin());
-    std::size_t last = first;
-    while (last < ctx_.theta.size() && ctx_.theta[last] <= hi) ++last;
-    if (last <= first) return;
-
-    const std::size_t span = last - first;
-    const std::size_t chunks = std::min(span, width * 4);
-    const std::size_t combos = static_cast<std::size_t>(cap_l1 + 1) *
-                               static_cast<std::size_t>(cap_l2 + 1);
-    struct Cell {
-      Value value;
-      Choice choice;
-    };
-    std::vector<std::vector<Cell>> partial(chunks);
-    std::mutex stats_mu;
-
-    parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t base = span / chunks;
-      const std::size_t rem = span % chunks;
-      const std::size_t b =
-          first + c * base + std::min(c, rem);
-      const std::size_t e = b + base + (c < rem ? 1 : 0);
-      Worker w;
-      std::vector<Cell>& cells = partial[c];
-      cells.reserve(combos);
-      for (int l1 = 0; l1 <= cap_l1; ++l1) {
-        for (int l2 = 0; l2 <= cap_l2; ++l2) {
-          Cell cell;
-          cell.choice = Choice{};
-          cell.value = compute(w, i_min, i_max, n, 0, l1, l2, 0, b, e,
-                               &cell.choice);
-          cells.push_back(cell);
-        }
-      }
-      std::lock_guard<std::mutex> lock(stats_mu);
-      shared_find_calls_ += w.find_calls;
-      shared_pruned_ += w.pruned;
-    });
-
-    // Deterministic merge in candidate order, then publish the true root
-    // values so run()'s scan (and reconstruct) reads them as memo hits.
-    std::size_t combo = 0;
-    for (int l1 = 0; l1 <= cap_l1; ++l1) {
-      for (int l2 = 0; l2 <= cap_l2; ++l2, ++combo) {
-        Value best = Policy::inf();
-        Choice choice{};
-        for (std::size_t c = 0; c < chunks; ++c) {
-          const Cell& cell = partial[c][combo];
-          if (cell.value < best) {
-            best = cell.value;
-            choice = cell.choice;
-          }
-        }
-        memo_.insert(i_min, i_max, n, 0, l1, l2, best, choice);
-      }
-    }
   }
 
   void reconstruct(std::size_t i1, std::size_t i2, std::size_t k, int q,
@@ -544,12 +422,12 @@ class DpEngine {
 
   const DpContext& ctx_;
   Policy policy_;
-  const DpOptions& opts_;
   Memo& memo_;
   int p_;
   bool prune_;
-  std::uint64_t shared_find_calls_ = 0;
-  std::uint64_t shared_pruned_ = 0;
+  std::deque<std::vector<std::size_t>> scratch_;
+  std::uint64_t find_calls_ = 0;
+  std::uint64_t pruned_ = 0;
 };
 
 // ------------------------------------------------------------ run_dp(...) --
@@ -564,9 +442,9 @@ struct DpRun {
 };
 
 /// Runs one DP solve end to end: estimates the state box from the instance
-/// shape, selects the memo layout, executes (serially or with the parallel
-/// root scan), and reports the memo diagnostics. The caller has already
-/// checked ctx.limit_violation() and n > 0.
+/// shape, selects the memo layout, runs the recursion, and reports the memo
+/// diagnostics. The caller has already checked ctx.limit_violation() and
+/// n > 0.
 template <class Policy>
 DpRun<Policy> run_dp(const DpContext& ctx, const Policy& policy,
                      const DpOptions& opts) {
@@ -598,8 +476,8 @@ DpRun<Policy> run_dp(const DpContext& ctx, const Policy& policy,
   out.memo.box_volume = volume;
   if (arena) {
     DenseMemo<Value> memo(i_min, extent, n, q_max, p);
-    DpEngine<Policy, DenseMemo<Value>> engine(ctx, policy, opts, memo);
-    auto run = engine.run(volume);
+    DpEngine<Policy, DenseMemo<Value>> engine(ctx, policy, opts.prune, memo);
+    auto run = engine.run();
     out.feasible = run.feasible;
     out.value = run.value;
     out.schedule = std::move(run.schedule);
@@ -608,11 +486,10 @@ DpRun<Policy> run_dp(const DpContext& ctx, const Policy& policy,
     out.memo.entries = memo.size();
     out.memo.find_calls = run.find_calls;
     out.memo.pruned = run.pruned;
-    out.memo.parallel = run.parallel;
   } else {
     HashMemo<Value> memo;
-    DpEngine<Policy, HashMemo<Value>> engine(ctx, policy, opts, memo);
-    auto run = engine.run(volume);
+    DpEngine<Policy, HashMemo<Value>> engine(ctx, policy, opts.prune, memo);
+    auto run = engine.run();
     out.feasible = run.feasible;
     out.value = run.value;
     out.schedule = std::move(run.schedule);
@@ -622,7 +499,6 @@ DpRun<Policy> run_dp(const DpContext& ctx, const Policy& policy,
     out.memo.find_calls = run.find_calls;
     out.memo.probe_steps = memo.probe_steps();
     out.memo.pruned = run.pruned;
-    out.memo.parallel = run.parallel;
   }
   return out;
 }

@@ -10,8 +10,9 @@
 // and O(n^7 p^5) time, and the exactness experiment (T1) checks the solver
 // against brute force while the scaling experiment (F1) measures the actual
 // reachable-state counts. The execution layer (dp_engine.hpp) selects a
-// dense arena or hash memo per solve, prunes dominated candidate branches,
-// and can parallelize the top-level candidate scan — all answer-preserving.
+// dense arena or hash memo per solve and prunes dominated candidate
+// branches — both answer-preserving. Each solve runs serially on the
+// calling thread.
 //
 // p = 1 reproduces Baptiste's algorithm [Bap06]; the polynomial solver for
 // that case is bcd/bcd.hpp.
@@ -47,9 +48,9 @@ struct GapDpResult {
 /// limits dp::kMaxDpJobs / kMaxDpProcessors / kMaxThetaSize.
 GapDpResult solve_gap_dp(const Instance& inst);
 
-/// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan width). Every option combination returns
-/// bit-identical answers; only speed and diagnostics differ.
+/// As above with explicit execution options (memo layout, pruning, arena
+/// budget). Every option combination returns bit-identical answers; only
+/// speed and diagnostics differ.
 GapDpResult solve_gap_dp(const Instance& inst, const dp::DpOptions& opts);
 
 }  // namespace gapsched

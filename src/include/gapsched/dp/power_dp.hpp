@@ -9,8 +9,8 @@
 // the value adds 1 per active processor-time unit and alpha per wake-up, and
 // the empty-window base case uses the closed-form optimal bridging
 // min_x [ x * idle + (l2 - x) * alpha ]. Shares the execution layer
-// (dp_engine.hpp) with Theorem 1: arena/hash memo selection, dominance
-// pruning, optional parallel top-level scan.
+// (dp_engine.hpp) with Theorem 1: arena/hash memo selection and dominance
+// pruning, run serially on the calling thread.
 
 #include <string>
 
@@ -43,9 +43,9 @@ struct PowerDpResult {
 /// kMaxDpProcessors / kMaxThetaSize.
 PowerDpResult solve_power_dp(const Instance& inst, double alpha);
 
-/// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan width). Every option combination returns
-/// bit-identical answers; only speed and diagnostics differ.
+/// As above with explicit execution options (memo layout, pruning, arena
+/// budget). Every option combination returns bit-identical answers; only
+/// speed and diagnostics differ.
 PowerDpResult solve_power_dp(const Instance& inst, double alpha,
                              const dp::DpOptions& opts);
 

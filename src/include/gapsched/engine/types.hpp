@@ -176,8 +176,6 @@ struct SolveStats {
   /// memo / that fell back to the packed-key hash table.
   std::size_t memo_arena_solves = 0;
   std::size_t memo_hash_solves = 0;
-  /// Component solves whose top-level candidate scan ran in parallel.
-  std::size_t memo_parallel_solves = 0;
   /// Memo lookups, hash probe-chain steps (0 for arena solves), and
   /// candidate branches cut by the dominance prunes.
   std::uint64_t memo_find_calls = 0;

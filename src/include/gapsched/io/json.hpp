@@ -23,8 +23,8 @@
 //              "components": ...,"cache_hit": false,
 //              "component_cache_hits": 0,"components_deduped": 0,
 //              "dead_time_removed": 0,"memo_arena_solves": 0,
-//              "memo_hash_solves": 0,"memo_parallel_solves": 0,
-//              "memo_find_calls": 0,"memo_probe_steps": 0,"memo_pruned": 0,
+//              "memo_hash_solves": 0,"memo_find_calls": 0,
+//              "memo_probe_steps": 0,"memo_pruned": 0,
 //              "stages": {"canonicalize": {"ran": false,"ms": 0}, ...
 //                         one entry per pipeline stage, in order:
 //                         canonicalize, decompose, compress,

@@ -1,10 +1,10 @@
 #pragma once
 // The process-wide executor: one fixed set of worker threads, spawned on
-// first use, that runs every parallel loop in the library — the DP root
-// candidate scan, the Dispatch fan-out over decomposition components, and
-// the benchmark sweeps. Each solve is deterministic whatever the width:
-// parallel callers only split independent work (components, candidate
-// chunks, trials) and merge it in a fixed order.
+// first use, that runs every parallel loop in the library — the Dispatch
+// fan-out over decomposition components and the benchmark sweeps (each
+// Theorem 1/2 DP solve itself is serial). Each solve is deterministic
+// whatever the width: parallel callers only split independent work
+// (components, trials) and merge it in a fixed order.
 //
 // Every parallel_for call waits for its own indices only, never for the
 // executor as a whole, so concurrent callers do not wait out each other's

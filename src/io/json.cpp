@@ -116,7 +116,6 @@ constexpr auto fields(const engine::SolveStats*) {
                          row("dead_time_removed", &S::dead_time_removed),
                          row("memo_arena_solves", &S::memo_arena_solves),
                          row("memo_hash_solves", &S::memo_hash_solves),
-                         row("memo_parallel_solves", &S::memo_parallel_solves),
                          row("memo_find_calls", &S::memo_find_calls),
                          row("memo_probe_steps", &S::memo_probe_steps),
                          row("memo_pruned", &S::memo_pruned),

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -39,9 +38,8 @@ std::string request_frame(std::int64_t id, std::string_view solver,
                           double deadline_ms) {
   std::string head = "\"frame\":\"request\",\"id\":" + std::to_string(id);
   if (deadline_ms > 0.0) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, ",\"deadline_ms\":%.6g", deadline_ms);
-    head += buf;
+    head += ",\"deadline_ms\":";
+    io::append_double(head, deadline_ms);
   }
   return with_header(std::move(head), io::request_to_json(solver, request));
 }

@@ -113,7 +113,6 @@ TEST(JsonCodec, EverySolveStatsFieldRoundTrips) {
   r.stats.dead_time_removed = -107;
   r.stats.memo_arena_solves = 108;
   r.stats.memo_hash_solves = 109;
-  r.stats.memo_parallel_solves = 110;
   r.stats.memo_find_calls = 111;
   r.stats.memo_probe_steps = 112;
   r.stats.memo_pruned = 113;
@@ -137,7 +136,6 @@ TEST(JsonCodec, EverySolveStatsFieldRoundTrips) {
   EXPECT_EQ(s.dead_time_removed, -107);
   EXPECT_EQ(s.memo_arena_solves, 108u);
   EXPECT_EQ(s.memo_hash_solves, 109u);
-  EXPECT_EQ(s.memo_parallel_solves, 110u);
   EXPECT_EQ(s.memo_find_calls, 111u);
   EXPECT_EQ(s.memo_probe_steps, 112u);
   EXPECT_EQ(s.memo_pruned, 113u);
@@ -427,7 +425,8 @@ TEST(JsonCodec, AppendDoubleWritesTheShortestRoundTripForm) {
 
 // A result document exactly as the earlier pretty-printing writer emitted
 // it (and as store files written by it still hold): every stats field, all
-// seven stages, and schedule slots.
+// seven stages, and schedule slots. It still carries the retired
+// memo_parallel_solves counter, which readers skip.
 constexpr const char* kPrettyResult = R"({
   "gapsched": "result",
   "ok": true,
@@ -493,7 +492,6 @@ TEST(JsonCodec, PrettyPrintedResultsFromEarlierWritersStillLoad) {
   r.stats.dead_time_removed = -107;
   r.stats.memo_arena_solves = 108;
   r.stats.memo_hash_solves = 109;
-  r.stats.memo_parallel_solves = 110;
   r.stats.memo_find_calls = 111;
   r.stats.memo_probe_steps = 112;
   r.stats.memo_pruned = 113;

@@ -67,6 +67,19 @@ TEST(ServeProtocol, RequestFrameRoundTripsThroughTheSharedCodec) {
   EXPECT_EQ(parsed->instance.jobs[1].allowed, TimeSet::window(9, 14));
 }
 
+// The deadline is written in its shortest round-trip form, so the server
+// reads back the exact value the client set, not a 6-digit rounding.
+TEST(ServeProtocol, RequestFrameDeadlineRoundTripsExactly) {
+  for (const double deadline_ms : {12345.678, 0.25}) {
+    const std::string frame =
+        request_frame(3, "gap_dp", sample_request(), deadline_ms);
+    std::string error;
+    const auto head = io::frame_head_from_json(frame, &error);
+    ASSERT_TRUE(head.has_value()) << error;
+    EXPECT_EQ(head->deadline_ms, deadline_ms) << frame;
+  }
+}
+
 TEST(ServeProtocol, RequestFrameOmitsZeroDeadline) {
   const std::string frame =
       request_frame(1, "gap_dp", sample_request(), 0.0);
