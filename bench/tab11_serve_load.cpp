@@ -1,14 +1,14 @@
 // T11 — the serving stack under a mixed loopback burst: an in-process
-// gapsched_serve endpoint (sharded, one Session per connection, shared
-// SolveCache) driven by the loadgen client at >= 5k requests across the
-// three solver families: mega_mixed/gap_dp (exact window DP on mixed
-// catalog draws), poly_scale/bcd_poly_gap (the polynomial [BCD07] family
-// at n in the hundreds), and stretched power_longhaul/power_dp (the
-// power-objective DP, alpha = 2.5). Every request carries
-// params.validate = true, so each answer survives the server-side oracle
-// audit; every 4th-ish request reuses its family's base seed, giving
-// canonical-identical traffic that must route to a single shard and dedup
-// in the shared cache.
+// gapsched_serve endpoint (sharded, every shard solving through one shared
+// Engine and its SolveCache) driven by the loadgen client at >= 5k
+// requests across the three solver families: mega_mixed/gap_dp (exact
+// window DP on mixed catalog draws), poly_scale/bcd_poly_gap (the
+// polynomial [BCD07] family at n in the hundreds), and stretched
+// power_longhaul/power_dp (the power-objective DP, alpha = 2.5). Every
+// request carries params.validate = true, so each answer survives the
+// server-side oracle audit; every 4th-ish request reuses its family's base
+// seed, giving canonical-identical traffic that must route to a single
+// shard and dedup in the shared cache.
 //
 // What the table and BENCH_tab11.json pin: per-family latency order
 // statistics (p50/p95/p99 over the sliding-window round trip), whole-burst

@@ -1,6 +1,6 @@
-// gapsched_serve — the long-lived solve server over the engine::Session
-// seam (serve/server.hpp): NDJSON frames over TCP, canonical-key-sharded
-// workers, one shared SolverRegistry + SolveCache, one Session per
+// gapsched_serve — the long-lived solve server (serve/server.hpp): NDJSON
+// frames over TCP, canonical-key-sharded workers, and one engine::Engine
+// (registry, solve cache, optional --store) shared by every shard and
 // connection.
 //
 //   $ ./gapsched_serve --port 7421 --shards 4

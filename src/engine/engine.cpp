@@ -1,7 +1,11 @@
 #include "gapsched/engine/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <utility>
 
+#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/store/store.hpp"
 
 namespace gapsched::engine {
@@ -37,18 +41,19 @@ Engine::Engine(EngineOptions options)
       registry_(SolverRegistry::create_with_builtins()),
       cache_(options_.cache
                  ? std::make_unique<SolveCache>(options_.cache_capacity)
-                 : nullptr),
-      session_(std::make_unique<Session>(*registry_, cache_.get(),
-                                         options_.threads)) {
-  if (cache_ != nullptr && !options_.store_path.empty()) {
-    store::StoreOptions sopt;
-    sopt.max_bytes = options_.store_max_bytes;
-    store_ = store::DiskStore::open(options_.store_path, sopt, &store_error_);
-    // Open failure leaves the engine memory-only: a corrupt or foreign
-    // store file degrades persistence, never a solve.
-    if (store_ != nullptr) {
-      cache_->attach_store(store_.get(), options_.store_spill_min_ms);
-    }
+                 : nullptr) {
+  if (options_.store_path.empty()) return;
+  if (cache_ == nullptr) {
+    store_error_ = "store_path requires the cache";
+    return;
+  }
+  store::StoreOptions sopt;
+  sopt.max_bytes = options_.store_max_bytes;
+  store_ = store::DiskStore::open(options_.store_path, sopt, &store_error_);
+  // Open failure leaves the engine memory-only: a corrupt or foreign
+  // store file degrades persistence, never a solve.
+  if (store_ != nullptr) {
+    cache_->attach_store(store_.get(), options_.store_spill_min_ms);
   }
 }
 
@@ -56,21 +61,64 @@ Engine::~Engine() = default;
 
 SolveResult Engine::solve(std::string_view solver,
                           const SolveRequest& request) {
-  return session_->solve(solver, request);
+  if (const Solver* s = registry_->find(solver); s != nullptr) {
+    return solve(*s, request);
+  }
+  SolveResult rejected =
+      SolveResult::rejected("unknown solver '" + std::string(solver) + "'");
+  record(rejected);
+  return rejected;
 }
 
 SolveResult Engine::solve(const Solver& solver, const SolveRequest& request) {
-  return session_->solve(solver, request);
+  SolveResult result = solver.solve(request, cache_.get());
+  record(result);
+  return result;
 }
 
 std::vector<SolveResult> Engine::solve_batch(
     const std::vector<BatchJob>& jobs) {
-  return session_->solve_batch(jobs);
+  return solve_stream(jobs, nullptr);
 }
 
 std::vector<SolveResult> Engine::solve_stream(
     const std::vector<BatchJob>& jobs, const StreamCallback& on_result) {
-  return session_->solve_stream(jobs, on_result);
+  std::vector<SolveResult> results(jobs.size());
+  std::mutex callback_mu;
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < jobs.size();
+         i = next.fetch_add(1)) {
+      results[i] = solve(jobs[i].solver, jobs[i].request);
+      if (on_result) {
+        std::lock_guard<std::mutex> lk(callback_mu);
+        on_result(i, results[i]);
+      }
+    }
+  };
+  // Whole requests run on threads scoped to this call, never on the
+  // executor: a solve grows its thread's malloc arena, and the executor's
+  // long-lived workers would keep that memory for the life of the process,
+  // raising a server's peak RSS after one large batch. Components inside
+  // each solve still fan out on the executor.
+  const std::size_t width =
+      std::min(options_.threads == 0 ? executor_threads() : options_.threads,
+               jobs.size());
+  std::vector<std::thread> threads;
+  threads.reserve(width);
+  for (std::size_t t = 0; t < width; ++t) threads.emplace_back(drain);
+  for (std::thread& t : threads) t.join();
+  return results;
+}
+
+pipeline::PipelineStats Engine::pipeline_stats() const {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  return stats_;
+}
+
+void Engine::record(const SolveResult& result) {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  stats_.absorb(result.stats);
 }
 
 CacheStats Engine::cache_stats() const {

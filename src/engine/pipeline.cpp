@@ -129,8 +129,8 @@ StageStats& stage_of(SolveContext& ctx, PipelineStage stage) {
 std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
                                              const CacheKey& key,
                                              const Instance& canonical) {
-  if (!ctx.env.cache->has_store()) return nullptr;
-  std::shared_ptr<const SolveResult> cand = ctx.env.cache->probe_disk(key);
+  if (!ctx.cache->has_store()) return nullptr;
+  std::shared_ptr<const SolveResult> cand = ctx.cache->probe_disk(key);
   if (cand == nullptr) return nullptr;
   bool admit = cand->ok && cand->feasible && cand->error.empty();
   if (admit) {
@@ -141,10 +141,10 @@ std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
     admit = oracle::check_result(sub, *cand, ctx.solver.info().exact).empty();
   }
   if (!admit) {
-    ctx.env.cache->reject_disk(key);
+    ctx.cache->reject_disk(key);
     return nullptr;
   }
-  ctx.env.cache->admit_disk(key, *cand);
+  ctx.cache->admit_disk(key, *cand);
   return cand;
 }
 
@@ -179,7 +179,7 @@ void Pipeline::decompose(SolveContext& ctx) {
   ctx.parts.resize(m);
   ctx.dup_of.assign(m, kNoDup);
   // Default routing solves every component; CacheLookup refines this to
-  // the genuinely-new ones when the environment carries a cache.
+  // the genuinely-new ones when the request carries a cache.
   ctx.to_solve.resize(m);
   for (std::size_t c = 0; c < m; ++c) ctx.to_solve[c] = c;
   ctx.agg.components = m;
@@ -204,11 +204,11 @@ void Pipeline::compress(SolveContext& ctx) {
   }
 }
 
-/// Consults the environment's content-addressed cache for every component,
+/// Consults the content-addressed cache for every component,
 /// additionally deduplicating byte-identical components within this one
 /// request. Leaves only genuinely new work in `to_solve`.
 void Pipeline::cache_lookup(SolveContext& ctx) {
-  if (ctx.env.cache == nullptr) return;
+  if (ctx.cache == nullptr) return;
   stage_of(ctx, PipelineStage::kCacheLookup).ran = true;
   const std::size_t m = ctx.dec.components.size();
   ctx.keys.reserve(m);
@@ -225,7 +225,7 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
       ++ctx.agg.components_deduped;
       continue;
     }
-    std::shared_ptr<const SolveResult> hit = ctx.env.cache->lookup(ctx.keys[c]);
+    std::shared_ptr<const SolveResult> hit = ctx.cache->lookup(ctx.keys[c]);
     if (hit == nullptr) {
       // Component keys hash the instance Dispatch would solve (the
       // compressed image when compressing), so the disk candidate is
@@ -292,10 +292,10 @@ void Pipeline::dispatch(SolveContext& ctx) {
   } else {
     for (std::size_t i = 0; i < ctx.to_solve.size(); ++i) solve_component(i);
   }
-  if (ctx.env.cache != nullptr) {
+  if (ctx.cache != nullptr) {
     for (std::size_t c : ctx.to_solve) {
       if (ctx.parts[c].ok) {
-        ctx.env.cache->insert(ctx.keys[c], ctx.parts[c], solve_ms[c]);
+        ctx.cache->insert(ctx.keys[c], ctx.parts[c], solve_ms[c]);
       }
     }
   }
@@ -385,8 +385,8 @@ void Pipeline::audit(SolveContext& ctx) {
 // --------------------------------------------------------------- runner --
 
 SolveResult Pipeline::run(const Solver& solver, const SolveRequest& request,
-                          const SolveHooks& env) {
-  SolveContext ctx(solver, request, env);
+                          SolveCache* cache) {
+  SolveContext ctx(solver, request, cache);
   Stopwatch total;
   constexpr struct {
     PipelineStage stage;

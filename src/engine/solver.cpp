@@ -49,16 +49,12 @@ std::string Solver::check(const SolveRequest& request) const {
   return "";
 }
 
-SolveResult Solver::solve(const SolveRequest& request) const {
-  return solve(request, SolveHooks{});
-}
-
 SolveResult Solver::solve(const SolveRequest& request,
-                          const SolveHooks& hooks) const {
+                          SolveCache* cache) const {
   if (std::string diag = check(request); !diag.empty()) {
     return SolveResult::rejected(std::move(diag));
   }
-  return pipeline::Pipeline::run(*this, request, hooks);
+  return pipeline::Pipeline::run(*this, request, cache);
 }
 
 }  // namespace gapsched::engine

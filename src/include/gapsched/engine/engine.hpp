@@ -1,34 +1,36 @@
 #pragma once
-// gapsched::engine::Engine — the persistent, stateful front end of the
-// solver engine, and the API every downstream consumer (CLI, benches,
-// tests, a future server) sits on.
+// gapsched::engine::Engine — the stateful front end of the solver engine,
+// and the one every consumer (CLI, benches, tests, the server in
+// serve/server.hpp) solves through.
 //
-// An Engine owns the three pieces of cross-request state the free-function
-// entry points had nowhere to hang:
+// An Engine owns the cross-request state:
 //
 //   * its solver registry (every built-in family pre-registered; add() more
 //     per engine without touching the process-wide instance()),
-//   * an execution Session (engine/session.hpp): the single seam
-//     solve/solve_batch/solve_stream go through, owning the pipeline's
-//     SolveHooks environment, the batch width, and the lifetime
-//     per-stage PipelineStats roll-up (pipeline_stats()),
-//   * a content-addressed solve cache (engine/cache.hpp): requests are
-//     keyed by the canonical form of (prep-canonicalized — and, for gap
-//     components, dead-time-compressed — instance, objective, the
-//     parameters the solver consumes). Repeated solves, time-shifted or
-//     job-permuted copies, and identical components inside one decomposed
-//     instance all collapse onto one entry; SolveStats::cache_hit /
+//   * a content-addressed solve cache (engine/cache.hpp), optionally backed
+//     by a persistent store (store/store.hpp): requests are keyed by the
+//     canonical form of (prep-canonicalized — and, for gap components,
+//     dead-time-compressed — instance, objective, the parameters the
+//     solver consumes). Repeated solves, time-shifted or job-permuted
+//     copies, and identical components inside one decomposed instance all
+//     collapse onto one entry; SolveStats::cache_hit /
 //     component_cache_hits / components_deduped report what was reused.
 //     Cached entries store no audit state: a hit under params.validate is
 //     re-audited against the requester's own instance by the independent
-//     oracle.
+//     oracle,
+//   * the lifetime per-stage PipelineStats roll-up (pipeline_stats()).
+//
+// Every solve lands in Solver::solve(request, cache) with this engine's
+// cache and is then folded into the roll-up. The Engine is thread-safe:
+// concurrent callers share the cache and the roll-up under their own locks.
 //
 // Batches: solve_batch() is the bulk call — results[i] always answers
 // jobs[i]. solve_stream() is the same with a completion callback — each
 // SolveResult is delivered as it finishes (callback invocations are
 // serialized, completion order is non-deterministic) while the returned
-// vector keeps request order; this is the seam a sharded server front end
-// streams results through.
+// vector keeps request order. Both run on `threads` threads scoped to the
+// call. The server does not batch: each shard worker calls solve() for one
+// request at a time.
 //
 // Determinism: with the cache DISABLED, batch results are bitwise
 // reproducible at any thread count (solvers are single-threaded and
@@ -39,20 +41,18 @@
 // is optimal and oracle-checked), but heuristic families, being job-order
 // sensitive, may return a different valid answer than a fresh solve
 // would. Benches that require reproducible output use {.cache = false}.
-//
-// The deprecated free-function shims solve_with() / solve_many() were
-// removed one release after the Engine landed; every consumer now goes
-// through an Engine.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "gapsched/engine/cache.hpp"
+#include "gapsched/engine/pipeline.hpp"
 #include "gapsched/engine/registry.hpp"
-#include "gapsched/engine/session.hpp"
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
 
@@ -74,7 +74,7 @@ struct EngineOptions {
   /// Opened (created when missing) at construction; an open failure is
   /// recorded in Engine::store_error() and the engine runs memory-only —
   /// a broken store file can cost speed, never correctness or startup.
-  /// Requires cache.
+  /// Requires cache; without it store_error() says so.
   std::string store_path = {};
   /// Cost-weighted spill admission: only entries whose solve wall time was
   /// at least this many ms are persisted (a cached 10 ms DP answer is
@@ -125,7 +125,8 @@ class Engine {
   SolverRegistry& registry() { return *registry_; }
   const SolverRegistry& registry() const { return *registry_; }
 
-  /// One cache-aware solve. Unknown names come back as a rejection.
+  /// One cache-aware solve. Unknown names come back as a rejection. Every
+  /// result — rejections included — is folded into pipeline_stats().
   SolveResult solve(std::string_view solver, const SolveRequest& request);
   SolveResult solve(const Solver& solver, const SolveRequest& request);
 
@@ -137,7 +138,8 @@ class Engine {
   /// Called once per completed entry with its request index. Invocations
   /// are serialized (no locking needed inside), but arrive in completion
   /// order, not request order; the returned vector restores request order.
-  using StreamCallback = Session::StreamCallback;
+  using StreamCallback =
+      std::function<void(std::size_t index, const SolveResult& result)>;
 
   /// Streaming batch: like solve_batch, delivering each result through
   /// `on_result` the moment it completes. A null callback degenerates to
@@ -145,15 +147,9 @@ class Engine {
   std::vector<SolveResult> solve_stream(const std::vector<BatchJob>& jobs,
                                         const StreamCallback& on_result);
 
-  /// This engine's execution session — the seam a server front end would
-  /// hold directly (one per tenant around a shared registry and cache).
-  Session& session() { return *session_; }
-
   /// Per-stage pipeline roll-up (runs/skips/summed wall time, indexed by
   /// PipelineStage) across every request this engine served.
-  pipeline::PipelineStats pipeline_stats() const {
-    return session_->pipeline_stats();
-  }
+  pipeline::PipelineStats pipeline_stats() const;
 
   /// Hit/miss/eviction counters of the solve cache (zeros when disabled).
   /// With a store attached this includes the disk tier: disk_hits,
@@ -165,12 +161,16 @@ class Engine {
   /// The persistent store, if one was opened (null otherwise).
   store::DiskStore* store() { return store_.get(); }
   /// Why store_path could not be opened ("" when it was, or none was set).
+  /// Non-empty exactly when store_path is set and store() is null.
   const std::string& store_error() const { return store_error_; }
   /// Blocks until every queued write-behind spill reached the store — the
   /// barrier to call before handing the store file to another process.
   void flush_store();
 
  private:
+  /// Folds one finished result into the stats roll-up.
+  void record(const SolveResult& result);
+
   EngineOptions options_;
   std::unique_ptr<SolverRegistry> registry_;
   // Declared before cache_: the cache's spill worker must join (in
@@ -178,7 +178,9 @@ class Engine {
   std::unique_ptr<store::DiskStore> store_;
   std::string store_error_;
   std::unique_ptr<SolveCache> cache_;  // null when options_.cache is false
-  std::unique_ptr<Session> session_;   // owns batch width + pipeline stats
+
+  mutable std::mutex stats_mu_;
+  pipeline::PipelineStats stats_;
 };
 
 }  // namespace gapsched::engine

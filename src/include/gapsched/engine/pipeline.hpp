@@ -28,7 +28,7 @@
 //
 //   * Canonicalize, Decompose and Recombine run for every request;
 //   * Compress runs when the cap is positive;
-//   * CacheLookup runs whenever the environment carries a SolveCache;
+//   * CacheLookup runs whenever the caller passed a SolveCache;
 //   * Dispatch runs the family adapter (do_solve) on the components the
 //     cache did not serve, and is skipped when it served them all. A lone
 //     uncompressed component is solved as the requester's original
@@ -40,10 +40,9 @@
 //   * Audit re-derives the answer with the independent oracle under
 //     params.validate.
 //
-// The SolveHooks environment (engine/solver.hpp) is what a stateful front
-// end (Engine / Session) threads through the pipeline: the solve cache.
-// The pipeline itself is stateless across requests; a default-constructed
-// environment is the stateless solve path.
+// The only cross-request state is the SolveCache an Engine passes to
+// Solver::solve. The pipeline itself is stateless across requests; a null
+// cache is the stateless solve path.
 
 #include <array>
 #include <cstddef>
@@ -63,13 +62,13 @@ namespace gapsched::engine::pipeline {
 /// stages exchange so nothing is threaded through function locals.
 struct SolveContext {
   SolveContext(const Solver& solver_in, const SolveRequest& request_in,
-               const SolveHooks& env_in)
-      : solver(solver_in), request(request_in), env(env_in) {}
+               SolveCache* cache_in)
+      : solver(solver_in), request(request_in), cache(cache_in) {}
 
   const Solver& solver;
   const SolveRequest& request;
-  /// The pipeline's environment: the cross-request cache.
-  const SolveHooks& env;
+  /// The cross-request solve cache; null shares nothing.
+  SolveCache* cache;
 
   // ---- Canonicalize product; Decompose moves from it ----
   prep::Canonical canon;
@@ -107,15 +106,14 @@ struct SolveContext {
 
 /// The staged request pipeline. `run` drives the fixed stage sequence over
 /// a fresh SolveContext; the per-stage units are private — callers go
-/// through Solver::solve (stateless) or Engine/Session (stateful), which
-/// both land here.
+/// through Solver::solve, directly or from an Engine.
 class Pipeline {
  public:
   /// Walks all seven stages for one pre-validated request (Solver::check
   /// must have passed) and returns the finished result, stage timings
   /// included.
   static SolveResult run(const Solver& solver, const SolveRequest& request,
-                         const SolveHooks& env);
+                         SolveCache* cache);
 
  private:
   static void canonicalize(SolveContext& ctx);
@@ -127,7 +125,7 @@ class Pipeline {
   static void audit(SolveContext& ctx);
 };
 
-/// Lifetime tallies of one pipeline stage across a Session (or any other
+/// Lifetime tallies of one pipeline stage across an Engine (or any other
 /// accumulator): how often it ran, how often the pipeline skipped it, and
 /// the summed wall time of the runs.
 struct StageTally {
@@ -136,8 +134,8 @@ struct StageTally {
   double total_ms = 0.0;
 };
 
-/// Per-stage roll-up of every request a Session pushed through the
-/// pipeline, indexed by PipelineStage.
+/// Per-stage roll-up of every request an Engine (or a server shard) pushed
+/// through the pipeline, indexed by PipelineStage.
 struct PipelineStats {
   std::array<StageTally, kPipelineStageCount> stages{};
   /// Results absorbed. Requests rejected at Solver::check never enter the

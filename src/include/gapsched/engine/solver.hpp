@@ -3,7 +3,7 @@
 // algorithm family. Concrete adapters live in src/engine/builtin_solvers.cpp
 // and register themselves with the SolverRegistry. The solve path itself is
 // the staged request pipeline in engine/pipeline.hpp; this header only owns
-// the family seam and the pipeline's environment (SolveHooks).
+// the family seam.
 
 #include <cstddef>
 #include <string>
@@ -17,19 +17,6 @@ class SolveCache;
 namespace pipeline {
 class Pipeline;
 }  // namespace pipeline
-
-/// The pipeline's environment: every piece of cross-request state a
-/// stateful front end (Engine / Session) threads through one solve. The
-/// default-constructed form shares nothing across calls — that is the
-/// stateless path, and the cache-off Engine configuration.
-struct SolveHooks {
-  /// Content-addressed solve cache. When set, the CacheLookup stage keys
-  /// every decomposition component by canonical form,
-  /// deduplicates identical components within one request, and Dispatch
-  /// publishes fresh results back. When null, CacheLookup is skipped and
-  /// nothing is shared across calls.
-  SolveCache* cache = nullptr;
-};
 
 /// Which SolveParams fields a family reads. Front ends use this to reject
 /// options the selected solver would silently ignore; check() uses it to
@@ -76,17 +63,18 @@ class Solver {
   virtual const SolverInfo& info() const = 0;
 
   /// Validates the request against info() and the instance's own
-  /// well-formedness, then walks the staged pipeline (engine/pipeline.hpp)
-  /// with an empty environment; fills stats.wall_ms, stats.stages, and
-  /// timed_out. Never throws: rejections come back as
-  /// SolveResult::rejected.
-  SolveResult solve(const SolveRequest& request) const;
-
-  /// Stateful variant: same pipeline, threaded through the front-end-owned
-  /// environment in `hooks` (see SolveHooks). solve(request) is exactly
-  /// solve(request, {}).
+  /// well-formedness, then walks the staged pipeline (engine/pipeline.hpp);
+  /// fills stats.wall_ms, stats.stages, and timed_out. Never throws:
+  /// rejections come back as SolveResult::rejected.
+  ///
+  /// `cache` is the content-addressed solve cache shared across requests
+  /// (an Engine passes its own). When set, the CacheLookup stage keys every
+  /// decomposition component by canonical form, deduplicates identical
+  /// components within one request, and Dispatch publishes fresh results
+  /// back. When null, CacheLookup is skipped and nothing is shared across
+  /// calls.
   SolveResult solve(const SolveRequest& request,
-                    const SolveHooks& hooks) const;
+                    SolveCache* cache = nullptr) const;
 
   /// Returns a non-empty diagnostic when `solve` would reject the request
   /// without running the underlying algorithm.

@@ -106,7 +106,7 @@ std::string cache_stats_to_json(const engine::CacheStats& stats);
 std::optional<engine::CacheStats> cache_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
-/// Serializes a Session's per-stage pipeline roll-up:
+/// Serializes an Engine's (or a server shard's) per-stage pipeline roll-up:
 ///   {"gapsched": "pipeline_stats","requests": 0,
 ///    "stages": {"canonicalize": {"runs": 0,"skips": 0,"total_ms": 0},
 ///               ... one entry per PipelineStage ...}}

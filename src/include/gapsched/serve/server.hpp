@@ -1,6 +1,6 @@
 #pragma once
-// gapsched::serve::Server — the long-lived network front end over the
-// engine::Session seam.
+// gapsched::serve::Server — the long-lived network front end over one
+// engine::Engine.
 //
 // Topology (one process):
 //
@@ -12,12 +12,13 @@
 //                       per-connection writer ◄── result frames
 //                         (bounded outbound queue, completion order)
 //
-// One SolverRegistry and one content-addressed SolveCache are shared by
-// everything; each connection owns an engine::Session around them — the
-// per-tenant shape the Session layer was built for. Requests travel the
-// shard whose index is the canonical-key hash of their content, so
-// identical (post-canonicalization) instances execute serially on one
-// worker and dedup in the shared cache instead of racing.
+// The server holds one Engine, built from the ServerOptions cache and
+// store fields: every shard worker calls Engine::solve on it, so all
+// connections share its registry, its content-addressed SolveCache and its
+// persistent store. Requests travel the shard whose index is the
+// canonical-key hash of their content, so instances identical after
+// canonicalization execute serially on one worker and dedup in the shared
+// cache instead of racing.
 //
 // Backpressure: both queues are bounded. A slow shard blocks the readers
 // feeding it; a slow client blocks the shard workers trying to deliver to
@@ -40,16 +41,10 @@
 #include <thread>
 #include <vector>
 
-#include "gapsched/engine/cache.hpp"
-#include "gapsched/engine/registry.hpp"
-#include "gapsched/engine/session.hpp"
+#include "gapsched/engine/engine.hpp"
 #include "gapsched/io/json.hpp"
 #include "gapsched/serve/protocol.hpp"
 #include "gapsched/serve/shard.hpp"
-
-namespace gapsched::store {
-class DiskStore;
-}
 
 namespace gapsched::serve {
 
@@ -68,9 +63,9 @@ struct ServerOptions {
   /// Hard per-frame byte bound; an over-long line closes the connection.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Path of the persistent on-disk solve store shared by every shard
-  /// (and with CLI sessions and future restarts); empty = memory-only.
-  /// Opened at start(), which fails if the file is corrupt or foreign —
-  /// a server asked to persist must not silently run without it.
+  /// (and with CLI runs and future restarts); empty = memory-only.
+  /// Opened when the Server is constructed; start() fails if it could not
+  /// be — a server asked to persist must not silently run without it.
   std::string store_path = {};
   /// Cost-weighted spill admission threshold (ms of solve wall time).
   double store_spill_min_ms = 0.1;
@@ -87,7 +82,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and spawns the acceptor and shard workers. False
-  /// with *error set when the port cannot be bound.
+  /// with *error set when the store did not open or the port cannot be
+  /// bound.
   bool start(std::string* error);
 
   /// The bound port (after start(); resolves port 0 requests).
@@ -115,7 +111,9 @@ class Server {
   /// and the per-shard view — the body of the `stats` frame.
   io::ServerStatsWire stats() const;
 
-  const engine::SolverRegistry& registry() const { return *registry_; }
+  const engine::SolverRegistry& registry() const {
+    return engine_.registry();
+  }
 
  private:
   struct Connection;
@@ -133,11 +131,7 @@ class Server {
   ServerOptions options_;
   int port_ = 0;
 
-  std::unique_ptr<engine::SolverRegistry> registry_;
-  // Declared before cache_: ~SolveCache joins the spill worker that
-  // appends to this store.
-  std::unique_ptr<store::DiskStore> store_;
-  std::unique_ptr<engine::SolveCache> cache_;
+  engine::Engine engine_;
 
   /// One tally per shard; workers write their own entry, stats() snapshots
   /// under the mutex.

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
-
-#include "gapsched/store/store.hpp"
 
 namespace gapsched::serve {
 
@@ -13,19 +12,13 @@ using Clock = std::chrono::steady_clock;
 /// Per-connection state shared by its reader, its writer, and every shard
 /// task it has in flight.
 struct Server::Connection {
-  Connection(const engine::SolverRegistry& registry,
-             engine::SolveCache* cache, TcpStream stream_in,
-             std::size_t outbound_capacity, std::size_t max_frame_bytes)
+  Connection(TcpStream stream_in, std::size_t outbound_capacity,
+             std::size_t max_frame_bytes)
       : stream(std::move(stream_in)),
-        session(registry, cache, /*threads=*/1),
         outbound(outbound_capacity),
         lines(max_frame_bytes) {}
 
   TcpStream stream;
-  /// The per-tenant engine seam: this connection's requests walk the
-  /// pipeline through its own Session (shared registry + shared cache),
-  /// executed on whichever shard their content hashes to.
-  engine::Session session;
   /// Completion-order frames awaiting the writer; bounded, so a slow
   /// client backpressures the shard workers producing for it.
   BoundedQueue<std::string> outbound;
@@ -52,8 +45,10 @@ struct Server::Connection {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      registry_(engine::SolverRegistry::create_with_builtins()),
-      cache_(std::make_unique<engine::SolveCache>(options_.cache_capacity)) {
+      engine_({.cache_capacity = options_.cache_capacity,
+               .store_path = options_.store_path,
+               .store_spill_min_ms = options_.store_spill_min_ms,
+               .store_max_bytes = options_.store_max_bytes}) {
   if (options_.shards == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
     options_.shards = std::max<std::size_t>(1, std::min<std::size_t>(4, hw));
@@ -65,14 +60,9 @@ Server::~Server() { drain(); }
 std::size_t Server::shards() const { return options_.shards; }
 
 bool Server::start(std::string* error) {
-  if (!options_.store_path.empty()) {
-    store::StoreOptions sopt;
-    sopt.max_bytes = options_.store_max_bytes;
-    store_ = store::DiskStore::open(options_.store_path, sopt, error);
-    if (store_ == nullptr) return false;
-    // Every shard shares the one cache, so one attach covers them all;
-    // loads are still oracle-gated per request in the pipeline.
-    cache_->attach_store(store_.get(), options_.store_spill_min_ms);
+  if (!engine_.store_error().empty()) {
+    *error = engine_.store_error();
+    return false;
   }
   auto listener = TcpListener::listen(options_.host, options_.port, error);
   if (!listener.has_value()) return false;
@@ -95,9 +85,9 @@ void Server::accept_loop() {
     auto stream = listener_.accept();
     if (!stream.has_value()) return;  // listener closed: drain under way
     if (draining_.load()) continue;   // racing connect during drain
-    auto conn = std::make_shared<Connection>(
-        *registry_, cache_.get(), std::move(*stream),
-        options_.outbound_queue, options_.max_frame_bytes);
+    auto conn = std::make_shared<Connection>(std::move(*stream),
+                                             options_.outbound_queue,
+                                             options_.max_frame_bytes);
     std::lock_guard<std::mutex> lk(conns_mu_);
     reap_finished_locked();
     ConnEntry entry;
@@ -136,7 +126,7 @@ void Server::reap_finished_locked() {
 }
 
 void Server::writer_loop(const std::shared_ptr<Connection>& conn) {
-  conn->outbound.push(hello_frame(options_.shards, registry_->size()));
+  conn->outbound.push(hello_frame(options_.shards, registry().size()));
   bool broken = false;
   while (auto frame = conn->outbound.pop()) {
     if (broken) continue;  // doomed peer: drain the queue, free producers
@@ -218,7 +208,7 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  const engine::Solver* solver = registry_->find(solver_name);
+  const engine::Solver* solver = registry().find(solver_name);
   const std::uint64_t key = solver != nullptr
                                 ? shard_key(*solver, *request)
                                 : shard_key(solver_name);
@@ -234,30 +224,37 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
   conn->task_started();
   const std::int64_t id = head.id;
   const bool accepted = shard_pool_->submit(
-      shard, [this, conn, shard, id, deadline,
+      shard, [this, conn, shard, id, deadline, solver,
               solver_name = std::move(solver_name),
               request = std::move(*request)]() mutable {
+        // One clock read decides both expiry and the remaining budget, so
+        // a request that is not expired always gets a positive limit (a
+        // limit <= 0 would read as "no limit").
+        std::optional<double> remaining_s;
+        if (deadline.has_value()) {
+          remaining_s =
+              std::chrono::duration<double>(*deadline - Clock::now()).count();
+        }
         engine::SolveResult result;
-        if (deadline.has_value() && Clock::now() >= *deadline) {
+        if (remaining_s.has_value() && *remaining_s <= 0.0) {
           // Expired while queued: answer timed_out instead of burning a
           // solver call the client already gave up on.
           result = engine::SolveResult::rejected(
               "deadline exceeded before solve (queue wait)");
           result.timed_out = true;
         } else {
-          if (deadline.has_value()) {
-            const double remaining_s =
-                std::chrono::duration<double>(*deadline - Clock::now())
-                    .count();
-            // The engine's budget is advisory (solvers are single-shot),
-            // but it converts an over-deadline answer into a flagged
-            // timed_out response rather than an unqualified success.
-            if (request.params.time_limit_s <= 0.0 ||
-                remaining_s < request.params.time_limit_s) {
-              request.params.time_limit_s = remaining_s;
-            }
+          // The engine's budget is advisory (solvers are single-shot), but
+          // it converts an over-deadline answer into a flagged timed_out
+          // response rather than an unqualified success.
+          if (remaining_s.has_value() &&
+              (request.params.time_limit_s <= 0.0 ||
+               *remaining_s < request.params.time_limit_s)) {
+            request.params.time_limit_s = *remaining_s;
           }
-          result = conn->session.solve(solver_name, request);
+          // The solver was looked up once, for the shard key; an unknown
+          // name still gets the engine's rejection.
+          result = solver != nullptr ? engine_.solve(*solver, request)
+                                     : engine_.solve(solver_name, request);
         }
         {
           ShardState& state = *shard_states_[shard];
@@ -315,12 +312,12 @@ void Server::drain() {
 
   // 4. Everything answered is answered; make it durable too. A drained
   //    server must leave the store holding every qualifying solve it did.
-  cache_->flush_spill();
+  engine_.flush_store();
 }
 
 io::ServerStatsWire Server::stats() const {
   io::ServerStatsWire out;
-  out.cache = cache_->stats();
+  out.cache = engine_.cache_stats();
   for (std::size_t i = 0; i < shard_states_.size(); ++i) {
     const ShardState& state = *shard_states_[i];
     std::lock_guard<std::mutex> lk(state.mu);

@@ -1,11 +1,12 @@
-// The Session execution layer and the staged solve pipeline's observable
+// The Engine's execution layer and the staged solve pipeline's observable
 // semantics: per-stage ran/skip verdicts in SolveStats::stages, the
-// Session/Engine PipelineStats roll-up, solve_stream callback ordering and
-// request-order guarantees, concurrent streams contending on one shared
-// cache, and the no-double-audit invariant (cache hits are re-audited
-// exactly once, by the serving request), and concurrent decomposed solves
-// fanning their components out on the one executor. The concurrency tests
-// here also run under the CI ASan/UBSan and TSan lanes.
+// Engine's PipelineStats roll-up, solve_stream callback ordering and
+// request-order guarantees, concurrent streams and short-lived callers
+// contending on one shared cache, the no-double-audit invariant (cache
+// hits are re-audited exactly once, by the serving request), and
+// concurrent decomposed solves fanning their components out on the one
+// executor. The concurrency tests here also run under the CI ASan/UBSan
+// and TSan lanes.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include "gapsched/dp/gap_dp.hpp"
 #include "gapsched/dp/power_dp.hpp"
 #include "gapsched/engine/engine.hpp"
-#include "gapsched/engine/session.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
@@ -144,7 +144,7 @@ TEST(PipelineStages, AuditRunsExactlyForValidatedRequests) {
   EXPECT_FALSE(stage(unaudited, PipelineStage::kAudit).ran);
 }
 
-// ------------------------------------------------- the session stats roll-up --
+// -------------------------------------------------- the engine stats roll-up --
 
 TEST(Session, PipelineStatsTallyRunsAndSkipsAcrossRequests) {
   Engine eng;
@@ -173,9 +173,6 @@ TEST(Session, PipelineStatsTallyRunsAndSkipsAcrossRequests) {
   for (const pipeline::StageTally& t : stats.stages) {
     EXPECT_EQ(t.runs + t.skips, stats.requests);
   }
-
-  eng.session().reset_pipeline_stats();
-  EXPECT_EQ(eng.pipeline_stats().requests, 0u);
 }
 
 TEST(Session, RejectionsAreAbsorbedAsAllSkipRows) {
@@ -296,63 +293,70 @@ TEST(Session, ConcurrentStreamsShareOneEngineWithoutDoubleAudit) {
 }
 
 TEST(Session, StandaloneSessionSharesRegistryAndCacheWithAnother) {
-  // Two sessions around one registry and one cache — the server-tenant
-  // shape. A solve through one session warms the other.
+  // Two callers around one registry and one cache, each passing the cache
+  // to Solver::solve — the shape of two shard workers on one Engine. A
+  // solve by one caller warms the other.
   auto registry = SolverRegistry::create_with_builtins();
   SolveCache cache(128);
-  Session a(*registry, &cache, 2);
-  Session b(*registry, &cache, 2);
+  const Solver* gap_dp = registry->find("gap_dp");
+  ASSERT_NE(gap_dp, nullptr);
+  pipeline::PipelineStats a;
+  pipeline::PipelineStats b;
 
   SolveRequest req{small_instance(950), Objective::kGaps, {}};
-  const SolveResult cold = a.solve("gap_dp", req);
+  const SolveResult cold = gap_dp->solve(req, &cache);
+  a.absorb(cold.stats);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_FALSE(cold.stats.cache_hit);
 
-  const SolveResult warm = b.solve("gap_dp", req);
+  const SolveResult warm = gap_dp->solve(req, &cache);
+  b.absorb(warm.stats);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_EQ(warm.cost, cold.cost);
 
-  // Each session keeps its own roll-up.
-  EXPECT_EQ(a.pipeline_stats().requests, 1u);
-  EXPECT_EQ(b.pipeline_stats().requests, 1u);
+  // Each caller keeps its own roll-up.
+  EXPECT_EQ(a.requests, 1u);
+  EXPECT_EQ(b.requests, 1u);
 }
 
 TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
-  // The server's churn pattern: many short-lived Sessions (one per
-  // connection) come and go concurrently around one registry + one cache.
-  // Warmth accumulated by a dead Session must keep serving the living,
-  // and tallies aggregated outside the Sessions must survive all of them.
+  // Many short-lived callers come and go concurrently around one registry
+  // + one cache, each keeping its own PipelineStats. Warmth accumulated by
+  // a finished caller must keep serving the living, and tallies folded
+  // from the callers' own stats must survive all of them.
   auto registry = SolverRegistry::create_with_builtins();
+  const Solver* gap_dp = registry->find("gap_dp");
+  ASSERT_NE(gap_dp, nullptr);
   SolveCache cache(256);
 
   constexpr int kThreads = 8;
-  constexpr int kSessionsPerThread = 12;
+  constexpr int kCallersPerThread = 12;
   constexpr int kSites = 5;  // distinct instances, so hits are guaranteed
 
   std::atomic<std::uint64_t> solves{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> failures{0};
-  pipeline::PipelineStats folded;  // aggregated as each Session dies
+  pipeline::PipelineStats folded;  // aggregated as each caller finishes
   std::mutex folded_mu;
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int s = 0; s < kSessionsPerThread; ++s) {
-        Session session(*registry, &cache, /*threads=*/1);
+      for (int s = 0; s < kCallersPerThread; ++s) {
+        pipeline::PipelineStats stats;  // this caller's own roll-up
         for (int r = 0; r < kSites; ++r) {
           const auto site =
               960 + static_cast<std::uint64_t>((t + s + r) % kSites);
           SolveRequest req{small_instance(site), Objective::kGaps, {}};
           req.params.validate = true;
-          const SolveResult result = session.solve("gap_dp", req);
+          const SolveResult result = gap_dp->solve(req, &cache);
+          stats.absorb(result.stats);
           if (!result.ok || !result.audit_error.empty()) ++failures;
           ++solves;
           if (result.stats.cache_hit) ++hits;
         }
-        const pipeline::PipelineStats stats = session.pipeline_stats();
         std::lock_guard<std::mutex> lk(folded_mu);
         folded.requests += stats.requests;
         for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
@@ -360,24 +364,24 @@ TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
           folded.stages[i].skips += stats.stages[i].skips;
           folded.stages[i].total_ms += stats.stages[i].total_ms;
         }
-        // Session destroyed here; the cache and the fold live on.
+        // The caller's stats die here; the cache and the fold live on.
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
   const auto expected = static_cast<std::uint64_t>(kThreads) *
-                        kSessionsPerThread * kSites;
+                        kCallersPerThread * kSites;
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(solves.load(), expected);
-  // The fold — assembled entirely from Sessions that no longer exist —
+  // The fold — assembled entirely from callers that no longer exist —
   // accounts for every request.
   EXPECT_EQ(folded.requests, expected);
   const auto& audit =
       folded.stages[static_cast<std::size_t>(PipelineStage::kAudit)];
   EXPECT_EQ(audit.runs, expected);
   // Only kSites distinct instances exist: all but the cold solves were
-  // served from cache warmed by (mostly) already-destroyed Sessions.
+  // served from cache warmed by (mostly) already-finished callers.
   EXPECT_GE(hits.load(), expected - kSites * kThreads);
   EXPECT_GT(hits.load(), 0u);
   const CacheStats after = cache.stats();
@@ -385,10 +389,9 @@ TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
   EXPECT_EQ(after.entries, static_cast<std::size_t>(kSites));
 
   // The shared state is still serviceable after the churn: a fresh
-  // Session gets a warm answer immediately.
-  Session survivor(*registry, &cache, 1);
+  // caller gets a warm answer immediately.
   SolveRequest req{small_instance(960), Objective::kGaps, {}};
-  const SolveResult warm = survivor.solve("gap_dp", req);
+  const SolveResult warm = gap_dp->solve(req, &cache);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.stats.cache_hit);
 }

@@ -1,13 +1,16 @@
 // serve/server.hpp — the full serving loop over loopback TCP: mixed bursts
 // with costs cross-checked against a local engine, the client reorder
 // contract, graceful drain mid-burst, queue-expired deadlines, malformed
-// and oversized frames, and stats aggregation. Under the CI sanitizer
+// and oversized frames, stats aggregation, and the store contract (a
+// foreign store file refuses start, a drain leaves every spill durable). Under the CI sanitizer
 // lanes this suite doubles as the thread-safety gate for the whole
 // acceptor/reader/shard/writer topology.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "gapsched/serve/loadgen.hpp"
 #include "gapsched/serve/protocol.hpp"
 #include "gapsched/serve/server.hpp"
+#include "../support/temp_path.hpp"
 
 namespace gapsched::serve {
 namespace {
@@ -421,6 +425,90 @@ TEST(ServeServer, DrainFrameAcksAndSurfacesTheRequestToTheFrontEnd) {
   EXPECT_TRUE(server.wait_drain_requested(5.0));
   server.drain();
   EXPECT_TRUE(server.draining());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ServeServer, StartRefusesAForeignStoreFile) {
+  const std::string path = testing::temp_path("serve_foreign", ".store");
+  const std::string foreign(256, 'x');  // long enough for a header, no magic
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << foreign;
+  }
+  ServerOptions options = loopback(1);
+  options.store_path = path;
+  Server server(options);
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("not a gapsched store"), std::string::npos) << error;
+  // A server that refuses the file leaves it exactly as it found it.
+  EXPECT_EQ(read_bytes(path), foreign);
+}
+
+TEST(ServeServer, DrainLeavesEverySpillDurable) {
+  const std::string path = testing::temp_path("serve_durable", ".store");
+  struct Case {
+    std::string scenario;
+    std::string solver;
+    engine::Objective objective;
+  };
+  const std::vector<Case> cases = {
+      {"sparse_spread", "gap_dp", engine::Objective::kGaps},
+      {"hall_critical", "gap_dp", engine::Objective::kGaps},
+      {"poly_scale:120", "bcd_poly_gap", engine::Objective::kGaps},
+      {"nested_windows", "power_dp", engine::Objective::kPower},
+  };
+  std::vector<engine::SolveRequest> requests;
+  std::vector<std::string> frames;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    requests.push_back(scenario_request(cases[i].scenario, 31,
+                                        cases[i].objective));
+    frames.push_back(request_frame(static_cast<std::int64_t>(i),
+                                   cases[i].solver, requests.back()));
+  }
+
+  Collected got;
+  {
+    ServerOptions options = loopback(2);
+    options.store_path = path;
+    options.store_spill_min_ms = 0.0;  // every solve qualifies for disk
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    auto channel = ClientChannel::dial("127.0.0.1", server.port(), &error);
+    ASSERT_TRUE(channel.has_value()) << error;
+    ASSERT_NO_FATAL_FAILURE(exchange(*channel, frames, frames.size(), &got));
+    ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
+    ASSERT_EQ(got.results.size(), frames.size());
+    server.drain();
+    EXPECT_GT(server.stats().cache.spilled, 0u);
+  }
+
+  // A fresh engine on the same file — a restart — finds every answer the
+  // server sent on disk, oracle-clean.
+  engine::Engine restarted(
+      {.store_path = path, .store_spill_min_ms = 0.0});
+  ASSERT_EQ(restarted.store_error(), "");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const engine::SolveResult& sent =
+        got.results[static_cast<std::int64_t>(i)];
+    ASSERT_TRUE(sent.ok) << sent.error;
+    const engine::SolveResult res =
+        restarted.solve(cases[i].solver, requests[i]);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.stats.cache_hit) << cases[i].scenario;
+    EXPECT_EQ(res.feasible, sent.feasible) << cases[i].scenario;
+    EXPECT_DOUBLE_EQ(res.cost, sent.cost) << cases[i].scenario;
+    EXPECT_EQ(res.audit_error, "") << cases[i].scenario;
+  }
+  const engine::CacheStats stats = restarted.cache_stats();
+  EXPECT_GT(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.disk_rejects, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Engine-level behavior of the persistent store tier: warm restarts serve
 // oracle-gated disk hits with costs identical to the cold run, the
 // cost-weighted spill threshold keeps cheap solves off disk, two live
-// Engines share one store file through the tail rescan, and the solve
-// cache's disk counters surface through Engine::cache_stats(). These also
+// Engines share one store file through the tail rescan, the solve cache's
+// disk counters surface through Engine::cache_stats(), and a store the
+// engine runs without is always explained by store_error(). These also
 // run under the CI ASan/TSan lanes (Store* filter).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -152,6 +154,18 @@ TEST(StoreEngine, StoreRequiresTheCache) {
   const engine::SolveResult res = eng.solve(kSolver, req);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.audit_error, "");
+}
+
+TEST(StoreEngine, StorePathWithoutTheCacheIsDiagnosed) {
+  // A caller that asked for a store and runs without one must be able to
+  // tell: store_error() explains every missing store, this one included.
+  const std::string path = temp_path("no_cache_diag");
+  engine::Engine eng({.cache = false, .store_path = path});
+  EXPECT_EQ(eng.store(), nullptr);
+  EXPECT_NE(eng.store_error().find("requires the cache"), std::string::npos)
+      << eng.store_error();
+  // Nothing was opened, so nothing was created.
+  EXPECT_FALSE(std::ifstream(path).is_open());
 }
 
 }  // namespace
