@@ -11,6 +11,11 @@
 // against the baseline; any refutation makes the binary exit non-zero so
 // the CI micro-bench lane fails loudly instead of archiving corrupt
 // numbers.
+//
+// The hit-path section times the warm restart of one large request: a
+// fresh Engine on a populated store serving poly_scale:1200 and
+// poly_scale:2000 through bcd_poly_gap with validate on (store open, disk
+// load, oracle re-audit, prep; no solver), with the disk hits per op.
 
 #include <chrono>
 #include <cmath>
@@ -31,6 +36,7 @@
 #include "gapsched/matching/feasibility.hpp"
 #include "gapsched/oracle/oracle.hpp"
 #include "gapsched/powermin/powermin_approx.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "json_report.hpp"
 
 namespace {
@@ -211,6 +217,59 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
   return row;
 }
 
+/// Hit path: a cold Engine populates a store with the `scenario` answer;
+/// each op is then a fresh Engine (threads 1) on that store serving the
+/// same validated request — store open, disk load, oracle re-audit and the
+/// prep stages, no solver. An answer that differs from the cold solve, or
+/// one the audit refutes, is a refutation.
+bench::Json run_hit_path(const std::string& solver, const std::string& scenario,
+                         const std::string& store_path) {
+  engine::SolveRequest req;
+  req.instance = *scenarios::make_scenario(scenario, 7);
+  req.objective = engine::Objective::kGaps;
+  req.params.validate = true;
+  std::remove(store_path.c_str());
+  engine::EngineOptions opt;
+  opt.threads = 1;
+  opt.store_path = store_path;
+  opt.store_spill_min_ms = 0.0;
+  engine::SolveResult cold;
+  {
+    engine::Engine eng(opt);
+    cold = eng.solve(solver, req);
+    eng.flush_store();
+  }
+  const std::string name =
+      "hit_" + solver + "_n" + std::to_string(req.instance.n());
+  if (!cold.ok || !cold.feasible || !cold.audit_error.empty()) {
+    refute(name + ": cold solve " + cold.error + cold.audit_error);
+  }
+  engine::CacheStats warm_stats;
+  const double ns = time_ns([&] {
+    engine::Engine eng(opt);
+    const engine::SolveResult warm = eng.solve(solver, req);
+    warm_stats = eng.cache_stats();
+    if (!warm.audit_error.empty()) {
+      refute(name + ": " + warm.audit_error);
+    } else if (warm.feasible != cold.feasible || warm.cost != cold.cost ||
+               warm.transitions != cold.transitions ||
+               !(warm.schedule == cold.schedule)) {
+      refute(name + ": answer differs from the cold solve");
+    }
+  });
+  std::remove(store_path.c_str());
+  bench::Json row = bench::Json::object();
+  row.set("name", name);
+  row.set("scenario", scenario);
+  row.set("n", req.instance.n());
+  row.set("ns_op", ns);
+  row.set("disk_hits", warm_stats.disk_hits);
+  row.set("disk_rejects", warm_stats.disk_rejects);
+  std::printf("%-28s %12.0f ns  disk_hits %zu\n", name.c_str(), ns,
+              warm_stats.disk_hits);
+  return row;
+}
+
 bench::Json solver_row(const std::string& name, double ns) {
   bench::Json row = bench::Json::object();
   row.set("name", name);
@@ -272,11 +331,18 @@ int main(int argc, char** argv) {
                                 time_ns([&] { eng.solve("gap_dp", req); })));
   }
 
+  bench::Json hit_rows = bench::Json::array();
+  for (const char* scenario : {"poly_scale:1200", "poly_scale:2000"}) {
+    hit_rows.push(run_hit_path("bcd_poly_gap", scenario,
+                               std::string(argv[0]) + ".hit_path.store"));
+  }
+
   bench::Json root = bench::Json::object();
   root.set("schema", "gapsched-bench-micro/v1");
   root.set("target_ms_per_sample", g_target_ms);
   root.set("dp", std::move(dp_rows));
   root.set("solvers", std::move(solver_rows));
+  root.set("hit_path", std::move(hit_rows));
   root.set("refutations", g_refutations);
   bench::emit_json("micro", root);
 

@@ -114,13 +114,8 @@ TimeSet TimeSet::unite(const TimeSet& other) const {
 }
 
 TimeSet TimeSet::shifted(Time delta) const {
-  // A shift keeps the intervals sorted, disjoint and non-adjacent, so the
-  // copy needs no re-normalization.
   TimeSet out = *this;
-  for (Interval& iv : out.intervals_) {
-    iv.lo += delta;
-    iv.hi += delta;
-  }
+  out.shift(delta);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <utility>
 
 namespace gapsched {
 
@@ -22,25 +23,6 @@ Time remap(const std::vector<Interval>& from, const std::vector<Interval>& to,
   }
   const auto i = static_cast<std::size_t>(after - from.begin()) - 1;
   return to[i].lo + (t - from[i].lo);
-}
-
-/// Rewrites every job's intervals through `map` (a per-live-interval time
-/// map that preserves interval lengths, so only each interval's lo needs
-/// mapping).
-template <typename MapLo>
-std::vector<Job> map_jobs(const Instance& inst, MapLo&& map_lo) {
-  std::vector<Job> out;
-  out.reserve(inst.n());
-  for (const Job& j : inst.jobs) {
-    std::vector<Interval> mapped;
-    mapped.reserve(j.allowed.interval_count());
-    for (const Interval& iv : j.allowed.intervals()) {
-      const Time lo = map_lo(iv.lo);
-      mapped.push_back({lo, lo + iv.length() - 1});
-    }
-    out.push_back(Job{TimeSet(std::move(mapped))});
-  }
-  return out;
 }
 
 }  // namespace
@@ -67,9 +49,16 @@ CompressedInstance compress_dead_time(const Instance& inst) {
 }
 
 CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
+  Instance copy = inst;
+  CompressedInstance out = compress_dead_time_capped_in_place(copy, cap);
+  out.instance = std::move(copy);
+  return out;
+}
+
+CompressedInstance compress_dead_time_capped_in_place(Instance& inst,
+                                                      Time cap) {
   assert(cap >= 1 && "dead runs cannot shrink below one unit");
   CompressedInstance out;
-  out.instance.processors = inst.processors;
   if (inst.n() == 0) return out;
 
   const TimeSet live = inst.live_times();
@@ -81,25 +70,30 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
   Time cursor = 0;
   Time prev_hi = 0;
   bool first = true;
+  bool moved = false;
   for (const Interval& iv : live.intervals()) {
     if (!first) {
       cursor += std::min<Time>(iv.lo - prev_hi - 1, cap);
     }
+    moved = moved || cursor != iv.lo;
     out.compressed_intervals.push_back({cursor, cursor + iv.length() - 1});
     cursor += iv.length();
     prev_hi = iv.hi;
     first = false;
   }
 
-  out.instance.jobs =
-      map_jobs(inst, [&](Time lo) { return out.to_compressed(lo); });
+  // With the origin at 0 and no run over the cap no live interval moved:
+  // the map is the identity and `inst` is left as it is.
+  if (moved) {
+    const auto map_lo = [&](Time lo) { return out.to_compressed(lo); };
+    for (Job& j : inst.jobs) j.allowed.remap_starts(map_lo);
+  }
   return out;
 }
 
 Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
   assert(k >= 1 && "dilation factor must be at least 1");
-  Instance out;
-  out.processors = inst.processors;
+  Instance out = inst;
   if (inst.n() == 0) return out;
 
   const TimeSet live = inst.live_times();
@@ -122,8 +116,10 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
     first = false;
   }
 
-  out.jobs = map_jobs(
-      inst, [&](Time lo) { return remap(live.intervals(), stretched, lo); });
+  const auto map_lo = [&](Time lo) {
+    return remap(live.intervals(), stretched, lo);
+  };
+  for (Job& j : out.jobs) j.allowed.remap_starts(map_lo);
   return out;
 }
 

@@ -124,8 +124,8 @@ StageStats& stage_of(SolveContext& ctx, PipelineStage stage) {
 /// carries no schedule the oracle could re-check, so one arriving from
 /// disk is by definition doctored or stale) and it must survive a full
 /// oracle re-audit against `canonical`, the exact instance its key
-/// hashes. Anything less degrades to a cache miss and a fresh solve —
-/// never a wrong answer.
+/// hashes, read in place. Anything less degrades to a cache miss and a
+/// fresh solve — never a wrong answer.
 std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
                                              const CacheKey& key,
                                              const Instance& canonical) {
@@ -134,11 +134,10 @@ std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
   if (cand == nullptr) return nullptr;
   bool admit = cand->ok && cand->feasible && cand->error.empty();
   if (admit) {
-    SolveRequest sub;
-    sub.instance = canonical;
-    sub.objective = ctx.request.objective;
-    sub.params = ctx.request.params;
-    admit = oracle::check_result(sub, *cand, ctx.solver.info().exact).empty();
+    admit = oracle::check_result(canonical, ctx.request.objective,
+                                 ctx.request.params, *cand,
+                                 ctx.solver.info().exact)
+                .empty();
   }
   if (!admit) {
     ctx.cache->reject_disk(key);
@@ -166,7 +165,8 @@ void Pipeline::canonicalize(SolveContext& ctx) {
 void Pipeline::decompose(SolveContext& ctx) {
   stage_of(ctx, PipelineStage::kDecompose).ran = true;
   if (is_additive(ctx.solver.info(), ctx.request)) {
-    ctx.dec = prep::decompose(ctx.canon, cut_threshold(ctx.request));
+    ctx.dec =
+        prep::decompose(std::move(ctx.canon), cut_threshold(ctx.request));
     ctx.cap = compression_cap(ctx.request);
   } else {
     ctx.dec.components.push_back(prep::Component{
@@ -185,22 +185,21 @@ void Pipeline::decompose(SolveContext& ctx) {
   ctx.agg.components = m;
 }
 
-/// Dead-time compresses every component at the length-aware cap (runs
-/// when the cap is positive). The compressed image is both what Dispatch
-/// solves and what CacheLookup hashes — two components differing only in
-/// interior dead-run lengths (beyond the cap) share an entry.
+/// Dead-time compresses every component in place at the length-aware cap
+/// (runs when the cap is positive), keeping only the time maps. The
+/// compressed image is both what Dispatch solves and what CacheLookup
+/// hashes — two components differing only in interior dead-run lengths
+/// (beyond the cap) share an entry.
 void Pipeline::compress(SolveContext& ctx) {
   const bool compressing = ctx.cap > 0;
   stage_of(ctx, PipelineStage::kCompress).ran = compressing;
   for (std::size_t c = 0; c < ctx.solve_inst.size(); ++c) {
+    Instance& inst = ctx.dec.components[c].instance;
     if (compressing) {
-      ctx.compressed[c] =
-          compress_dead_time_capped(ctx.dec.components[c].instance, ctx.cap);
-      ctx.solve_inst[c] = &ctx.compressed[c].instance;
+      ctx.compressed[c] = compress_dead_time_capped_in_place(inst, ctx.cap);
       ctx.agg.dead_time_removed += ctx.compressed[c].dead_time_removed();
-    } else {
-      ctx.solve_inst[c] = &ctx.dec.components[c].instance;
     }
+    ctx.solve_inst[c] = &inst;
   }
 }
 
@@ -278,10 +277,10 @@ void Pipeline::dispatch(SolveContext& ctx) {
           canonicalize_schedule(ctx.parts[c].schedule, ctx.dec.components[c]);
       return;
     }
-    // Safe to move: cache keys were built by CacheLookup, recombine()
-    // reads only the components' job maps and shifts, and
-    // decompress_times() reads only the interval maps — nothing needs the
-    // instance afterwards.
+    // Safe to move the component's instance out: cache keys were built by
+    // CacheLookup, recombine() reads only the components' job maps and
+    // shifts, and decompress_times() reads only the interval maps —
+    // nothing needs the instance afterwards.
     ctx.parts[c] = ctx.solver.do_solve(SolveRequest{
         std::move(*ctx.solve_inst[c]), ctx.request.objective,
         ctx.request.params});

@@ -6,6 +6,8 @@
 // are the special case of a single [release, deadline] interval; "k-unit"
 // jobs (Section 5) are k singleton intervals.
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -28,8 +30,10 @@ struct Interval {
   bool operator==(const Interval&) const = default;
 };
 
-/// Immutable-after-construction union of disjoint inclusive intervals,
-/// normalized (sorted, non-adjacent, non-empty).
+/// Union of disjoint inclusive intervals, normalized (sorted, non-adjacent,
+/// non-empty). The set operations return new sets; shift() and
+/// remap_starts() rewrite the intervals in place and keep the normal form
+/// without re-normalizing.
 class TimeSet {
  public:
   TimeSet() = default;
@@ -74,8 +78,30 @@ class TimeSet {
   TimeSet subtract(const TimeSet& other) const;
   /// Set union.
   TimeSet unite(const TimeSet& other) const;
-  /// The whole set shifted by delta.
+  /// The whole set shifted by delta: a copy followed by shift().
   TimeSet shifted(Time delta) const;
+
+  /// Shifts the whole set by delta in place.
+  void shift(Time delta) {
+    remap_starts([delta](Time lo) { return lo + delta; });
+  }
+
+  /// Moves every interval [lo, hi] to [f(lo), f(lo) + hi - lo] in place.
+  /// Requires f strictly increasing and the moved intervals to stay
+  /// non-adjacent (f(lo) > the previous moved hi + 1), so the set stays
+  /// normalized; the length-preserving time maps of core/transforms
+  /// satisfy both.
+  template <typename F>
+  void remap_starts(F&& f) {
+    for (std::size_t i = 0; i < intervals_.size(); ++i) {
+      Interval& iv = intervals_[i];
+      const Time lo = f(iv.lo);
+      assert((i == 0 || lo > intervals_[i - 1].hi + 1) &&
+             "remap_starts must keep intervals sorted and non-adjacent");
+      iv.hi = lo + (iv.hi - iv.lo);
+      iv.lo = lo;
+    }
+  }
 
   /// Enumerates every time in the set in increasing order. Only sensible for
   /// small sets; callers working with wide windows must iterate intervals.

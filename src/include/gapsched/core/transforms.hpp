@@ -8,7 +8,8 @@
 namespace gapsched {
 
 /// Result of compress_dead_time[_capped]: the compressed instance plus the
-/// time map.
+/// time map. compress_dead_time_capped_in_place leaves `instance` empty
+/// (default-constructed): the compressed image is the caller's instance.
 struct CompressedInstance {
   Instance instance;
   /// Maps a compressed time back to the original time. Both maps are one
@@ -50,7 +51,18 @@ CompressedInstance compress_dead_time(const Instance& inst);
 /// gap objective; cap = ceil(alpha) - 1 is genuinely unsound (a gap of
 /// exactly ceil(alpha) compresses below alpha and its bridge term shrinks —
 /// the fuzz harness pins this).
+///
+/// Compresses a copy of `inst` with the in-place form below.
 CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap);
+
+/// In-place form of compress_dead_time_capped, the one implementation:
+/// rewrites every job's interval starts in `inst` through the time map
+/// (lengths are kept) and returns only the two interval maps, with an
+/// empty `instance`. When the live union already starts at 0 and no
+/// interior dead run exceeds the cap, the map is the identity and `inst`
+/// is not touched.
+CompressedInstance compress_dead_time_capped_in_place(Instance& inst,
+                                                      Time cap);
 
 /// Inverse-direction transform for metamorphic tests and the
 /// `stretched:<k>` scenario wrapper: every interior dead run of length

@@ -11,9 +11,14 @@
 // dead-run lengths without disturbing any min(gap, alpha) bridge term).
 // Time-shifted, job-permuted, and dead-run-stretched copies of a workload
 // therefore share one entry, and identical components inside one
-// decomposed instance collapse onto the same key. The key carries both a 64-bit FNV-1a digest (the hash
-// bucket — the "content address") and the full canonical text, compared on
-// lookup so digest collisions can never alias two different solves.
+// decomposed instance collapse onto the same key. The pipeline builds that
+// form from one copy of the request's instance, made by Canonicalize and
+// shifted and compressed in place from then on; the key hashes the
+// component exactly as Dispatch would solve it, and a disk candidate is
+// audited against that same component without another copy. The key
+// carries both a 64-bit FNV-1a digest (the hash bucket — the "content
+// address") and the full canonical text, compared on lookup so digest
+// collisions can never alias two different solves.
 //
 // Thread safety: all operations take an internal mutex; the cache is shared
 // by Engine::solve_stream workers and by the prep pipeline's component

@@ -71,15 +71,23 @@ struct SolveContext {
   SolveCache* cache;
 
   // ---- Canonicalize product; Decompose moves from it ----
+  /// The request's one instance copy: every later stage rewrites it in
+  /// place instead of copying it again.
   prep::Canonical canon;
 
   // ---- Decompose / Compress products ----
+  /// The components own the canonical jobs, moved out of `canon` and
+  /// shifted in place.
   prep::Decomposition dec;
   /// Length-aware dead-time cap for Compress; 0 disables compression.
   Time cap = 0;
+  /// Per component when the cap is positive: only the time maps
+  /// (`instance` is empty), since Compress rewrote the component itself.
   std::vector<CompressedInstance> compressed;
-  /// The per-component instance Dispatch actually solves: the compressed
-  /// image when Compress ran, the raw component otherwise.
+  /// The per-component instance CacheLookup hashes and audits and Dispatch
+  /// solves: always &dec.components[c].instance (compressed in place when
+  /// Compress ran). Dispatch may move that instance out; nothing reads it
+  /// after.
   std::vector<Instance*> solve_inst;
 
   // ---- CacheLookup products ----

@@ -69,7 +69,8 @@ ScheduleAudit audit_schedule(const Instance& inst, const Schedule& schedule,
 /// match it. Requires alpha >= 0.
 double min_power(const ScheduleAudit& audit, double alpha);
 
-/// Re-checks one solver outcome against its request:
+/// Re-checks one solver outcome against the instance, objective and
+/// parameters it answers:
 ///   kGaps        schedule valid + complete, transitions re-derived and
 ///                equal to both `transitions` and `cost`
 ///   kPower       schedule valid + complete, cost >= min_power(schedule)
@@ -79,6 +80,11 @@ double min_power(const ScheduleAudit& audit, double alpha);
 /// Rejections and infeasible verdicts carry no schedule and pass trivially
 /// (the differential suite cross-checks those *between* solvers instead).
 /// Returns "" when the claim survives, else a diagnostic.
+std::string check_result(const Instance& instance, engine::Objective objective,
+                         const engine::SolveParams& params,
+                         const engine::SolveResult& result, bool exact);
+
+/// The same check against a request's instance, objective and parameters.
 std::string check_result(const engine::SolveRequest& request,
                          const engine::SolveResult& result, bool exact);
 

@@ -94,9 +94,15 @@ struct Decomposition {
 /// as 0. n == 0 yields zero components.
 Decomposition decompose(const Instance& inst, Time threshold);
 
-/// The same split of an already canonicalized instance. Without a cut the
-/// one component is `canon` itself: shift canon.shift, jobs canon.order.
+/// The same split of an already canonicalized instance, made on a copy of
+/// `canon` by the moving form below. Without a cut the one component is
+/// `canon` itself: shift canon.shift, jobs canon.order.
 Decomposition decompose(const Canonical& canon, Time threshold);
+
+/// The moving form, the one implementation: each canonical job is moved
+/// into its component and its intervals shifted there in place, so no
+/// TimeSet is copied. `canon` is left with moved-from jobs.
+Decomposition decompose(Canonical&& canon, Time threshold);
 
 /// Merges per-component schedules (parts[c] solves components[c].instance
 /// in its local coordinates) back into one n-job schedule in original job

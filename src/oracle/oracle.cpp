@@ -142,20 +142,21 @@ double min_power(const ScheduleAudit& audit, double alpha) {
   return total;
 }
 
-std::string check_result(const engine::SolveRequest& request,
+std::string check_result(const Instance& instance, Objective objective,
+                         const engine::SolveParams& params,
                          const engine::SolveResult& result, bool exact) {
   if (!result.ok || !result.feasible) return "";
 
-  const bool partial_ok = request.objective == Objective::kThroughput;
+  const bool partial_ok = objective == Objective::kThroughput;
   const ScheduleAudit audit =
-      audit_schedule(request.instance, result.schedule, !partial_ok);
+      audit_schedule(instance, result.schedule, !partial_ok);
   if (!audit.valid) return "invalid schedule: " + audit.violation_summary();
   if (result.stats.scheduled != audit.scheduled) {
     return "stats.scheduled = " + std::to_string(result.stats.scheduled) +
            " but " + std::to_string(audit.scheduled) + " jobs are placed";
   }
 
-  switch (request.objective) {
+  switch (objective) {
     case Objective::kGaps: {
       if (result.transitions != audit.transitions) {
         return "claimed " + std::to_string(result.transitions) +
@@ -170,7 +171,7 @@ std::string check_result(const engine::SolveRequest& request,
       break;
     }
     case Objective::kPower: {
-      const double floor = min_power(audit, request.params.alpha);
+      const double floor = min_power(audit, params.alpha);
       const double tol =
           1e-9 * std::max({1.0, std::fabs(result.cost), std::fabs(floor)});
       if (result.cost < floor - tol) {
@@ -190,15 +191,20 @@ std::string check_result(const engine::SolveRequest& request,
                " disagrees with " + std::to_string(audit.scheduled) +
                " placed jobs";
       }
-      if (audit.spans >
-          static_cast<std::int64_t>(request.params.max_spans)) {
+      if (audit.spans > static_cast<std::int64_t>(params.max_spans)) {
         return "schedule uses " + std::to_string(audit.spans) +
-               " spans, budget is " + std::to_string(request.params.max_spans);
+               " spans, budget is " + std::to_string(params.max_spans);
       }
       break;
     }
   }
   return "";
+}
+
+std::string check_result(const engine::SolveRequest& request,
+                         const engine::SolveResult& result, bool exact) {
+  return check_result(request.instance, request.objective, request.params,
+                      result, exact);
 }
 
 }  // namespace gapsched::oracle

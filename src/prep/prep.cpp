@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace gapsched::prep {
 
@@ -36,6 +37,10 @@ Decomposition decompose(const Instance& inst, Time threshold) {
 }
 
 Decomposition decompose(const Canonical& canon, Time threshold) {
+  return decompose(Canonical(canon), threshold);
+}
+
+Decomposition decompose(Canonical&& canon, Time threshold) {
   Decomposition dec;
   if (canon.instance.n() == 0) return dec;
   threshold = std::max<Time>(threshold, 0);
@@ -74,8 +79,9 @@ Decomposition decompose(const Canonical& canon, Time threshold) {
     }
     comp.shift = canon.shift + local_min;
     for (std::size_t i = lo; i < hi; ++i) {
-      comp.instance.jobs.push_back(
-          Job{canon.instance.jobs[i].allowed.shifted(-local_min)});
+      Job& job = canon.instance.jobs[i];
+      job.allowed.shift(-local_min);
+      comp.instance.jobs.push_back(std::move(job));
       comp.jobs.push_back(canon.order[i]);
     }
     dec.components.push_back(std::move(comp));

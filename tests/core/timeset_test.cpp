@@ -82,6 +82,20 @@ TEST(TimeSet, Shifted) {
   EXPECT_EQ(s.intervals()[1], (Interval{15, 15}));
 }
 
+TEST(TimeSet, ShiftAndRemapStartsRewriteInPlace) {
+  TimeSet a({{1, 2}, {5, 5}, {9, 12}});
+  const TimeSet copy = a.shifted(-1);
+  a.shift(-1);
+  EXPECT_EQ(a, copy);
+  EXPECT_EQ(a, TimeSet({{0, 1}, {4, 4}, {8, 11}}));
+  // A strictly increasing map that keeps the intervals apart: lengths stay,
+  // only the starts move, and the result is still normalized.
+  a.remap_starts([](Time lo) { return 2 * lo; });
+  EXPECT_EQ(a.intervals(),
+            (std::vector<Interval>{{0, 1}, {8, 8}, {16, 19}}));
+  EXPECT_EQ(a, TimeSet(a.intervals()));
+}
+
 TEST(TimeSet, RestrictedTo) {
   TimeSet a({{0, 10}});
   EXPECT_EQ(a.restricted_to({4, 6}), TimeSet::window(4, 6));

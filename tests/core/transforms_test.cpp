@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gapsched/exact/brute_force.hpp"
 #include "gapsched/exact/power_brute_force.hpp"
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/prep/prep.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched {
@@ -114,6 +117,83 @@ TEST(CompressDeadTimeCapped, AlreadyCompactInstancesAreUntouched) {
   EXPECT_EQ(c.dead_time_removed(), 0);
   for (std::size_t j = 0; j < inst.n(); ++j) {
     EXPECT_EQ(c.instance.jobs[j].allowed, inst.jobs[j].allowed);
+  }
+}
+
+// ---------------------------------------------------- the in-place form --
+
+/// Compresses a copy of `inst` in place and checks it against the copying
+/// form: the rewritten instance, both interval maps, the removed dead time,
+/// and an empty `instance` in the returned maps.
+void expect_in_place_matches_copy(const Instance& inst, Time cap) {
+  const CompressedInstance copy = compress_dead_time_capped(inst, cap);
+  Instance in_place = inst;
+  const CompressedInstance maps =
+      compress_dead_time_capped_in_place(in_place, cap);
+  EXPECT_EQ(maps.instance.n(), 0u);
+  EXPECT_EQ(maps.original_intervals, copy.original_intervals);
+  EXPECT_EQ(maps.compressed_intervals, copy.compressed_intervals);
+  EXPECT_EQ(maps.dead_time_removed(), copy.dead_time_removed());
+  EXPECT_EQ(in_place.processors, copy.instance.processors);
+  ASSERT_EQ(in_place.n(), copy.instance.n());
+  for (std::size_t j = 0; j < in_place.n(); ++j) {
+    EXPECT_EQ(in_place.jobs[j].allowed, copy.instance.jobs[j].allowed)
+        << "job " << j;
+  }
+}
+
+TEST(CompressDeadTimeCapped, InPlaceMatchesCopyAcrossTheCatalog) {
+  // Every catalog family at cap 1 (gaps) and ceil(2.5) + 1 (power), both
+  // on the raw draw (origin anywhere, so the rebase moves every job) and
+  // on each component the pipeline would compress (origin already 0).
+  for (const scenarios::Scenario* sc :
+       scenarios::ScenarioCatalog::instance().all()) {
+    for (const std::uint64_t seed : {1u, 7u}) {
+      const Instance inst = sc->make(seed);
+      for (const Time cap : {Time{1}, Time{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << sc->name << ":" << seed << " cap " << cap);
+        expect_in_place_matches_copy(inst, cap);
+        const prep::Decomposition dec =
+            prep::decompose(inst, static_cast<Time>(inst.n()));
+        for (const prep::Component& comp : dec.components) {
+          expect_in_place_matches_copy(comp.instance, cap);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompressDeadTimeCapped, InPlaceLeavesCompactInstancesByteIdentical) {
+  // Origin 0 and no interior dead run longer than the cap (runs of 1, 2
+  // and 3 at cap 3): the map is the identity and the instance comes back
+  // byte for byte as it went in.
+  Instance inst = Instance::one_interval({{0, 2}, {4, 6}, {9, 10}}, 2);
+  inst.jobs.push_back(Job{TimeSet({{1, 1}, {14, 15}})});
+  const Instance before = inst;
+  const CompressedInstance maps = compress_dead_time_capped_in_place(inst, 3);
+  EXPECT_EQ(maps.dead_time_removed(), 0);
+  EXPECT_EQ(maps.compressed_intervals, maps.original_intervals);
+  EXPECT_EQ(inst.processors, before.processors);
+  ASSERT_EQ(inst.n(), before.n());
+  for (std::size_t j = 0; j < inst.n(); ++j) {
+    const std::vector<Interval>& got = inst.jobs[j].allowed.intervals();
+    const std::vector<Interval>& want = before.jobs[j].allowed.intervals();
+    ASSERT_EQ(got.size(), want.size()) << "job " << j;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(Interval)),
+              0)
+        << "job " << j;
+  }
+
+  // The same layout away from the origin is only rebased at 0.
+  Instance far = before;
+  for (Job& j : far.jobs) j.allowed.shift(100);
+  const CompressedInstance rebased =
+      compress_dead_time_capped_in_place(far, 3);
+  EXPECT_EQ(rebased.dead_time_removed(), 0);
+  for (std::size_t j = 0; j < far.n(); ++j) {
+    EXPECT_EQ(far.jobs[j].allowed, before.jobs[j].allowed) << "job " << j;
   }
 }
 
@@ -288,10 +368,10 @@ Instance random_multi_interval(Prng& rng, std::size_t n) {
   return inst;
 }
 
-/// Compares compress_dead_time_capped and stretch_dead_time on `inst` with
-/// the naive versions, and round-trips every allowed time through both time
-/// maps; with `naive_maps` each compressed image is also checked against
-/// the naive map.
+/// Compares compress_dead_time_capped, its in-place form and
+/// stretch_dead_time on `inst` with the naive versions, and round-trips
+/// every allowed time through both time maps; with `naive_maps` each
+/// compressed image is also checked against the naive map.
 void expect_matches_naive(const Instance& inst, Time cap, bool naive_maps) {
   const std::vector<Interval> live = naive_live(inst);
   const std::vector<Interval> compressed = naive_layout(
@@ -303,6 +383,20 @@ void expect_matches_naive(const Instance& inst, Time cap, bool naive_maps) {
   ASSERT_EQ(c.instance.n(), jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ASSERT_EQ(c.instance.jobs[j].allowed, jobs[j].allowed) << "job " << j;
+  }
+  // The in-place form rewrites a copy to the same image and returns the
+  // same maps without an instance.
+  Instance in_place = inst;
+  const CompressedInstance maps =
+      compress_dead_time_capped_in_place(in_place, cap);
+  ASSERT_EQ(maps.instance.n(), 0u);
+  ASSERT_EQ(maps.original_intervals, live);
+  ASSERT_EQ(maps.compressed_intervals, compressed);
+  ASSERT_EQ(maps.dead_time_removed(), c.dead_time_removed());
+  ASSERT_EQ(in_place.processors, inst.processors);
+  ASSERT_EQ(in_place.n(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ASSERT_EQ(in_place.jobs[j].allowed, jobs[j].allowed) << "job " << j;
   }
   for (const Interval& iv : live) {
     for (Time t = iv.lo; t <= iv.hi; ++t) {

@@ -1,16 +1,18 @@
 // The Engine's execution layer and the staged solve pipeline's observable
-// semantics: per-stage ran/skip verdicts in SolveStats::stages, the
-// Engine's PipelineStats roll-up, solve_stream callback ordering and
-// request-order guarantees, concurrent streams and short-lived callers
-// contending on one shared cache, the no-double-audit invariant (cache
-// hits are re-audited exactly once, by the serving request), and
-// concurrent decomposed solves fanning their components out on the one
-// executor. The concurrency tests here also run under the CI ASan/UBSan
-// and TSan lanes.
+// semantics: per-stage ran/skip verdicts in SolveStats::stages, component
+// cache keys that match the public prep path, the Engine's PipelineStats
+// roll-up, solve_stream callback ordering and request-order guarantees,
+// concurrent streams and short-lived callers contending on one shared
+// cache, the no-double-audit invariant (cache hits are re-audited exactly
+// once, by the serving request), and concurrent decomposed solves fanning
+// their components out on the one executor. The concurrency tests here
+// also run under the CI ASan/UBSan and TSan lanes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <set>
 #include <string>
@@ -22,7 +24,11 @@
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/parallel/thread_pool.hpp"
+#include "gapsched/core/transforms.hpp"
+#include "gapsched/prep/prep.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
+#include "gapsched/store/store.hpp"
+#include "../support/temp_path.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched::engine {
@@ -142,6 +148,95 @@ TEST(PipelineStages, AuditRunsExactlyForValidatedRequests) {
   ASSERT_TRUE(unaudited.ok) << unaudited.error;
   EXPECT_FALSE(unaudited.audited);
   EXPECT_FALSE(stage(unaudited, PipelineStage::kAudit).ran);
+}
+
+// ------------------------------------------------- component cache keys --
+
+/// `copies` far-apart clusters of three jobs, cluster i with an interior
+/// dead run of 3 + i units: over the gap cap (1) everywhere and over the
+/// power cap at alpha = 2.5 (4) from i = 2 on, under the cut threshold n.
+Instance clusters_with_dead_runs(int copies) {
+  Instance out;
+  for (int i = 0; i < copies; ++i) {
+    const Time base = static_cast<Time>(i) * 100;
+    out.jobs.push_back(Job{TimeSet::window(base, base + 1)});
+    out.jobs.push_back(Job{TimeSet::window(base + 1, base + 2)});
+    out.jobs.push_back(Job{TimeSet::window(base + 6 + i, base + 7 + i)});
+  }
+  return out;
+}
+
+TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
+  // Every record the pipeline spills must be found again under the key the
+  // public copying path builds — decompose, compress_dead_time_capped,
+  // make_cache_key — so the in-place prep stages cannot drift from it.
+  struct Case {
+    const char* solver;
+    Objective objective;
+    Instance instance;
+  };
+  std::vector<Case> cases;
+  for (const char* solver : {"gap_dp", "bcd_poly_gap"}) {
+    cases.push_back({solver, Objective::kGaps, clusters_with_dead_runs(3)});
+    for (const char* name : {"sparse_spread", "bursty_clusters", "poly_chain"}) {
+      cases.push_back(
+          {solver, Objective::kGaps, *scenarios::make_scenario(name, 7)});
+    }
+  }
+  cases.push_back({"power_dp", Objective::kPower, clusters_with_dead_runs(3)});
+  for (const char* name : {"sparse_spread", "power_longhaul"}) {
+    cases.push_back(
+        {"power_dp", Objective::kPower, *scenarios::make_scenario(name, 7)});
+  }
+  const auto request_of = [](const Case& c) {
+    SolveRequest req{c.instance, c.objective, {}};
+    req.params.alpha = 2.5;
+    return req;
+  };
+
+  const std::string path = testing::temp_path("component_keys", ".store");
+  std::vector<SolverInfo> infos;
+  {
+    EngineOptions opt;
+    opt.store_path = path;
+    opt.store_spill_min_ms = 0.0;
+    Engine eng(opt);
+    ASSERT_EQ(eng.store_error(), "");
+    for (const Case& c : cases) {
+      const SolveResult r = eng.solve(c.solver, request_of(c));
+      ASSERT_TRUE(r.ok && r.feasible) << c.solver << ": " << r.error;
+      EXPECT_TRUE(stage(r, PipelineStage::kCompress).ran) << c.solver;
+      infos.push_back(eng.registry().find(c.solver)->info());
+    }
+    eng.flush_store();
+  }
+
+  std::string error;
+  const auto store = store::DiskStore::open(path, {}, &error);
+  ASSERT_NE(store, nullptr) << error;
+  std::size_t multi_component = 0;
+  std::size_t probed = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const SolveRequest req = request_of(c);
+    const bool power = c.objective == Objective::kPower;
+    const Time alpha_ceil = static_cast<Time>(std::ceil(req.params.alpha));
+    const Time n = static_cast<Time>(c.instance.n());
+    const prep::Decomposition dec =
+        prep::decompose(c.instance, power ? std::max(n, alpha_ceil) : n);
+    const Time cap = power ? alpha_ceil + 1 : 1;
+    if (dec.components.size() > 1) ++multi_component;
+    for (const prep::Component& comp : dec.components) {
+      const CacheKey key =
+          make_cache_key(infos[i], c.objective, req.params,
+                         compress_dead_time_capped(comp.instance, cap).instance);
+      ++probed;
+      EXPECT_TRUE(store->load(key.digest, key.text).has_value())
+          << c.solver << " component at shift " << comp.shift;
+    }
+  }
+  EXPECT_GT(probed, cases.size());
+  EXPECT_GE(multi_component, 3u);  // one per solver at least
 }
 
 // -------------------------------------------------- the engine stats roll-up --

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/util/prng.hpp"
@@ -159,6 +161,18 @@ TEST(OracleAudit, AgreesWithProfileImplementation) {
 
 // ----------------------------------------------------------- check_result --
 
+/// check_result's verdict on `result`. Every fixture goes through both
+/// forms, the request form and the instance form it forwards to, and they
+/// must agree word for word, refutations included.
+std::string verdict(const SolveRequest& req, const SolveResult& result,
+                    bool exact) {
+  const std::string by_request = check_result(req, result, exact);
+  const std::string by_instance =
+      check_result(req.instance, req.objective, req.params, result, exact);
+  EXPECT_EQ(by_instance, by_request);
+  return by_request;
+}
+
 SolveRequest gap_request(Instance inst) {
   SolveRequest req;
   req.instance = std::move(inst);
@@ -177,7 +191,7 @@ TEST(OracleCheck, AcceptsHonestGapClaim) {
   res.transitions = 1;
   res.cost = 1.0;
   res.stats.scheduled = 2;
-  EXPECT_EQ(check_result(gap_request(inst), res, true), "");
+  EXPECT_EQ(verdict(gap_request(inst), res, true), "");
 }
 
 TEST(OracleCheck, RefutesWrongTransitionCount) {
@@ -191,7 +205,7 @@ TEST(OracleCheck, RefutesWrongTransitionCount) {
   res.transitions = 2;  // lie: the schedule has 1
   res.cost = 2.0;
   res.stats.scheduled = 2;
-  EXPECT_NE(check_result(gap_request(inst), res, true), "");
+  EXPECT_NE(verdict(gap_request(inst), res, true), "");
 }
 
 TEST(OracleCheck, RefutesInvalidSchedule) {
@@ -205,7 +219,7 @@ TEST(OracleCheck, RefutesInvalidSchedule) {
   res.transitions = 1;
   res.cost = 1.0;
   res.stats.scheduled = 2;
-  const std::string diag = check_result(gap_request(inst), res, true);
+  const std::string diag = verdict(gap_request(inst), res, true);
   EXPECT_NE(diag.find("invalid schedule"), std::string::npos) << diag;
 }
 
@@ -224,12 +238,12 @@ TEST(OracleCheck, PowerClaimBelowFloorIsRefuted) {
   res.stats.scheduled = 2;
   // Floor: 2 busy + 2 wake + 2 re-wake (gap 8 > alpha) = 6.
   res.cost = 6.0;
-  EXPECT_EQ(check_result(req, res, true), "");
+  EXPECT_EQ(verdict(req, res, true), "");
   res.cost = 5.0;  // below any execution of this schedule
-  EXPECT_NE(check_result(req, res, false), "");
+  EXPECT_NE(verdict(req, res, false), "");
   res.cost = 7.5;  // a heuristic may overpay...
-  EXPECT_EQ(check_result(req, res, false), "");
-  EXPECT_NE(check_result(req, res, true), "");  // ...an exact solver may not
+  EXPECT_EQ(verdict(req, res, false), "");
+  EXPECT_NE(verdict(req, res, true), "");  // ...an exact solver may not
 }
 
 TEST(OracleCheck, ThroughputBudgetIsEnforced) {
@@ -246,22 +260,22 @@ TEST(OracleCheck, ThroughputBudgetIsEnforced) {
   res.schedule.place(1, 5);
   res.stats.scheduled = 2;
   res.cost = 2.0;
-  EXPECT_EQ(check_result(req, res, false), "");
+  EXPECT_EQ(verdict(req, res, false), "");
 
   res.schedule.place(2, 10);  // three spans on a budget of two
   res.stats.scheduled = 3;
   res.cost = 3.0;
-  const std::string diag = check_result(req, res, false);
+  const std::string diag = verdict(req, res, false);
   EXPECT_NE(diag.find("spans"), std::string::npos) << diag;
 }
 
 TEST(OracleCheck, RejectionsAndInfeasiblePassTrivially) {
   SolveResult rejected = SolveResult::rejected("nope");
-  EXPECT_EQ(check_result(SolveRequest{}, rejected, true), "");
+  EXPECT_EQ(verdict(SolveRequest{}, rejected, true), "");
   SolveResult infeasible;
   infeasible.ok = true;
   infeasible.feasible = false;
-  EXPECT_EQ(check_result(SolveRequest{}, infeasible, true), "");
+  EXPECT_EQ(verdict(SolveRequest{}, infeasible, true), "");
 }
 
 // --------------------------------------------------------- engine wiring --

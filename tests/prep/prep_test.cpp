@@ -23,6 +23,7 @@
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/oracle/oracle.hpp"
 #include "gapsched/prep/prep.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched {
@@ -146,6 +147,63 @@ TEST(Decompose, SparseSpreadSplitsPerJob) {
   for (const prep::Component& c : dec.components) {
     EXPECT_EQ(c.instance.n(), 1u);
     EXPECT_EQ(c.instance.earliest_release(), 0);
+  }
+}
+
+/// Checks the moving decompose(Canonical&&) against the copying form on
+/// `inst`: the same components (instances, shifts, job maps) and
+/// separations, `canon` left intact by the copying form, and every
+/// component job equal to its canonical job moved to the local origin.
+void expect_moving_matches_copying(const Instance& inst, Time threshold) {
+  const prep::Canonical canon = prep::canonicalize(inst);
+  const prep::Canonical before = canon;
+  const prep::Decomposition copied = prep::decompose(canon, threshold);
+  const prep::Decomposition moved =
+      prep::decompose(prep::canonicalize(inst), threshold);
+
+  ASSERT_EQ(canon.instance.n(), before.instance.n());
+  for (std::size_t i = 0; i < canon.instance.n(); ++i) {
+    EXPECT_EQ(canon.instance.jobs[i].allowed, before.instance.jobs[i].allowed);
+  }
+  EXPECT_EQ(moved.separations, copied.separations);
+  ASSERT_EQ(moved.components.size(), copied.components.size());
+  std::size_t k = 0;  // canonical index of the next component job
+  for (std::size_t c = 0; c < moved.components.size(); ++c) {
+    SCOPED_TRACE(::testing::Message() << "component " << c);
+    const prep::Component& a = moved.components[c];
+    const prep::Component& b = copied.components[c];
+    EXPECT_EQ(a.shift, b.shift);
+    EXPECT_EQ(a.jobs, b.jobs);
+    EXPECT_EQ(a.instance.processors, b.instance.processors);
+    ASSERT_EQ(a.instance.n(), b.instance.n());
+    for (std::size_t j = 0; j < a.instance.n(); ++j, ++k) {
+      EXPECT_EQ(a.instance.jobs[j].allowed, b.instance.jobs[j].allowed);
+      EXPECT_EQ(a.jobs[j], canon.order[k]);
+      EXPECT_EQ(a.instance.jobs[j].allowed,
+                canon.instance.jobs[k].allowed.shifted(canon.shift - a.shift));
+    }
+  }
+  EXPECT_EQ(k, canon.instance.n());
+}
+
+TEST(Decompose, MovingFormMatchesTheCopyingForm) {
+  expect_moving_matches_copying(Instance{}, 0);
+  expect_moving_matches_copying(Instance::one_interval({{5, 9}}, 3), 1);
+  // Three components; the second and third start at local origins 37 and
+  // 83 of the canonical form, and the third holds a multi-interval job.
+  Instance inst = Instance::one_interval({{40, 44}, {3, 5}, {43, 46}, {5, 8}});
+  inst.jobs.push_back(Job{TimeSet({{86, 87}, {90, 92}})});
+  inst.jobs.push_back(Job{TimeSet::window(88, 89)});
+  const prep::Decomposition dec = prep::decompose(inst, 6);
+  ASSERT_EQ(dec.components.size(), 3u);
+  EXPECT_EQ(dec.components[1].shift, 40);
+  EXPECT_EQ(dec.components[2].shift, 86);
+  expect_moving_matches_copying(inst, 6);
+  for (const scenarios::Scenario* sc :
+       scenarios::ScenarioCatalog::instance().all()) {
+    SCOPED_TRACE(sc->name);
+    const Instance draw = sc->make(7);
+    expect_moving_matches_copying(draw, static_cast<Time>(draw.n()));
   }
 }
 

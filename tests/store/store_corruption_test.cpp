@@ -1,7 +1,8 @@
 // Corruption battery for the persistent solve store: every corruption
 // class — foreign magic, wrong format version, broken record framing,
 // flipped bytes in each record region, torn tails, and a forged checksum
-// that only the oracle can catch — must degrade an Engine to a fresh
+// or a schedule in the wrong coordinates that only the oracle can catch —
+// must degrade an Engine to a fresh
 // solve (counted in disk_rejects / store_error), never to a wrong answer.
 //
 // Method: warm a real store through an Engine once, keep the pristine file
@@ -17,7 +18,11 @@
 #include <vector>
 
 #include "gapsched/core/hash.hpp"
+#include "gapsched/core/transforms.hpp"
 #include "gapsched/engine/engine.hpp"
+#include "gapsched/io/json.hpp"
+#include "gapsched/oracle/oracle.hpp"
+#include "gapsched/prep/prep.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/store/store.hpp"
 #include "../support/temp_path.hpp"
@@ -295,6 +300,85 @@ TEST(StoreCorruption, ForgedChecksumIsCaughtOnlyByTheOracle) {
   // admission, the solve falls back fresh, and the answer stays right.
   const engine::CacheStats stats = replay_and_check(path, true);
   EXPECT_GE(stats.disk_rejects, 1u);
+}
+
+TEST(StoreCorruption, ScheduleValidOnlyBeforeCompressionIsRejected) {
+  // A well-framed record whose schedule is right in the component's
+  // uncompressed coordinates and wrong in the compressed ones its key
+  // hashes. The disk audit reads the compressed component in place, so
+  // it must refute the record: one disk reject, a fresh solve, and the
+  // cold answer.
+  engine::SolveRequest req;
+  // n = 4: the 3-unit dead run is under the cut threshold, so one
+  // component, compressed to a 1-unit run at the gap cap.
+  req.instance = Instance::one_interval({{0, 1}, {0, 1}, {5, 6}, {5, 6}});
+  req.params.validate = true;
+  const std::string honest_path = temp_path("honest_compressed");
+  const std::string path = temp_path("uncompressed_schedule");
+  engine::SolveResult cold;
+  engine::CacheKey key;
+  {
+    engine::EngineOptions opt;
+    opt.store_path = honest_path;
+    opt.store_spill_min_ms = 0.0;
+    engine::Engine eng(opt);
+    cold = eng.solve(kSolver, req);
+    ASSERT_TRUE(cold.ok && cold.feasible) << cold.error;
+    eng.flush_store();
+    ASSERT_EQ(eng.cache_stats().spilled, 1u);
+    const prep::Decomposition dec = prep::decompose(req.instance, 4);
+    ASSERT_EQ(dec.components.size(), 1u);
+    const CompressedInstance ci =
+        compress_dead_time_capped(dec.components[0].instance, 1);
+    ASSERT_EQ(ci.dead_time_removed(), 2);
+    key = engine::make_cache_key(eng.registry().find(kSolver)->info(),
+                                 req.objective, req.params, ci.instance);
+
+    std::string error;
+    auto honest = DiskStore::open(honest_path, {}, &error);
+    ASSERT_NE(honest, nullptr) << error;
+    const auto payload = honest->load(key.digest, key.text);
+    ASSERT_TRUE(payload.has_value());
+    std::optional<engine::SolveResult> forged =
+        io::result_from_json(*payload);
+    ASSERT_TRUE(forged.has_value());
+    EXPECT_TRUE(
+        oracle::audit_schedule(ci.instance, forged->schedule).valid);
+    // Move every placement back to uncompressed component time.
+    Schedule uncompressed(forged->schedule.size());
+    for (std::size_t j = 0; j < forged->schedule.size(); ++j) {
+      const Placement& slot = *forged->schedule.at(j);
+      uncompressed.place(j, ci.to_original(slot.time), slot.processor);
+    }
+    forged->schedule = uncompressed;
+    EXPECT_TRUE(oracle::audit_schedule(dec.components[0].instance,
+                                       forged->schedule)
+                    .valid);
+    EXPECT_FALSE(
+        oracle::audit_schedule(ci.instance, forged->schedule).valid);
+
+    auto store = DiskStore::open(path, {}, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->append(key.digest, key.text,
+                              io::result_to_json(*forged), 1.0, &error))
+        << error;
+  }
+
+  engine::EngineOptions opt;
+  opt.store_path = path;
+  engine::Engine eng(opt);
+  ASSERT_EQ(eng.store_error(), "");
+  const engine::SolveResult res = eng.solve(kSolver, req);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.feasible, cold.feasible);
+  EXPECT_EQ(res.cost, cold.cost);
+  EXPECT_EQ(res.audit_error, "");
+  EXPECT_TRUE(
+      res.stats.stages[static_cast<std::size_t>(engine::PipelineStage::kDispatch)]
+          .ran);
+  const engine::CacheStats stats = eng.cache_stats();
+  EXPECT_EQ(stats.disk_rejects, 1u);
+  EXPECT_EQ(stats.disk_hits, 0u);
 }
 
 }  // namespace
