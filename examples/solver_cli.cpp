@@ -238,10 +238,6 @@ int remote_solve(const std::string& spec, const std::string& solver,
     std::cerr << "send to " << spec << " failed: " << error << "\n";
     return 5;
   }
-  if (want_stats && !channel->send(serve::stats_request_frame(), &error)) {
-    std::cerr << "send to " << spec << " failed: " << error << "\n";
-    return 5;
-  }
   bool have_result = false;
   bool have_stats = !want_stats;
   while (!have_result || !have_stats) {
@@ -272,6 +268,12 @@ int remote_solve(const std::string& spec, const std::string& solver,
       }
       *result = std::move(*parsed);
       have_result = true;
+      // The server answers a stats frame at once, so ask only now that
+      // the tallies include this request.
+      if (want_stats && !channel->send(serve::stats_request_frame(), &error)) {
+        std::cerr << "send to " << spec << " failed: " << error << "\n";
+        return 5;
+      }
       continue;
     }
     if (head->frame == "stats") {

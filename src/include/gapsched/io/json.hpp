@@ -68,6 +68,11 @@ inline constexpr int kMaxParseDepth = 64;
 /// the bcd DP's n < 2^21 bound, above what an 8 MiB frame can carry.
 inline constexpr std::size_t kMaxJobs = std::size_t{1} << 21;
 
+/// Largest accepted frame `deadline_ms`: 1e9 ms, about 11.6 days. The
+/// server turns the deadline into a steady_clock duration, and a double
+/// past that clock's int64 range converts with undefined behaviour.
+inline constexpr double kMaxDeadlineMs = 1e9;
+
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes and every control character.
 void append_escaped(std::string& out, std::string_view s);
@@ -171,7 +176,8 @@ struct FrameHead {
 };
 
 /// Parses the routing header of one frame. Fails on documents without a
-/// string "frame" field, negative deadlines, or non-integer ids.
+/// string "frame" field, deadlines outside [0, kMaxDeadlineMs], or
+/// non-integer ids.
 std::optional<FrameHead> frame_head_from_json(std::string_view text,
                                               std::string* error = nullptr);
 

@@ -27,7 +27,7 @@
 // finished answer hostage to an older slow one would serialize the whole
 // connection. The client contract is therefore: tag every request with a
 // unique id, match each result frame by its id, and reorder locally
-// (Client::LoadGen and solver_cli --connect both do).
+// (solver_cli --connect and perfbench's load client both do).
 //
 // This header also carries the minimal blocking TCP plumbing the server
 // and the clients share (no third-party dependency): a listener, a stream,
@@ -104,7 +104,6 @@ class LineBuffer {
   std::optional<std::string> next();
 
   bool overflowed() const { return overflowed_; }
-  std::size_t buffered() const { return buffer_.size() - start_; }
 
  private:
   std::size_t max_line_;
@@ -188,7 +187,7 @@ class TcpListener {
 };
 
 /// Blocking frame-level client connection: dial, send frames, read frames.
-/// Shared by solver_cli --connect, gapsched_loadgen, and the tests.
+/// Shared by solver_cli --connect and the tests.
 class ClientChannel {
  public:
   static std::optional<ClientChannel> dial(const std::string& host, int port,

@@ -867,7 +867,7 @@ std::optional<FrameHead> frame_head_from_json(std::string_view text,
   auto head = read_document<FrameHead>(text, "frame", error);
   if (!head.has_value()) return std::nullopt;
   if (head->frame.empty()) return fail(error, "missing 'frame' field");
-  if (!std::isfinite(head->deadline_ms) || head->deadline_ms < 0.0) {
+  if (!(head->deadline_ms >= 0.0 && head->deadline_ms <= kMaxDeadlineMs)) {
     return fail(error, "malformed 'deadline_ms' field");
   }
   return head;

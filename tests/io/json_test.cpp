@@ -699,6 +699,19 @@ TEST(JsonCodec, FrameHeadParsesHeaderFieldsAndIgnoresTheBody) {
   EXPECT_FALSE(frame_head_from_json(
                    R"({"frame": "request", "deadline_ms": -5})", &error)
                    .has_value());
+  // So is one past kMaxDeadlineMs: the server could not turn it into a
+  // clock duration.
+  const auto longest = frame_head_from_json(
+      R"({"frame": "request", "deadline_ms": 1e9})", &error);
+  ASSERT_TRUE(longest.has_value()) << error;
+  EXPECT_DOUBLE_EQ(longest->deadline_ms, kMaxDeadlineMs);
+  for (const char* hostile : {R"({"frame": "request", "deadline_ms": 1e13})",
+                              R"({"frame": "request", "deadline_ms": 1e300})"}) {
+    error.clear();
+    EXPECT_FALSE(frame_head_from_json(hostile, &error).has_value()) << hostile;
+    EXPECT_NE(error.find("malformed 'deadline_ms' field"), std::string::npos)
+        << error;
+  }
 }
 
 // The same result as kPrettyResult, exactly as the one-line writer before

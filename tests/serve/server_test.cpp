@@ -1,26 +1,30 @@
 // serve/server.hpp — the full serving loop over loopback TCP: mixed bursts
-// with costs cross-checked against a local engine, the client reorder
-// contract, graceful drain mid-burst, queue-expired deadlines, malformed
-// and oversized frames, stats aggregation, and the store contract (a
-// foreign store file refuses start, a drain leaves every spill durable). Under the CI sanitizer
-// lanes this suite doubles as the thread-safety gate for the whole
-// acceptor/reader/shard/writer topology.
+// with costs cross-checked against a local engine, a concurrent burst over
+// the shared cache, the client reorder contract and completion-order
+// streaming, graceful drain mid-burst, queue-expired deadlines, malformed,
+// hostile and oversized frames, stats aggregation, and the store contract
+// (a foreign store file refuses start, a drain leaves every spill
+// durable). Under the CI sanitizer lanes this suite doubles as the
+// thread-safety gate for the whole acceptor/reader/shard/writer topology.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
-#include "gapsched/serve/loadgen.hpp"
 #include "gapsched/serve/protocol.hpp"
 #include "gapsched/serve/server.hpp"
+#include "gapsched/serve/shard.hpp"
 #include "../support/temp_path.hpp"
 
 namespace gapsched::serve {
@@ -52,6 +56,10 @@ struct Collected {
   /// Error frames in arrival order; ids repeat (unattributable frames all
   /// answer with id -1), so this is not a map.
   std::vector<std::pair<std::int64_t, std::string>> errors;
+  /// Result ids in arrival order: the server streams completion order.
+  std::vector<std::int64_t> order;
+  /// Result frames for an id that was already answered.
+  std::size_t repeated = 0;
   std::string transport_error;
 
   std::size_t errors_for(std::int64_t id) const {
@@ -86,8 +94,47 @@ void exchange(ClientChannel& channel, const std::vector<std::string>& frames,
     ASSERT_EQ(head->frame, "result") << *line;
     const auto result = io::result_from_json(*line, &error);
     ASSERT_TRUE(result.has_value()) << error;
-    got->results[head->id] = *result;
+    if (!got->results.emplace(head->id, *result).second) ++got->repeated;
+    got->order.push_back(head->id);
   }
+}
+
+/// Asks for the server's tallies and reads up to the stats frame. The
+/// writer sends frames in the order they were queued, so a result or
+/// error frame still arriving here answered an id a second time.
+std::optional<io::ServerStatsWire> fetch_stats(ClientChannel& channel,
+                                               Collected* got) {
+  if (!channel.send(stats_request_frame(), &got->transport_error)) {
+    return std::nullopt;
+  }
+  for (;;) {
+    const auto line = channel.next_frame(&got->transport_error);
+    if (!line.has_value()) {
+      if (got->transport_error.empty()) got->transport_error = "early EOF";
+      return std::nullopt;
+    }
+    std::string error;
+    const auto head = io::frame_head_from_json(*line, &error);
+    if (!head.has_value()) {
+      got->transport_error = error;
+      return std::nullopt;
+    }
+    if (head->frame == "result" || head->frame == "error") ++got->repeated;
+    if (head->frame == "stats") {
+      auto stats = io::server_stats_from_json(*line, &error);
+      if (!stats.has_value()) got->transport_error = error;
+      return stats;
+    }
+  }
+}
+
+/// `request` with every job `delta` later and the job list reversed: other
+/// bytes on the wire, the same canonical form and so the same shard key.
+engine::SolveRequest shifted_and_permuted(engine::SolveRequest request,
+                                          Time delta) {
+  for (Job& job : request.instance.jobs) job.allowed.shift(delta);
+  std::reverse(request.instance.jobs.begin(), request.instance.jobs.end());
+  return request;
 }
 
 TEST(ServeServer, MixedBurstMatchesTheLocalEngineAndReordersById) {
@@ -156,42 +203,95 @@ TEST(ServeServer, MixedBurstMatchesTheLocalEngineAndReordersById) {
   server.drain();
 }
 
-TEST(ServeServer, LoadgenBurstOverSharedCacheHasNoDropsOrRefutations) {
+TEST(ServeServer, ConcurrentBurstOverSharedCacheHasNoDropsOrRefutations) {
   Server server(loopback(4));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  LoadOptions options;
-  options.port = server.port();
-  options.connections = 4;
-  options.window = 8;
-  std::vector<LoadSpec> specs(2);
-  specs[0].scenario = "mega_mixed";
-  specs[0].solver = "gap_dp";
-  specs[0].requests = 80;
-  specs[0].seed_base = 11;
-  specs[0].duplicate_every = 3;  // canonical duplicates → shared-cache hits
-  specs[1].scenario = "stretched:8:power_longhaul";
-  specs[1].solver = "power_dp";
-  specs[1].objective = engine::Objective::kPower;
-  specs[1].requests = 40;
-  specs[1].seed_base = 21;
-  specs[1].duplicate_every = 4;
+  // Every `duplicate_every`-th request of a family is a shifted, permuted
+  // copy of its first draw. The copies route to the first draw's shard and
+  // run there one at a time, so all but the first to run hit the cache.
+  struct Family {
+    std::string scenario;
+    std::string solver;
+    engine::Objective objective;
+    std::size_t requests;
+    std::uint64_t seed_base;
+    std::size_t duplicate_every;
+  };
+  const std::vector<Family> families = {
+      {"mega_mixed", "gap_dp", engine::Objective::kGaps, 80, 11, 3},
+      {"stretched:8:power_longhaul", "power_dp", engine::Objective::kPower,
+       40, 21, 4},
+  };
+  // Dealt round-robin over four connections, each a concurrent client.
+  constexpr std::size_t kConnections = 4;
+  std::vector<std::vector<std::string>> frames(kConnections);
+  std::int64_t id = 0;
+  for (const Family& family : families) {
+    const engine::SolveRequest base =
+        scenario_request(family.scenario, family.seed_base, family.objective);
+    for (std::size_t i = 0; i < family.requests; ++i, ++id) {
+      const engine::SolveRequest request =
+          i == 0 ? base
+          : i % family.duplicate_every == 0
+              ? shifted_and_permuted(base, static_cast<Time>(37 * i))
+              : scenario_request(family.scenario, family.seed_base + i,
+                                 family.objective);
+      frames[static_cast<std::size_t>(id) % kConnections].push_back(
+          request_frame(id, family.solver, request));
+    }
+  }
+  ASSERT_EQ(id, 120);
 
-  const LoadReport report = run_load(options, specs);
-  EXPECT_TRUE(report.ok) << report.error;
-  EXPECT_EQ(report.sent, 120u);
-  EXPECT_EQ(report.received, 120u);
-  EXPECT_EQ(report.dropped, 0u);
-  EXPECT_EQ(report.refuted, 0u);
-  EXPECT_EQ(report.duplicate_ids, 0u);
-  EXPECT_EQ(report.unknown_ids, 0u);
+  std::vector<Collected> got(kConnections);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      auto channel = ClientChannel::dial("127.0.0.1", server.port(),
+                                         &got[c].transport_error);
+      if (!channel.has_value()) return;
+      exchange(*channel, frames[c], frames[c].size(), &got[c]);
+      // Reading on to the stats frame catches any id answered twice.
+      fetch_stats(*channel, &got[c]);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  std::set<std::int64_t> answered;
+  for (const Collected& conn : got) {
+    ASSERT_TRUE(conn.transport_error.empty()) << conn.transport_error;
+    EXPECT_TRUE(conn.errors.empty());
+    EXPECT_EQ(conn.repeated, 0u);
+    for (const auto& [rid, result] : conn.results) {
+      answered.insert(rid);
+      EXPECT_TRUE(result.ok) << rid << ": " << result.error;
+      EXPECT_TRUE(result.audited) << rid;
+      EXPECT_TRUE(result.audit_error.empty()) << rid << ": "
+                                              << result.audit_error;
+    }
+  }
+  // Each of the 120 ids answered exactly once, on the connection it was
+  // sent on.
+  ASSERT_EQ(answered.size(), 120u);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(got[c].results.size(), frames[c].size()) << c;
+    for (const auto& [rid, result] : got[c].results) {
+      EXPECT_EQ(static_cast<std::size_t>(rid) % kConnections, c) << rid;
+    }
+  }
+  EXPECT_EQ(*answered.begin(), 0);
+  EXPECT_EQ(*answered.rbegin(), 119);
 
   // Stats aggregation: the per-shard tallies must sum to the burst.
-  ASSERT_TRUE(report.server_stats_ok);
+  auto channel = ClientChannel::dial("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(channel.has_value()) << error;
+  Collected tail;
+  const auto stats = fetch_stats(*channel, &tail);
+  ASSERT_TRUE(stats.has_value()) << tail.transport_error;
   std::uint64_t shard_requests = 0;
   std::uint64_t shard_cache_hits = 0;
-  for (const io::ShardStatsWire& shard : report.server_stats.shards) {
+  for (const io::ShardStatsWire& shard : stats->shards) {
     shard_requests += shard.requests;
     shard_cache_hits += shard.cache_hits;
     EXPECT_EQ(shard.refuted, 0u);
@@ -199,8 +299,49 @@ TEST(ServeServer, LoadgenBurstOverSharedCacheHasNoDropsOrRefutations) {
   EXPECT_EQ(shard_requests, 120u);
   // The duplicates guarantee whole-solve cache hits somewhere.
   EXPECT_GT(shard_cache_hits, 0u);
-  EXPECT_GT(report.server_stats.cache.hits, 0u);
-  EXPECT_EQ(report.server_stats.pipeline.requests, shard_requests);
+  EXPECT_GT(stats->cache.hits, 0u);
+  EXPECT_EQ(stats->pipeline.requests, shard_requests);
+  server.drain();
+}
+
+TEST(ServeServer, ResultsStreamInCompletionOrder) {
+  Server server(loopback(2));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // A validated thousand-job bcd solve takes milliseconds; a sparse
+  // gap_dp draw routed to the other shard takes microseconds.
+  const engine::SolveRequest slow =
+      scenario_request("poly_scale:2000", 7, engine::Objective::kGaps);
+  const engine::Solver* bcd = server.registry().find("bcd_poly_gap");
+  const engine::Solver* dp = server.registry().find("gap_dp");
+  ASSERT_NE(bcd, nullptr);
+  ASSERT_NE(dp, nullptr);
+  const std::size_t slow_shard = shard_of(shard_key(*bcd, slow), 2);
+  std::optional<engine::SolveRequest> tiny;
+  for (std::uint64_t seed = 1; seed <= 64 && !tiny.has_value(); ++seed) {
+    engine::SolveRequest candidate =
+        scenario_request("sparse_spread", seed, engine::Objective::kGaps);
+    if (shard_of(shard_key(*dp, candidate), 2) != slow_shard) {
+      tiny = std::move(candidate);
+    }
+  }
+  ASSERT_TRUE(tiny.has_value()) << "no sparse_spread draw on the other shard";
+
+  auto channel = ClientChannel::dial("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(channel.has_value()) << error;
+  Collected got;
+  ASSERT_NO_FATAL_FAILURE(exchange(*channel,
+                                   {request_frame(0, "bcd_poly_gap", slow),
+                                    request_frame(1, "gap_dp", *tiny)},
+                                   2, &got));
+  ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
+  ASSERT_TRUE(got.errors.empty());
+  // Sent second, answered first: the slow answer does not hold it back.
+  EXPECT_EQ(got.order, (std::vector<std::int64_t>{1, 0}));
+  EXPECT_TRUE(got.results[0].ok) << got.results[0].error;
+  EXPECT_TRUE(got.results[1].ok) << got.results[1].error;
+  EXPECT_TRUE(got.results[0].audit_error.empty()) << got.results[0].audit_error;
   server.drain();
 }
 
@@ -348,6 +489,15 @@ TEST(ServeServer, MalformedFramesDiagnoseAndTheConnectionSurvives) {
       R"({"frame": "request", "id": -3})",       // bad id
       // A malformed request body (instance must be an object).
       R"({"frame": "request", "id": 7, "solver": "gap_dp", "instance": "zap"})",
+      // Deadlines past the clock's range (io::kMaxDeadlineMs).
+      request_frame(10, "gap_dp",
+                    scenario_request("sparse_spread", 3,
+                                     engine::Objective::kGaps),
+                    1e13),
+      request_frame(11, "gap_dp",
+                    scenario_request("sparse_spread", 3,
+                                     engine::Objective::kGaps),
+                    1e300),
       request_frame(8, "no_such_solver",
                     scenario_request("sparse_spread", 3,
                                      engine::Objective::kGaps)),
@@ -359,9 +509,16 @@ TEST(ServeServer, MalformedFramesDiagnoseAndTheConnectionSurvives) {
   Collected got;
   ASSERT_NO_FATAL_FAILURE(exchange(*channel, frames, frames.size(), &got));
   ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
-  // Unparseable, untyped, and bad-id frames each answered with their own
-  // error frame (unattributable ones under id -1)…
-  EXPECT_EQ(got.errors_for(-1), 3u);
+  // Unparseable, untyped, bad-id and out-of-range-deadline frames each
+  // answered with their own error frame (unattributable ones under id -1)…
+  EXPECT_EQ(got.errors_for(-1), 5u);
+  std::size_t deadline_errors = 0;
+  for (const auto& [eid, message] : got.errors) {
+    deadline_errors +=
+        message.find("malformed 'deadline_ms' field") != std::string::npos;
+  }
+  EXPECT_EQ(deadline_errors, 2u);
+  EXPECT_EQ(got.results.count(10) + got.results.count(11), 0u);
   EXPECT_EQ(got.errors_for(6), 1u);
   EXPECT_EQ(got.errors_for(7), 1u);
   // …an unknown solver is a *solved* rejection (it traveled a shard)…
