@@ -29,9 +29,10 @@ int usage() {
   std::cerr
       << "usage: gapsched_serve [options]\n"
       << "  --host <addr>        bind address (default 127.0.0.1)\n"
-      << "  --port <p>           TCP port; 0 picks an ephemeral port and\n"
-      << "                       prints it (default 0)\n"
-      << "  --shards <n>         worker shards; 0 = min(4, cores)\n"
+      << "  --port <p>           TCP port in [0, 65535]; 0 picks an\n"
+      << "                       ephemeral port and prints it (default 0)\n"
+      << "  --shards <n>         worker shards, at most 256; 0 = min(4,\n"
+      << "                       cores)\n"
       << "  --shard-queue <n>    per-shard task queue depth (default 128)\n"
       << "  --outbound-queue <n> per-connection outbound frame queue depth\n"
       << "                       (default 256)\n"

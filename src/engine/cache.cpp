@@ -7,7 +7,7 @@
 
 #include "gapsched/core/hash.hpp"
 #include "gapsched/io/json.hpp"
-#include "gapsched/store/store.hpp"
+#include "gapsched/oracle/oracle.hpp"
 
 namespace gapsched::engine {
 
@@ -37,6 +37,14 @@ std::shared_ptr<SolveResult> normalize_entry(const SolveResult& result) {
   stored->audited = false;
   stored->audit_error.clear();
   return stored;
+}
+
+/// The only answers the disk tier holds, on the way in and on the way
+/// out: complete and feasible. A rejection or an infeasibility verdict
+/// carries no schedule the oracle could re-check, so one is never spilled,
+/// and one arriving from disk is by definition doctored or stale.
+bool persistable(const SolveResult& result) {
+  return result.ok && result.feasible && result.error.empty();
 }
 
 }  // namespace
@@ -87,7 +95,16 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
   return key;
 }
 
-SolveCache::SolveCache(std::size_t capacity) : capacity_(capacity) {}
+SolveCache::SolveCache(std::size_t capacity,
+                       std::unique_ptr<store::DiskStore> store,
+                       double spill_min_ms)
+    : capacity_(capacity),
+      store_(std::move(store)),
+      spill_min_ms_(spill_min_ms) {
+  if (store_ != nullptr) {
+    spill_thread_ = std::thread([this] { spill_worker(); });
+  }
+}
 
 SolveCache::~SolveCache() {
   {
@@ -98,24 +115,42 @@ SolveCache::~SolveCache() {
   if (spill_thread_.joinable()) spill_thread_.join();
 }
 
-void SolveCache::attach_store(store::DiskStore* store, double spill_min_ms) {
-  store_ = store;
-  spill_min_ms_ = spill_min_ms;
-  if (store_ != nullptr && !spill_thread_.joinable()) {
-    spill_thread_ = std::thread([this] { spill_worker(); });
-  }
-}
-
-std::shared_ptr<const SolveResult> SolveCache::lookup(const CacheKey& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+std::shared_ptr<const SolveResult> SolveCache::lookup(
+    const CacheKey& key, const Instance& canonical, Objective objective,
+    const SolveParams& params, bool exact) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second.lru);
+      return it->second.result;
+    }
     ++misses_;
+  }
+  if (store_ == nullptr) return nullptr;
+  // A disk record is UNTRUSTED input. The store re-verifies checksum,
+  // digest and the full key text; what it returns must still parse, be
+  // persistable, and survive the oracle's re-audit against `canonical`,
+  // read in place, before it may serve.
+  std::optional<std::string> payload = store_->load(key.digest, key.text);
+  if (!payload.has_value()) return nullptr;
+  std::optional<SolveResult> parsed = io::result_from_json(*payload);
+  if (!parsed.has_value() || !persistable(*parsed) ||
+      !oracle::check_result(canonical, objective, params, *parsed, exact)
+           .empty()) {
+    store_->invalidate(key.digest);
+    std::lock_guard<std::mutex> lk(mu_);
+    ++disk_rejects_;
     return nullptr;
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return it->second.result;
+  // Copied, not moved: an entry that kept the parser's allocations cost
+  // perfbench restart_warm about 3 % of its throughput.
+  std::shared_ptr<const SolveResult> stored = normalize_entry(*parsed);
+  std::lock_guard<std::mutex> lk(mu_);
+  ++disk_hits_;
+  insert_locked(key, stored);
+  return stored;
 }
 
 void SolveCache::insert(const CacheKey& key, const SolveResult& result,
@@ -124,30 +159,14 @@ void SolveCache::insert(const CacheKey& key, const SolveResult& result,
   // what the spill worker serializes, so disk records carry no
   // request-specific state either.
   std::shared_ptr<SolveResult> stored = normalize_entry(result);
-  // Cost-weighted admission to the disk tier: only complete, feasible
-  // answers whose solve paid at least the threshold are worth a record.
-  // Rejections and infeasible verdicts are NEVER persisted — the oracle
-  // cannot independently confirm a no-schedule claim on load, and the
-  // disk tier admits nothing the oracle cannot re-check.
-  const bool spill = store_ != nullptr && solve_ms >= spill_min_ms_ &&
-                     result.ok && result.feasible && result.error.empty();
+  // Cost-weighted admission to the disk tier: only persistable answers
+  // whose solve paid at least the threshold are worth a record.
+  const bool spill =
+      store_ != nullptr && solve_ms >= spill_min_ms_ && persistable(result);
   bool fresh = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      // Another worker solved the same canonical form first; keep its entry
-      // (deterministic solvers produce the same result) and refresh LRU.
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-    } else {
-      auto [pos, inserted] =
-          map_.emplace(key, Entry{stored, lru_.end()});
-      lru_.push_front(&pos->first);
-      pos->second.lru = lru_.begin();
-      ++insertions_;
-      fresh = inserted;
-      if (capacity_ > 0 && map_.size() > capacity_) evict_locked();
-    }
+    fresh = insert_locked(key, stored);
   }
   if (spill && fresh) {
     {
@@ -157,47 +176,6 @@ void SolveCache::insert(const CacheKey& key, const SolveResult& result,
     }
     spill_cv_.notify_one();
   }
-}
-
-std::shared_ptr<const SolveResult> SolveCache::probe_disk(
-    const CacheKey& key) {
-  if (store_ == nullptr) return nullptr;
-  // The store re-verifies checksum + digest + full key text; anything that
-  // deserializes here still goes through the pipeline's oracle re-audit
-  // before admit_disk() lets it serve.
-  std::optional<std::string> payload = store_->load(key.digest, key.text);
-  if (!payload.has_value()) return nullptr;
-  std::optional<SolveResult> parsed = io::result_from_json(*payload);
-  if (!parsed.has_value()) {
-    store_->invalidate(key.digest);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++disk_rejects_;
-    return nullptr;
-  }
-  return std::make_shared<const SolveResult>(std::move(*parsed));
-}
-
-void SolveCache::admit_disk(const CacheKey& key, const SolveResult& result) {
-  std::shared_ptr<SolveResult> stored = normalize_entry(result);
-  std::lock_guard<std::mutex> lk(mu_);
-  ++disk_hits_;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return;
-  }
-  auto [pos, inserted] = map_.emplace(key, Entry{std::move(stored),
-                                                 lru_.end()});
-  lru_.push_front(&pos->first);
-  pos->second.lru = lru_.begin();
-  ++insertions_;
-  if (capacity_ > 0 && map_.size() > capacity_) evict_locked();
-}
-
-void SolveCache::reject_disk(const CacheKey& key) {
-  if (store_ != nullptr) store_->invalidate(key.digest);
-  std::lock_guard<std::mutex> lk(mu_);
-  ++disk_rejects_;
 }
 
 void SolveCache::flush_spill() {
@@ -234,6 +212,23 @@ void SolveCache::spill_worker() {
       if (spill_queue_.empty()) spill_idle_cv_.notify_all();
     }
   }
+}
+
+bool SolveCache::insert_locked(const CacheKey& key,
+                               std::shared_ptr<const SolveResult> result) {
+  auto [pos, inserted] =
+      map_.try_emplace(key, Entry{std::move(result), lru_.end()});
+  if (!inserted) {
+    // Another worker solved or promoted the same canonical form first;
+    // keep its entry (deterministic solvers produce the same result).
+    lru_.splice(lru_.begin(), lru_, pos->second.lru);
+    return false;
+  }
+  lru_.push_front(&pos->first);
+  pos->second.lru = lru_.begin();
+  ++insertions_;
+  if (capacity_ > 0 && map_.size() > capacity_) evict_locked();
+  return true;
 }
 
 void SolveCache::evict_locked() {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "gapsched/parallel/thread_pool.hpp"
-#include "gapsched/store/store.hpp"
 
 namespace gapsched::engine {
 
@@ -38,23 +37,24 @@ BatchSummary summarize(const std::vector<SolveResult>& results) {
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
-      registry_(SolverRegistry::create_with_builtins()),
-      cache_(options_.cache
-                 ? std::make_unique<SolveCache>(options_.cache_capacity)
-                 : nullptr) {
-  if (options_.store_path.empty()) return;
-  if (cache_ == nullptr) {
-    store_error_ = "store_path requires the cache";
+      registry_(SolverRegistry::create_with_builtins()) {
+  if (!options_.cache) {
+    if (!options_.store_path.empty()) {
+      store_error_ = "store_path requires the cache";
+    }
     return;
   }
-  store::StoreOptions sopt;
-  sopt.max_bytes = options_.store_max_bytes;
-  store_ = store::DiskStore::open(options_.store_path, sopt, &store_error_);
-  // Open failure leaves the engine memory-only: a corrupt or foreign
-  // store file degrades persistence, never a solve.
-  if (store_ != nullptr) {
-    cache_->attach_store(store_.get(), options_.store_spill_min_ms);
+  std::unique_ptr<store::DiskStore> store;
+  if (!options_.store_path.empty()) {
+    // Open failure leaves the engine memory-only: a corrupt or foreign
+    // store file degrades persistence, never a solve.
+    store = store::DiskStore::open(
+        options_.store_path, {.max_bytes = options_.store_max_bytes},
+        &store_error_);
   }
+  cache_ = std::make_unique<SolveCache>(options_.cache_capacity,
+                                        std::move(store),
+                                        options_.store_spill_min_ms);
 }
 
 Engine::~Engine() = default;

@@ -118,35 +118,6 @@ StageStats& stage_of(SolveContext& ctx, PipelineStage stage) {
   return ctx.stages[static_cast<std::size_t>(stage)];
 }
 
-/// Disk tier of the CacheLookup stage. A record loaded from the persistent
-/// store is UNTRUSTED input: it must be a complete, feasible answer (the
-/// only kind the spill policy ever writes — an infeasibility verdict
-/// carries no schedule the oracle could re-check, so one arriving from
-/// disk is by definition doctored or stale) and it must survive a full
-/// oracle re-audit against `canonical`, the exact instance its key
-/// hashes, read in place. Anything less degrades to a cache miss and a
-/// fresh solve — never a wrong answer.
-std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
-                                             const CacheKey& key,
-                                             const Instance& canonical) {
-  if (!ctx.cache->has_store()) return nullptr;
-  std::shared_ptr<const SolveResult> cand = ctx.cache->probe_disk(key);
-  if (cand == nullptr) return nullptr;
-  bool admit = cand->ok && cand->feasible && cand->error.empty();
-  if (admit) {
-    admit = oracle::check_result(canonical, ctx.request.objective,
-                                 ctx.request.params, *cand,
-                                 ctx.solver.info().exact)
-                .empty();
-  }
-  if (!admit) {
-    ctx.cache->reject_disk(key);
-    return nullptr;
-  }
-  ctx.cache->admit_disk(key, *cand);
-  return cand;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------- stages --
@@ -224,13 +195,12 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
       ++ctx.agg.components_deduped;
       continue;
     }
-    std::shared_ptr<const SolveResult> hit = ctx.cache->lookup(ctx.keys[c]);
-    if (hit == nullptr) {
-      // Component keys hash the instance Dispatch would solve (the
-      // compressed image when compressing), so the disk candidate is
-      // audited against exactly that form.
-      hit = disk_load(ctx, ctx.keys[c], *ctx.solve_inst[c]);
-    }
+    // Component keys hash the instance Dispatch would solve (the
+    // compressed image when compressing), so a disk record is audited
+    // against exactly that form.
+    std::shared_ptr<const SolveResult> hit = ctx.cache->lookup(
+        ctx.keys[c], *ctx.solve_inst[c], ctx.request.objective,
+        ctx.request.params, ctx.solver.info().exact);
     if (hit != nullptr) {
       ctx.parts[c] = *hit;  // entry is shared; copy outside the lock
       ctx.hit_components.push_back(c);

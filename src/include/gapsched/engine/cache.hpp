@@ -24,15 +24,18 @@
 // by Engine::solve_stream workers and by the prep pipeline's component
 // fan-out. Capacity is enforced LRU.
 //
-// Second tier (optional): attach_store() hangs a persistent
-// store::DiskStore under the LRU as a read-through/write-behind spill.
-// Misses may probe_disk(); the pipeline re-audits every disk candidate
-// with the independent oracle before admit_disk() promotes it into the
-// LRU — a corrupt or stale record degrades to a fresh solve, never a
-// wrong answer. Writes are behind: insert() enqueues qualifying entries
-// (admission is cost-weighted — only solves that took at least the spill
-// threshold are worth disk) and a background worker serializes and
-// appends them, so persistence never sits on the solve path.
+// Second tier (optional): a SolveCache constructed with a
+// store::DiskStore owns it as a read-through/write-behind spill. lookup()
+// is the one read path: a memory miss loads the record from the store and
+// serves it only when it is a complete, feasible answer (the one
+// persistable() predicate spill admission also applies) and survives a
+// full re-audit by the independent oracle against the instance its key
+// hashes. A corrupt, forged or stale record is quarantined and degrades to
+// a fresh solve, never a wrong answer. Writes are behind: insert()
+// enqueues persistable entries (admission is cost-weighted — only solves
+// that took at least the spill threshold are worth disk) and a background
+// worker serializes and appends them, so persistence never sits on the
+// solve path.
 
 #include <condition_variable>
 #include <cstddef>
@@ -47,10 +50,7 @@
 
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
-
-namespace gapsched::store {
-class DiskStore;
-}
+#include "gapsched/store/store.hpp"
 
 namespace gapsched::engine {
 
@@ -79,7 +79,7 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
                         const SolveParams& params, const Instance& canonical);
 
 /// Cumulative counters; `entries` is the current size. The disk_* /
-/// spilled fields are zero unless a persistent store is attached.
+/// spilled fields are zero unless the cache owns a persistent store.
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -94,33 +94,44 @@ struct CacheStats {
   std::size_t disk_rejects = 0;
   /// Entries durably appended to the store by this cache's spill worker.
   std::size_t spilled = 0;
-  /// Loadable records currently indexed in the attached store.
+  /// Loadable records currently indexed in the store.
   std::size_t disk_entries = 0;
 };
 
 class SolveCache {
  public:
   /// `capacity` caps the entry count (LRU eviction); 0 means unbounded.
-  explicit SolveCache(std::size_t capacity = 4096);
+  /// A non-null `store` becomes the persistent second tier, owned by this
+  /// cache, and starts the spill worker; entries whose recorded solve wall
+  /// time is below `spill_min_ms` are not persisted (cost-weighted
+  /// admission).
+  explicit SolveCache(std::size_t capacity = 4096,
+                      std::unique_ptr<store::DiskStore> store = nullptr,
+                      double spill_min_ms = 0.0);
   ~SolveCache();
 
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  /// Attaches the persistent second tier and starts the spill worker.
-  /// Entries whose recorded solve wall time is below `spill_min_ms` are
-  /// not persisted (cost-weighted admission). Must be called before the
-  /// cache is shared across threads; the store must outlive the cache
-  /// (owners declare the store member first).
-  void attach_store(store::DiskStore* store, double spill_min_ms);
-  bool has_store() const { return store_ != nullptr; }
+  /// The persistent tier, if any.
+  store::DiskStore* store() const { return store_.get(); }
 
   /// Returns the cached result (schedule in the key's canonical
   /// coordinates; nullptr on a miss) and bumps the entry to
-  /// most-recently-used. Counts a hit or a miss either way. Entries are
-  /// immutable and shared: only a pointer is copied under the cache lock,
-  /// so concurrent hits on large schedules do not serialize on the mutex.
-  std::shared_ptr<const SolveResult> lookup(const CacheKey& key);
+  /// most-recently-used. Counts a memory hit or miss either way. On a
+  /// memory miss with a store, the record under `key` is loaded and served
+  /// only when it is persistable and the oracle accepts it as an answer
+  /// for `canonical` — the instance `key` hashes — under `objective`,
+  /// `params` and the solver's `exact`ness; it is then promoted into the
+  /// LRU (counted in disk_hits, not re-spilled). Any other record is
+  /// quarantined and counted in disk_rejects. Entries are immutable and
+  /// shared: only a pointer is copied under the cache lock, so concurrent
+  /// hits on large schedules do not serialize on the mutex.
+  std::shared_ptr<const SolveResult> lookup(const CacheKey& key,
+                                            const Instance& canonical,
+                                            Objective objective,
+                                            const SolveParams& params,
+                                            bool exact);
 
   /// Stores `result` under `key`, normalized to be request-independent:
   /// wall time, timeout and audit fields are cleared so a later hit can
@@ -130,31 +141,19 @@ class SolveCache {
   void insert(const CacheKey& key, const SolveResult& result,
               double solve_ms = 0.0);
 
-  /// Disk-tier probe on an LRU miss: loads and deserializes the record
-  /// under `key`, if any. The candidate is UNTRUSTED — the caller (the
-  /// pipeline's CacheLookup stage) must re-audit it with the independent
-  /// oracle and then either admit_disk() or reject_disk() it. Records
-  /// that fail framing, checksum, key comparison, or deserialization are
-  /// rejected here directly.
-  std::shared_ptr<const SolveResult> probe_disk(const CacheKey& key);
-
-  /// Promotes an oracle-approved disk candidate into the LRU (counted in
-  /// disk_hits; not re-spilled).
-  void admit_disk(const CacheKey& key, const SolveResult& result);
-
-  /// Records an oracle/policy refusal of a disk candidate and quarantines
-  /// the record so it can never serve again.
-  void reject_disk(const CacheKey& key);
-
   /// Blocks until every queued spill has been serialized and appended (or
   /// skipped); the barrier benches, tests, and graceful drains sit on.
   void flush_spill();
 
   CacheStats stats() const;
-  /// Drops the in-memory tier only; the attached store is untouched.
+  /// Drops the in-memory tier only; the store is untouched.
   void clear();
 
  private:
+  /// Inserts `result` under `key` unless an entry is there already; true
+  /// when it inserted. Either way the key's entry becomes most recent.
+  bool insert_locked(const CacheKey& key,
+                     std::shared_ptr<const SolveResult> result);
   void evict_locked();
   void spill_worker();
 
@@ -176,8 +175,8 @@ class SolveCache {
   std::size_t disk_rejects_ = 0;  // deserialize + oracle/policy refusals
   std::size_t spilled_ = 0;
 
-  // --- persistent tier (immutable after attach_store) ---
-  store::DiskStore* store_ = nullptr;  // not owned; outlives this cache
+  // --- persistent tier (immutable after construction) ---
+  std::unique_ptr<store::DiskStore> store_;
   double spill_min_ms_ = 0.0;
 
   struct SpillItem {

@@ -8,7 +8,8 @@
 //   * its solver registry (every built-in family pre-registered; add() more
 //     per engine without touching the process-wide instance()),
 //   * a content-addressed solve cache (engine/cache.hpp), optionally backed
-//     by a persistent store (store/store.hpp): requests are keyed by the
+//     by a persistent store (store/store.hpp) that the cache owns and
+//     reads through with an oracle re-audit: requests are keyed by the
 //     canonical form of (prep-canonicalized — and, for gap components,
 //     dead-time-compressed — instance, objective, the parameters the
 //     solver consumes). Repeated solves, time-shifted or job-permuted
@@ -55,10 +56,6 @@
 #include "gapsched/engine/registry.hpp"
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
-
-namespace gapsched::store {
-class DiskStore;
-}
 
 namespace gapsched::engine {
 
@@ -152,14 +149,17 @@ class Engine {
   pipeline::PipelineStats pipeline_stats() const;
 
   /// Hit/miss/eviction counters of the solve cache (zeros when disabled).
-  /// With a store attached this includes the disk tier: disk_hits,
-  /// disk_rejects, spilled, disk_entries.
+  /// With a store this includes the disk tier: disk_hits, disk_rejects,
+  /// spilled, disk_entries.
   CacheStats cache_stats() const;
   /// Drops the in-memory cache tier; the persistent store is untouched.
   void clear_cache();
 
-  /// The persistent store, if one was opened (null otherwise).
-  store::DiskStore* store() { return store_.get(); }
+  /// The persistent store, if one was opened (null otherwise); owned by
+  /// the cache.
+  store::DiskStore* store() {
+    return cache_ != nullptr ? cache_->store() : nullptr;
+  }
   /// Why store_path could not be opened ("" when it was, or none was set).
   /// Non-empty exactly when store_path is set and store() is null.
   const std::string& store_error() const { return store_error_; }
@@ -173,9 +173,6 @@ class Engine {
 
   EngineOptions options_;
   std::unique_ptr<SolverRegistry> registry_;
-  // Declared before cache_: the cache's spill worker must join (in
-  // ~SolveCache) while the store it appends to is still alive.
-  std::unique_ptr<store::DiskStore> store_;
   std::string store_error_;
   std::unique_ptr<SolveCache> cache_;  // null when options_.cache is false
 

@@ -28,7 +28,11 @@
 //
 //   * Canonicalize, Decompose and Recombine run for every request;
 //   * Compress runs when the cap is positive;
-//   * CacheLookup runs whenever the caller passed a SolveCache;
+//   * CacheLookup runs whenever the caller passed a SolveCache. It hands
+//     SolveCache::lookup each component's key together with the instance
+//     that key hashes, the objective, the params and the solver's
+//     exactness, so a record read through from the cache's store is always
+//     re-audited by the oracle before it serves;
 //   * Dispatch runs the family adapter (do_solve) on the components the
 //     cache did not serve, and is skipped when it served them all. A lone
 //     uncompressed component is solved as the requester's original

@@ -48,11 +48,16 @@
 
 namespace gapsched::serve {
 
+/// Most worker shards a server starts; each is a thread with its own queue.
+inline constexpr std::size_t kMaxShards = 256;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port (read it back via port()).
+  /// TCP port in [0, 65535]; 0 binds an ephemeral port (read it back via
+  /// port()).
   int port = 0;
-  /// Worker shards; 0 picks min(4, hardware concurrency).
+  /// Worker shards, at most kMaxShards; 0 picks min(4, hardware
+  /// concurrency).
   std::size_t shards = 0;
   /// Bounded depth of each shard's task queue (backpressure).
   std::size_t shard_queue = 128;
@@ -82,8 +87,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and spawns the acceptor and shard workers. False
-  /// with *error set when the store did not open or the port cannot be
-  /// bound.
+  /// with *error set, before anything is bound or spawned, when the port
+  /// is outside [0, 65535], shards exceeds kMaxShards or the store did
+  /// not open; false with *error set when the port cannot be bound.
   bool start(std::string* error);
 
   /// The bound port (after start(); resolves port 0 requests).

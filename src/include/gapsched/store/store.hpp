@@ -6,7 +6,7 @@
 // entries, shared by CLI sessions, every server shard, and successive
 // restarts. The engine treats everything read back as UNTRUSTED input: a
 // record must survive framing + checksum verification here AND an
-// independent oracle re-audit in the pipeline before it may serve a
+// independent oracle re-audit in SolveCache::lookup before it may serve a
 // request, so a flipped bit, a torn write, or a stale format degrades to a
 // cache miss (and a fresh solve) — never a wrong answer.
 //
@@ -47,7 +47,8 @@
 // exactly like two processes do. Loads of already-indexed records need no
 // file lock (the file is append-only and compaction replaces it via
 // rename, keeping this handle's inode alive); an index miss triggers a
-// shared-lock tail scan to pick up records other writers published.
+// tail scan to pick up records other writers published. That scan takes
+// the exclusive lock too, because it truncates a torn tail it finds.
 //
 // Budget: with max_bytes set, an append that pushes the file over the
 // budget compacts it — the surviving records are the most expensive ones
@@ -145,7 +146,7 @@ class DiskStore {
   /// checksum and comparing the stored key text against `key_text` byte
   /// for byte. Any mismatch quarantines the record (counted in
   /// rejected_records) and returns nullopt. An index miss first rescans
-  /// the tail under a shared lock, so records appended by other processes
+  /// the tail, as refresh() does, so records appended by other processes
   /// are visible without reopening.
   std::optional<std::string> load(std::uint64_t digest,
                                   std::string_view key_text);
@@ -159,10 +160,12 @@ class DiskStore {
 
   /// Drops a digest from this handle's index so it can never serve again
   /// (the bytes stay until compaction). Called by the cache tier when a
-  /// record fails deserialization or the oracle re-audit.
+  /// record fails deserialization, the persistable check or the oracle
+  /// re-audit.
   void invalidate(std::uint64_t digest);
 
-  /// Rescans the tail for records appended by other handles/processes.
+  /// Rescans the tail for records appended by other handles/processes
+  /// (exclusive file lock: a torn tail found there is truncated).
   void refresh();
 
   /// Forces a keep-most-expensive rewrite down to the max_bytes budget
@@ -185,7 +188,9 @@ class DiskStore {
   /// replaced (compaction by another handle), then scans any new tail.
   bool sync_for_append_locked(std::string* error);
   bool compact_locked(std::string* error);
-  bool lock_file_locked(int op) const;
+  /// Scans records other handles appended since the last scan, under the
+  /// exclusive file lock; the shared miss path of load() and refresh().
+  void rescan_tail_locked();
 
   std::string path_;
   StoreOptions options_;

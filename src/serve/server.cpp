@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <utility>
 
 namespace gapsched::serve {
@@ -60,6 +61,16 @@ Server::~Server() { drain(); }
 std::size_t Server::shards() const { return options_.shards; }
 
 bool Server::start(std::string* error) {
+  if (options_.port < 0 || options_.port > 65535) {
+    *error = "port " + std::to_string(options_.port) +
+             " is outside [0, 65535]";
+    return false;
+  }
+  if (options_.shards > kMaxShards) {
+    *error = std::to_string(options_.shards) + " shards exceed the limit of " +
+             std::to_string(kMaxShards);
+    return false;
+  }
   if (!engine_.store_error().empty()) {
     *error = engine_.store_error();
     return false;

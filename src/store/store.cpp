@@ -95,6 +95,34 @@ std::uint64_t file_size_of(int fd) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+/// Exclusive flock(2), retried on EINTR.
+bool lock_exclusive(int fd) {
+  while (::flock(fd, LOCK_EX) != 0) {
+    if (errno != EINTR) return false;
+  }
+  return true;
+}
+
+/// Exclusive flock(2) on the store file for one scope, released on every
+/// return path. It unlocks whatever descriptor `fd` names at scope exit:
+/// compaction and the reopen after another handle's compaction swap the
+/// descriptor while the lock is held, and lock the replacement first.
+class FileLock {
+ public:
+  explicit FileLock(const int& fd) : fd_(fd), held_(lock_exclusive(fd)) {}
+  ~FileLock() {
+    if (held_) ::flock(fd_, LOCK_UN);
+  }
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+  bool held() const { return held_; }
+
+ private:
+  const int& fd_;
+  bool held_;
+};
+
 /// Serialized file header: magic, format version, reserved zero word.
 std::string make_file_header() {
   std::string header(kFileMagic, sizeof kFileMagic);
@@ -171,13 +199,6 @@ std::unique_ptr<DiskStore> DiskStore::open(const std::string& path,
   return store;
 }
 
-bool DiskStore::lock_file_locked(int op) const {
-  while (::flock(fd_, op) != 0) {
-    if (errno != EINTR) return false;
-  }
-  return true;
-}
-
 bool DiskStore::open_locked(std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -185,7 +206,8 @@ bool DiskStore::open_locked(std::string* error) {
     *error = errno_message("open " + path_);
     return false;
   }
-  if (!lock_file_locked(LOCK_EX)) {
+  const FileLock lock(fd_);
+  if (!lock.held()) {
     *error = errno_message("flock " + path_);
     return false;
   }
@@ -200,7 +222,6 @@ bool DiskStore::open_locked(std::string* error) {
         header.compare(0, prefix.size(), prefix) == 0) {
       fresh = true;
     } else {
-      lock_file_locked(LOCK_UN);
       *error = path_ + " is not a gapsched store (short unrecognized header)";
       return false;
     }
@@ -209,25 +230,21 @@ bool DiskStore::open_locked(std::string* error) {
     if (::ftruncate(fd_, 0) != 0 ||
         !write_all_at(fd_, header.data(), header.size(), 0) ||
         ::fsync(fd_) != 0) {
-      lock_file_locked(LOCK_UN);
       *error = errno_message("initialize " + path_);
       return false;
     }
   } else {
     char buf[kFileHeaderBytes];
     if (!read_exact_at(fd_, buf, sizeof buf, 0)) {
-      lock_file_locked(LOCK_UN);
       *error = errno_message("read header of " + path_);
       return false;
     }
     if (std::memcmp(buf, kFileMagic, sizeof kFileMagic) != 0) {
-      lock_file_locked(LOCK_UN);
       *error = path_ + " is not a gapsched store (bad magic)";
       return false;
     }
     const std::uint32_t version = get_u32(buf + sizeof kFileMagic);
     if (version != kFormatVersion) {
-      lock_file_locked(LOCK_UN);
       *error = path_ + ": unsupported store format version " +
                std::to_string(version) + " (this build reads version " +
                std::to_string(kFormatVersion) + ")";
@@ -236,7 +253,6 @@ bool DiskStore::open_locked(std::string* error) {
   }
   scan_end_ = kFileHeaderBytes;
   scan_locked(/*writable=*/true);
-  lock_file_locked(LOCK_UN);
   return true;
 }
 
@@ -303,11 +319,8 @@ std::optional<std::string> DiskStore::load(std::uint64_t digest,
     // Another handle (CLI session, server shard, other process) may have
     // published records since our last scan; pick up the tail before
     // declaring a miss.
-    if (file_size_of(fd_) > scan_end_ && lock_file_locked(LOCK_EX)) {
-      scan_locked(/*writable=*/!poisoned_);
-      lock_file_locked(LOCK_UN);
-      it = index_.find(digest);
-    }
+    rescan_tail_locked();
+    it = index_.find(digest);
     if (it == index_.end()) return std::nullopt;
   }
   const RecordInfo info = it->second;
@@ -347,10 +360,9 @@ bool DiskStore::sync_for_append_locked(std::string* error) {
       if (error != nullptr) *error = errno_message("reopen " + path_);
       return false;
     }
-    lock_file_locked(LOCK_UN);
-    ::close(fd_);
+    ::close(fd_);  // releases the old descriptor's lock
     fd_ = next;
-    if (!lock_file_locked(LOCK_EX)) {
+    if (!lock_exclusive(fd_)) {
       if (error != nullptr) *error = errno_message("flock " + path_);
       return false;
     }
@@ -374,18 +386,13 @@ bool DiskStore::append(std::uint64_t digest, std::string_view key_text,
     if (error != nullptr) *error = "store handle poisoned by simulated crash";
     return false;
   }
-  if (!lock_file_locked(LOCK_EX)) {
+  const FileLock lock(fd_);
+  if (!lock.held()) {
     if (error != nullptr) *error = errno_message("flock " + path_);
     return false;
   }
-  if (!sync_for_append_locked(error)) {
-    lock_file_locked(LOCK_UN);
-    return false;
-  }
-  if (index_.find(digest) != index_.end()) {
-    lock_file_locked(LOCK_UN);
-    return true;  // someone already persisted this entry
-  }
+  if (!sync_for_append_locked(error)) return false;
+  if (index_.contains(digest)) return true;  // someone already persisted it
   const std::string rec = make_record(digest, key_text, payload, cost_ms);
   const std::uint64_t off = scan_end_;
   if (options_.fail_append_after > 0) {
@@ -395,26 +402,22 @@ bool DiskStore::append(std::uint64_t digest, std::string_view key_text,
                                          rec.size());
     write_all_at(fd_, rec.data(), partial, off);
     poisoned_ = true;
-    lock_file_locked(LOCK_UN);
     if (error != nullptr) *error = "simulated crash after " +
                                    std::to_string(partial) + " bytes";
     return false;
   }
   if (!write_all_at(fd_, rec.data(), rec.size(), off) || ::fsync(fd_) != 0) {
     if (error != nullptr) *error = errno_message("append to " + path_);
-    lock_file_locked(LOCK_UN);
     return false;
   }
   // Durable on disk: publish. Readers can only ever index fsynced bytes.
   index_[digest] = RecordInfo{digest, off, rec.size(), cost_ms};
   scan_end_ = off + rec.size();
   ++appends_;
-  bool ok = true;
   if (options_.max_bytes > 0 && scan_end_ > options_.max_bytes) {
-    ok = compact_locked(error);
+    return compact_locked(error);
   }
-  lock_file_locked(LOCK_UN);
-  return ok;
+  return true;
 }
 
 void DiskStore::invalidate(std::uint64_t digest) {
@@ -424,22 +427,25 @@ void DiskStore::invalidate(std::uint64_t digest) {
 
 void DiskStore::refresh() {
   std::lock_guard<std::mutex> lk(mu_);
-  if (file_size_of(fd_) > scan_end_ && lock_file_locked(LOCK_EX)) {
-    scan_locked(/*writable=*/!poisoned_);
-    lock_file_locked(LOCK_UN);
-  }
+  rescan_tail_locked();
+}
+
+void DiskStore::rescan_tail_locked() {
+  if (file_size_of(fd_) <= scan_end_) return;
+  // Exclusive, not shared: the scan may truncate a torn tail.
+  const FileLock lock(fd_);
+  if (lock.held()) scan_locked(/*writable=*/!poisoned_);
 }
 
 bool DiskStore::compact(std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   if (options_.max_bytes == 0) return true;
-  if (!lock_file_locked(LOCK_EX)) {
+  const FileLock lock(fd_);
+  if (!lock.held()) {
     if (error != nullptr) *error = errno_message("flock " + path_);
     return false;
   }
-  bool ok = sync_for_append_locked(error) && compact_locked(error);
-  lock_file_locked(LOCK_UN);
-  return ok;
+  return sync_for_append_locked(error) && compact_locked(error);
 }
 
 bool DiskStore::compact_locked(std::string* error) {
@@ -478,8 +484,7 @@ bool DiskStore::compact_locked(std::string* error) {
   }
   // Take the exclusive lock on the replacement before it becomes the store,
   // so lock coverage is continuous across the rename.
-  while (::flock(tmp_fd, LOCK_EX) != 0 && errno == EINTR) {
-  }
+  lock_exclusive(tmp_fd);
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = errno_message(what);
     ::close(tmp_fd);
@@ -514,7 +519,8 @@ bool DiskStore::compact_locked(std::string* error) {
   }
   dropped_records_ += index_.size() - copied;
   ::close(fd_);
-  fd_ = tmp_fd;  // already exclusively locked; the caller unlocks it
+  fd_ = tmp_fd;  // already exclusively locked; the caller's FileLock
+                 // unlocks it
   index_ = std::move(new_index);
   scan_end_ = off;
   ++compactions_;

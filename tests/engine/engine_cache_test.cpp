@@ -463,17 +463,21 @@ TEST(SolveCacheLru, EvictsLeastRecentlyUsed) {
     return make_cache_key(info, Objective::kGaps, SolveParams{},
                           Instance::one_interval({{t, t}}));
   };
+  const auto cached = [&](Time t) {
+    return cache.lookup(key_for(t), Instance::one_interval({{t, t}}),
+                        Objective::kGaps, SolveParams{}, true) != nullptr;
+  };
   SolveResult r;
   r.ok = true;
   r.feasible = true;
 
   cache.insert(key_for(1), r);
   cache.insert(key_for(2), r);
-  EXPECT_TRUE((cache.lookup(key_for(1)) != nullptr));  // 1 becomes MRU
-  cache.insert(key_for(3), r);                        // evicts 2
-  EXPECT_TRUE((cache.lookup(key_for(1)) != nullptr));
-  EXPECT_FALSE((cache.lookup(key_for(2)) != nullptr));
-  EXPECT_TRUE((cache.lookup(key_for(3)) != nullptr));
+  EXPECT_TRUE(cached(1));  // 1 becomes MRU
+  cache.insert(key_for(3), r);  // evicts 2
+  EXPECT_TRUE(cached(1));
+  EXPECT_FALSE(cached(2));
+  EXPECT_TRUE(cached(3));
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
@@ -484,8 +488,9 @@ TEST(SolveCacheLru, EvictsLeastRecentlyUsed) {
 TEST(SolveCacheLru, NormalizesStoredResults) {
   SolveCache cache;
   const SolverInfo& info = SolverRegistry::instance().find("gap_dp")->info();
-  const CacheKey key = make_cache_key(info, Objective::kGaps, SolveParams{},
-                                      Instance::one_interval({{0, 0}}));
+  const Instance inst = Instance::one_interval({{0, 0}});
+  const CacheKey key =
+      make_cache_key(info, Objective::kGaps, SolveParams{}, inst);
   SolveResult r;
   r.ok = true;
   r.feasible = true;
@@ -495,7 +500,8 @@ TEST(SolveCacheLru, NormalizesStoredResults) {
   r.stats.wall_ms = 123.0;
   r.stats.cache_hit = true;
   cache.insert(key, r);
-  const auto hit = cache.lookup(key);
+  const auto hit =
+      cache.lookup(key, inst, Objective::kGaps, SolveParams{}, true);
   ASSERT_NE(hit, nullptr);
   EXPECT_FALSE(hit->timed_out);
   EXPECT_FALSE(hit->audited);

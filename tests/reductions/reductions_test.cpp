@@ -94,13 +94,16 @@ TEST_P(TwoIntervalEquivalence, OptimaDifferByExtraBlock) {
   const std::uint64_t prng_seed = testing::seed_for(static_cast<std::uint64_t>(GetParam()) * 71 + 31);
   GAPSCHED_TRACE_SEED(prng_seed);
   Prng rng(prng_seed);
-  // Small multi-interval instances with >= 3 intervals on some jobs.
+  // Small multi-interval instances with >= 3 intervals on some jobs. A
+  // job with k >= 3 intervals becomes 2k jobs in the reduction, so the
+  // first job draws up to 4 intervals and the others up to 3: the reduced
+  // instance keeps at most 8 + 6 + 6 = 20 jobs, the brute force's limit.
   Instance inst;
   inst.processors = 1;
   const std::size_t n = 3;
   for (std::size_t j = 0; j < n; ++j) {
     std::vector<Interval> ivs;
-    const std::size_t k = 1 + rng.index(4);  // 1..4 intervals
+    const std::size_t k = 1 + rng.index(j == 0 ? 4 : 3);
     for (std::size_t i = 0; i < k; ++i) {
       const Time lo = rng.uniform(0, 14);
       ivs.push_back({lo, lo + rng.uniform(0, 1)});
@@ -110,6 +113,7 @@ TEST_P(TwoIntervalEquivalence, OptimaDifferByExtraBlock) {
   TwoIntervalReduction red = reduce_multi_to_two_interval(inst);
   EXPECT_LE(red.instance.max_intervals_per_job(), 2u);
 
+  ASSERT_LE(red.instance.n(), 20u);
   const ExactGapResult orig = brute_force_min_transitions(inst);
   const ExactGapResult redu = brute_force_min_transitions(red.instance);
   ASSERT_EQ(orig.feasible, redu.feasible);
@@ -130,11 +134,14 @@ TEST_P(ThreeUnitEquivalence, OptimaDifferByExtraBlock) {
   const std::uint64_t prng_seed = testing::seed_for(static_cast<std::uint64_t>(GetParam()) * 73 + 37);
   GAPSCHED_TRACE_SEED(prng_seed);
   Prng rng(prng_seed);
+  // A job with k >= 4 unit times becomes 2k jobs in the reduction, so the
+  // jobs draw up to 5, 4 and 3 times: the reduced instance keeps at most
+  // 10 + 8 + 1 = 19 jobs, within the brute force's limit of 20.
   Instance inst;
   inst.processors = 1;
   for (std::size_t j = 0; j < 3; ++j) {
     std::vector<Time> pts;
-    const std::size_t k = 1 + rng.index(5);  // 1..5 unit times
+    const std::size_t k = 1 + rng.index(5 - j);
     for (std::size_t i = 0; i < k; ++i) pts.push_back(rng.uniform(0, 12));
     inst.jobs.push_back(Job{TimeSet::points(pts)});
   }
@@ -144,6 +151,7 @@ TEST_P(ThreeUnitEquivalence, OptimaDifferByExtraBlock) {
     // unit times may be stored as one merged interval).
     EXPECT_LE(j.allowed.size(), 3);
   }
+  ASSERT_LE(red.instance.n(), 20u);
   const ExactGapResult orig = brute_force_min_transitions(inst);
   const ExactGapResult redu = brute_force_min_transitions(red.instance);
   ASSERT_EQ(orig.feasible, redu.feasible);

@@ -2,15 +2,16 @@
 // with costs cross-checked against a local engine, a concurrent burst over
 // the shared cache, the client reorder contract and completion-order
 // streaming, graceful drain mid-burst, queue-expired deadlines, malformed,
-// hostile and oversized frames, stats aggregation, and the store contract
-// (a foreign store file refuses start, a drain leaves every spill
-// durable). Under the CI sanitizer lanes this suite doubles as the
+// hostile and oversized frames, out-of-range ports and shard counts
+// refused at start, stats aggregation, and the store contract (a foreign
+// store file refuses start, a drain leaves every spill durable). Under the CI sanitizer lanes this suite doubles as the
 // thread-safety gate for the whole acceptor/reader/shard/writer topology.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -605,6 +606,29 @@ TEST(ServeServer, StartRefusesAForeignStoreFile) {
   EXPECT_NE(error.find("not a gapsched store"), std::string::npos) << error;
   // A server that refuses the file leaves it exactly as it found it.
   EXPECT_EQ(read_bytes(path), foreign);
+}
+
+TEST(ServeServer, StartRefusesAnOutOfRangePortOrShardCount) {
+  // Checked before anything binds or spawns: these servers never listen
+  // and never start a shard. SIZE_MAX is what `--shards -1` parses to.
+  struct Case {
+    int port;
+    std::size_t shards;
+    const char* diagnostic;
+  };
+  for (const Case& c : {Case{-1, 1, "port -1 is outside [0, 65535]"},
+                        Case{65536, 1, "port 65536 is outside [0, 65535]"},
+                        Case{70000, 1, "port 70000 is outside [0, 65535]"},
+                        Case{0, kMaxShards + 1, "shards exceed the limit"},
+                        Case{0, SIZE_MAX, "shards exceed the limit"}}) {
+    ServerOptions options = loopback(c.shards);
+    options.port = c.port;
+    Server server(options);
+    std::string error;
+    EXPECT_FALSE(server.start(&error)) << c.port << " " << c.shards;
+    EXPECT_EQ(server.port(), 0);
+    EXPECT_NE(error.find(c.diagnostic), std::string::npos) << error;
+  }
 }
 
 TEST(ServeServer, DrainLeavesEverySpillDurable) {

@@ -1,9 +1,10 @@
 // Corruption battery for the persistent solve store: every corruption
 // class — foreign magic, wrong format version, broken record framing,
-// flipped bytes in each record region, torn tails, and a forged checksum
-// or a schedule in the wrong coordinates that only the oracle can catch —
-// must degrade an Engine to a fresh
-// solve (counted in disk_rejects / store_error), never to a wrong answer.
+// flipped bytes in each record region, torn tails, a forged checksum or a
+// schedule in the wrong coordinates that only the oracle can catch, and a
+// forged rejection or infeasibility verdict that the oracle cannot — must
+// degrade an Engine to a fresh solve (counted in disk_rejects /
+// store_error), never to a wrong answer.
 //
 // Method: warm a real store through an Engine once, keep the pristine file
 // bytes, then replay the same requests against per-test corrupted copies
@@ -15,6 +16,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gapsched/core/hash.hpp"
@@ -300,6 +303,52 @@ TEST(StoreCorruption, ForgedChecksumIsCaughtOnlyByTheOracle) {
   // admission, the solve falls back fresh, and the answer stays right.
   const engine::CacheStats stats = replay_and_check(path, true);
   EXPECT_GE(stats.disk_rejects, 1u);
+}
+
+TEST(StoreCorruption, ForgedRejectionOrInfeasibilityNeverServes) {
+  // The oracle only re-checks a schedule: it passes a result that says
+  // "rejected" or "infeasible" without looking further. So a record forged
+  // to either verdict, with its checksum recomputed, is stopped only by the
+  // disk tier's own rule that it holds complete, feasible answers. Each
+  // forgery keeps the payload length ("ok": true and "ok":false are both
+  // ten bytes), so the framing stays intact.
+  for (const auto& [honest, forged] :
+       {std::pair<std::string, std::string>{"\"ok\": true", "\"ok\":false"},
+        {"\"feasible\": true", "\"feasible\":false"}}) {
+    SCOPED_TRACE(forged);
+    ASSERT_EQ(honest.size(), forged.size());
+    const std::vector<RecordInfo> records = pristine_records();
+    std::string bytes = warm_fixture().bytes;
+    std::size_t rewritten = 0;
+    for (const RecordInfo& rec : records) {
+      std::string record = bytes.substr(rec.offset, rec.bytes);
+      const std::size_t at = record.find(honest);
+      if (at == std::string::npos) continue;
+      record.replace(at, honest.size(), forged);
+      const std::uint64_t sum = fnv1a64(std::string_view(
+          record.data(), record.size() - kRecordChecksumBytes));
+      for (std::size_t b = 0; b < kRecordChecksumBytes; ++b) {
+        record[record.size() - kRecordChecksumBytes + b] =
+            static_cast<char>((sum >> (8 * b)) & 0xFF);
+      }
+      bytes.replace(rec.offset, rec.bytes, record);
+      ++rewritten;
+    }
+    ASSERT_EQ(rewritten, records.size());
+    const std::string path = temp_path("forged_verdict");
+    write_file(path, bytes);
+    {
+      std::string error;
+      auto store = DiskStore::open(path, {}, &error);
+      ASSERT_NE(store, nullptr) << error;
+      EXPECT_EQ(store->size(), records.size());
+      EXPECT_EQ(store->stats().rejected_records, 0u);
+    }
+    // Every request solves fresh and answers as cold.
+    const engine::CacheStats stats = replay_and_check(path, true);
+    EXPECT_EQ(stats.disk_hits, 0u);
+    EXPECT_GE(stats.disk_rejects, 1u);
+  }
 }
 
 TEST(StoreCorruption, ScheduleValidOnlyBeforeCompressionIsRejected) {
