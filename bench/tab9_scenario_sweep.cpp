@@ -50,6 +50,7 @@ int main(int, char** argv) {
   // The sweep and decomposition sections run cache-off so their wall times
   // stay comparable across commits; the cache study below owns its engines.
   engine::Engine eng({.cache = false});
+  engine::pipeline::PipelineStats uncached_stats;  // every result of `eng`
   const engine::SolverRegistry& registry = eng.registry();
   const std::vector<const engine::Solver*> solvers = registry.all();
 
@@ -81,6 +82,7 @@ int main(int, char** argv) {
       }
     }
     const std::vector<engine::SolveResult> results = eng.solve_batch(batch);
+    for (const engine::SolveResult& r : results) uncached_stats.absorb(r);
 
     int feasible = 0, infeasible = 0;
     std::size_t audits = 0, audit_passes = 0;
@@ -253,6 +255,9 @@ int main(int, char** argv) {
           const engine::SolveResult dec = eng.solve(*solver, req);
           req.params.decompose = false;
           const engine::SolveResult raw = eng.solve(*solver, req);
+          for (const engine::SolveResult* r : {&full, &dec, &raw}) {
+            uncached_stats.absorb(*r);
+          }
           if (!full.ok || !dec.ok || !raw.ok) {
             rejected = true;  // outside the family's envelope; skip cell
             break;
@@ -355,7 +360,9 @@ int main(int, char** argv) {
                 << sweep_batch.size() << " results\n";
       ++refuted_exact;  // a broken stream is a bug, not a perf datum
     }
-    return std::make_pair(ms, engine::summarize(results));
+    engine::pipeline::PipelineStats stats;
+    for (const engine::SolveResult& r : results) stats.absorb(r);
+    return std::make_pair(ms, stats);
   };
   const auto [pass1_on_ms, sum1] = timed_stream(cached);
   const auto [pass2_on_ms, sum2] = timed_stream(cached);
@@ -371,8 +378,10 @@ int main(int, char** argv) {
   for (engine::BatchJob& job : audited_batch) {
     job.request.params.validate = true;
   }
-  const engine::BatchSummary audited_sum =
-      engine::summarize(cached.solve_batch(audited_batch));
+  engine::pipeline::PipelineStats audited_sum;
+  for (const engine::SolveResult& r : cached.solve_batch(audited_batch)) {
+    audited_sum.absorb(r);
+  }
   refuted_exact += static_cast<int>(audited_sum.refuted);
 
   Table ctable({"pass", "requests", "ms", "cache_hits", "speedup"});
@@ -674,8 +683,9 @@ int main(int, char** argv) {
   Table ptable({"stage", "cached_runs", "cached_skips", "cached_ms",
                 "uncached_runs", "uncached_skips", "uncached_ms"});
   bench::Json stage_rows = bench::Json::array();
-  const engine::pipeline::PipelineStats cached_stats = cached.pipeline_stats();
-  const engine::pipeline::PipelineStats uncached_stats = eng.pipeline_stats();
+  engine::pipeline::PipelineStats cached_stats = sum1;  // all of `cached`
+  cached_stats += sum2;
+  cached_stats += audited_sum;
   for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
     const std::string stage_name(
         engine::to_string(static_cast<engine::PipelineStage>(i)));

@@ -141,15 +141,9 @@ int main(int argc, char** argv) {
   server.drain();
 
   const gapsched::io::ServerStatsWire stats = server.stats();
-  std::uint64_t requests = 0;
-  std::uint64_t refuted = 0;
-  for (const auto& shard : stats.shards) {
-    requests += shard.requests;
-    refuted += shard.refuted;
-  }
-  std::cout << "gapsched_serve drained: " << requests << " request(s), "
-            << stats.cache.hits << " cache hit(s), " << refuted
-            << " refutation(s)";
+  std::cout << "gapsched_serve drained: " << stats.pipeline.requests
+            << " request(s), " << stats.cache.hits << " cache hit(s), "
+            << stats.pipeline.refuted << " refutation(s)";
   if (!options.store_path.empty()) {
     std::cout << ", " << stats.cache.spilled << " spilled, "
               << stats.cache.disk_hits << " disk hit(s)";

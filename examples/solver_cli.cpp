@@ -205,12 +205,13 @@ std::optional<Instance> load(const std::string& path) {
   return inst;
 }
 
-void print_cache_stats(const engine::Engine& eng) {
+void print_cache_stats(const engine::Engine& eng,
+                       const engine::pipeline::PipelineStats& solved) {
   // The same stats codec the server's `stats` frame uses: a cache_stats
-  // document and a pipeline_stats document (per-stage runs/skips/wall
-  // time), both from io/json.hpp.
+  // document and a pipeline_stats document (the roll-up of this run's
+  // results), both from io/json.hpp.
   std::cerr << io::cache_stats_to_json(eng.cache_stats()) << "\n"
-            << io::pipeline_stats_to_json(eng.pipeline_stats()) << "\n";
+            << io::pipeline_stats_to_json(solved) << "\n";
 }
 
 /// Solves over the wire against a running gapsched_serve. Returns 0 with
@@ -291,9 +292,11 @@ int remote_solve(const std::string& spec, const std::string& solver,
 /// Cache-warming mode: pre-solves a comma-separated list of instance specs
 /// into the engine's persistent store, oracle-validating every answer, and
 /// blocks until the write-behind spills are durable. A later process (CLI
-/// or server) opening the same store starts warm.
+/// or server) opening the same store starts warm. Every result is folded
+/// into *solved.
 int warm_store(engine::Engine& eng, const engine::Solver& solver,
-               const engine::SolveRequest& base, const std::string& spec_list) {
+               const engine::SolveRequest& base, const std::string& spec_list,
+               engine::pipeline::PipelineStats* solved) {
   std::vector<std::string> specs;
   std::size_t begin = 0;
   while (begin <= spec_list.size()) {
@@ -315,9 +318,6 @@ int warm_store(engine::Engine& eng, const engine::Solver& solver,
     std::cerr << "--warm needs at least one instance spec\n";
     return 2;
   }
-  std::size_t feasible = 0;
-  std::size_t infeasible = 0;
-  std::size_t rejected = 0;
   for (const std::string& spec : specs) {
     auto inst = load(spec);
     if (!inst) return 2;
@@ -325,6 +325,7 @@ int warm_store(engine::Engine& eng, const engine::Solver& solver,
     req.instance = std::move(*inst);
     req.params.validate = true;  // a warmed entry must enter oracle-clean
     const engine::SolveResult result = eng.solve(solver, req);
+    solved->absorb(result);
     if (result.audited && !result.audit_error.empty()) {
       std::cerr << "warm " << spec
                 << ": oracle REFUTED the answer: " << result.audit_error
@@ -334,14 +335,8 @@ int warm_store(engine::Engine& eng, const engine::Solver& solver,
     if (!result.ok) {
       // Outside this solver's envelope: skipped, not fatal — a catalog
       // sweep legitimately crosses objectives and size limits.
-      ++rejected;
       std::cout << "warm " << spec << ": rejected (" << result.error << ")\n";
       continue;
-    }
-    if (result.feasible) {
-      ++feasible;
-    } else {
-      ++infeasible;
     }
     std::cout << "warm " << spec << ": "
               << (result.feasible ? "cost " + std::to_string(result.cost)
@@ -350,10 +345,12 @@ int warm_store(engine::Engine& eng, const engine::Solver& solver,
   }
   eng.flush_store();
   const engine::CacheStats stats = eng.cache_stats();
-  std::cout << "warmed " << specs.size() << " spec(s): " << feasible
-            << " feasible, " << infeasible << " infeasible, " << rejected
-            << " rejected; " << stats.spilled << " spilled, "
-            << stats.disk_entries << " record(s) in the store\n";
+  std::cout << "warmed " << specs.size() << " spec(s): " << solved->feasible
+            << " feasible, "
+            << solved->requests - solved->rejected - solved->feasible
+            << " infeasible, " << solved->rejected << " rejected; "
+            << stats.spilled << " spilled, " << stats.disk_entries
+            << " record(s) in the store\n";
   return 0;
 }
 
@@ -526,8 +523,9 @@ int main(int argc, char** argv) {
                 << positionals.front() << "'\n";
       return 2;
     }
-    const int rc = warm_store(eng, *solver, request, warm_spec);
-    if (cache_stats) print_cache_stats(eng);
+    engine::pipeline::PipelineStats solved;
+    const int rc = warm_store(eng, *solver, request, warm_spec, &solved);
+    if (cache_stats) print_cache_stats(eng, solved);
     return rc;
   }
   if (positionals.empty() || positionals.size() > 2) return usage();
@@ -562,7 +560,11 @@ int main(int argc, char** argv) {
     // Make the write-behind spill durable before reporting stats (and
     // before exit hands the store file to the next process).
     eng.flush_store();
-    if (cache_stats) print_cache_stats(eng);
+    if (cache_stats) {
+      engine::pipeline::PipelineStats solved;
+      solved.absorb(result);
+      print_cache_stats(eng, solved);
+    }
   } else {
     const int rc = remote_solve(connect_spec, name, request, cache_stats,
                                 &result);

@@ -2,38 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "gapsched/parallel/thread_pool.hpp"
 
 namespace gapsched::engine {
-
-BatchSummary summarize(const std::vector<SolveResult>& results) {
-  BatchSummary s;
-  s.total = results.size();
-  for (const SolveResult& r : results) {
-    if (!r.ok) {
-      ++s.rejected;
-      continue;
-    }
-    ++s.ok;
-    if (r.feasible) {
-      ++s.feasible;
-    } else {
-      ++s.infeasible;
-    }
-    if (r.timed_out) ++s.timed_out;
-    if (r.audited) {
-      ++s.audited;
-      if (!r.audit_error.empty()) ++s.refuted;
-    }
-    if (r.stats.cache_hit) ++s.cache_hits;
-    s.component_cache_hits += r.stats.component_cache_hits;
-    s.components_deduped += r.stats.components_deduped;
-  }
-  return s;
-}
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
@@ -64,16 +39,12 @@ SolveResult Engine::solve(std::string_view solver,
   if (const Solver* s = registry_->find(solver); s != nullptr) {
     return solve(*s, request);
   }
-  SolveResult rejected =
-      SolveResult::rejected("unknown solver '" + std::string(solver) + "'");
-  record(rejected);
-  return rejected;
+  return SolveResult::rejected("unknown solver '" + std::string(solver) +
+                               "'");
 }
 
 SolveResult Engine::solve(const Solver& solver, const SolveRequest& request) {
-  SolveResult result = solver.solve(request, cache_.get());
-  record(result);
-  return result;
+  return solver.solve(request, cache_.get());
 }
 
 std::vector<SolveResult> Engine::solve_batch(
@@ -109,16 +80,6 @@ std::vector<SolveResult> Engine::solve_stream(
   for (std::size_t t = 0; t < width; ++t) threads.emplace_back(drain);
   for (std::thread& t : threads) t.join();
   return results;
-}
-
-pipeline::PipelineStats Engine::pipeline_stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
-}
-
-void Engine::record(const SolveResult& result) {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  stats_.absorb(result.stats);
 }
 
 CacheStats Engine::cache_stats() const {

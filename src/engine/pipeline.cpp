@@ -146,7 +146,6 @@ void Pipeline::decompose(SolveContext& ctx) {
   }
   const std::size_t m = ctx.dec.components.size();
   ctx.compressed.resize(ctx.cap > 0 ? m : 0);
-  ctx.solve_inst.resize(m);
   ctx.parts.resize(m);
   ctx.dup_of.assign(m, kNoDup);
   // Default routing solves every component; CacheLookup refines this to
@@ -162,15 +161,12 @@ void Pipeline::decompose(SolveContext& ctx) {
 /// hashes — two components differing only in interior dead-run lengths
 /// (beyond the cap) share an entry.
 void Pipeline::compress(SolveContext& ctx) {
-  const bool compressing = ctx.cap > 0;
-  stage_of(ctx, PipelineStage::kCompress).ran = compressing;
-  for (std::size_t c = 0; c < ctx.solve_inst.size(); ++c) {
-    Instance& inst = ctx.dec.components[c].instance;
-    if (compressing) {
-      ctx.compressed[c] = compress_dead_time_capped_in_place(inst, ctx.cap);
-      ctx.agg.dead_time_removed += ctx.compressed[c].dead_time_removed();
-    }
-    ctx.solve_inst[c] = &inst;
+  if (ctx.cap == 0) return;
+  stage_of(ctx, PipelineStage::kCompress).ran = true;
+  for (std::size_t c = 0; c < ctx.dec.components.size(); ++c) {
+    ctx.compressed[c] = compress_dead_time_capped_in_place(
+        ctx.dec.components[c].instance, ctx.cap);
+    ctx.agg.dead_time_removed += ctx.compressed[c].dead_time_removed();
   }
 }
 
@@ -184,7 +180,8 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
   ctx.keys.reserve(m);
   for (std::size_t c = 0; c < m; ++c) {
     ctx.keys.push_back(make_cache_key(ctx.solver.info(), ctx.request.objective,
-                                      ctx.request.params, *ctx.solve_inst[c]));
+                                      ctx.request.params,
+                                      ctx.dec.components[c].instance));
   }
   ctx.to_solve.clear();
   std::map<std::string_view, std::size_t> first_with_key;
@@ -199,7 +196,7 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
     // compressed image when compressing), so a disk record is audited
     // against exactly that form.
     std::shared_ptr<const SolveResult> hit = ctx.cache->lookup(
-        ctx.keys[c], *ctx.solve_inst[c], ctx.request.objective,
+        ctx.keys[c], ctx.dec.components[c].instance, ctx.request.objective,
         ctx.request.params, ctx.solver.info().exact);
     if (hit != nullptr) {
       ctx.parts[c] = *hit;  // entry is shared; copy outside the lock
@@ -228,7 +225,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
   const bool original = ctx.dec.components.size() == 1 && ctx.cap == 0;
   std::size_t largest = 0;
   for (std::size_t c : ctx.to_solve) {
-    largest = std::max(largest, ctx.solve_inst[c]->n());
+    largest = std::max(largest, ctx.dec.components[c].instance.n());
   }
   // Per-component solve wall time, the disk tier's admission/compaction
   // weight (parts carry no wall_ms of their own — the runner only stamps
@@ -252,7 +249,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
     // shifts, and decompress_times() reads only the interval maps —
     // nothing needs the instance afterwards.
     ctx.parts[c] = ctx.solver.do_solve(SolveRequest{
-        std::move(*ctx.solve_inst[c]), ctx.request.objective,
+        std::move(ctx.dec.components[c].instance), ctx.request.objective,
         ctx.request.params});
     solve_ms[c] = solve_watch.millis();
   };
@@ -384,6 +381,47 @@ SolveResult Pipeline::run(const Solver& solver, const SolveRequest& request,
   }
   ctx.result.stats.stages = ctx.stages;
   return std::move(ctx.result);
+}
+
+// --------------------------------------------------------------- roll-up --
+
+void PipelineStats::absorb(const SolveResult& result) {
+  ++requests;
+  if (!result.ok) ++rejected;
+  if (result.ok && result.feasible) ++feasible;
+  if (result.timed_out) ++timed_out;
+  if (result.audited) {
+    ++audited;
+    if (!result.audit_error.empty()) ++refuted;
+  }
+  if (result.stats.cache_hit) ++cache_hits;
+  component_cache_hits += result.stats.component_cache_hits;
+  for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
+    const StageStats& s = result.stats.stages[i];
+    if (s.ran) {
+      ++stages[i].runs;
+      stages[i].total_ms += s.ms;
+    } else {
+      ++stages[i].skips;
+    }
+  }
+}
+
+PipelineStats& PipelineStats::operator+=(const PipelineStats& other) {
+  requests += other.requests;
+  rejected += other.rejected;
+  feasible += other.feasible;
+  timed_out += other.timed_out;
+  audited += other.audited;
+  refuted += other.refuted;
+  cache_hits += other.cache_hits;
+  component_cache_hits += other.component_cache_hits;
+  for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
+    stages[i].runs += other.stages[i].runs;
+    stages[i].skips += other.stages[i].skips;
+    stages[i].total_ms += other.stages[i].total_ms;
+  }
+  return *this;
 }
 
 }  // namespace gapsched::engine::pipeline

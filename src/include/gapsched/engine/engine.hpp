@@ -18,12 +18,12 @@
 //     component_cache_hits / components_deduped report what was reused.
 //     Cached entries store no audit state: a hit under params.validate is
 //     re-audited against the requester's own instance by the independent
-//     oracle,
-//   * the lifetime per-stage PipelineStats roll-up (pipeline_stats()).
+//     oracle.
 //
 // Every solve lands in Solver::solve(request, cache) with this engine's
-// cache and is then folded into the roll-up. The Engine is thread-safe:
-// concurrent callers share the cache and the roll-up under their own locks.
+// cache. The Engine keeps no roll-up of its results: whoever holds them
+// folds them into a pipeline::PipelineStats. The Engine is thread-safe:
+// concurrent callers share the cache under its own locks.
 //
 // Batches: solve_batch() is the bulk call — results[i] always answers
 // jobs[i]. solve_stream() is the same with a completion callback — each
@@ -46,7 +46,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,31 +81,6 @@ struct EngineOptions {
   std::size_t store_max_bytes = 0;
 };
 
-/// Roll-up of a batch's outcomes. `timed_out` results are counted
-/// separately from `ok` — a timed-out answer is advisory at best, and a
-/// batch that produced one must not be reported as an unqualified success.
-struct BatchSummary {
-  std::size_t total = 0;
-  std::size_t ok = 0;        // engine accepted and a solver ran
-  std::size_t rejected = 0;  // !ok: outside the solver's envelope
-  std::size_t feasible = 0;
-  std::size_t infeasible = 0;
-  std::size_t timed_out = 0;  // ok, but over params.time_limit_s
-  std::size_t audited = 0;
-  std::size_t refuted = 0;  // audited with a non-empty audit_error
-  std::size_t cache_hits = 0;
-  std::size_t component_cache_hits = 0;
-  std::size_t components_deduped = 0;
-
-  /// True when every entry ran inside its envelope, none exceeded its time
-  /// budget, and no audited answer was refuted.
-  bool success() const {
-    return rejected == 0 && timed_out == 0 && refuted == 0;
-  }
-};
-
-BatchSummary summarize(const std::vector<SolveResult>& results);
-
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -122,8 +96,7 @@ class Engine {
   SolverRegistry& registry() { return *registry_; }
   const SolverRegistry& registry() const { return *registry_; }
 
-  /// One cache-aware solve. Unknown names come back as a rejection. Every
-  /// result — rejections included — is folded into pipeline_stats().
+  /// One cache-aware solve. Unknown names come back as a rejection.
   SolveResult solve(std::string_view solver, const SolveRequest& request);
   SolveResult solve(const Solver& solver, const SolveRequest& request);
 
@@ -143,10 +116,6 @@ class Engine {
   /// solve_batch.
   std::vector<SolveResult> solve_stream(const std::vector<BatchJob>& jobs,
                                         const StreamCallback& on_result);
-
-  /// Per-stage pipeline roll-up (runs/skips/summed wall time, indexed by
-  /// PipelineStage) across every request this engine served.
-  pipeline::PipelineStats pipeline_stats() const;
 
   /// Hit/miss/eviction counters of the solve cache (zeros when disabled).
   /// With a store this includes the disk tier: disk_hits, disk_rejects,
@@ -168,16 +137,10 @@ class Engine {
   void flush_store();
 
  private:
-  /// Folds one finished result into the stats roll-up.
-  void record(const SolveResult& result);
-
   EngineOptions options_;
   std::unique_ptr<SolverRegistry> registry_;
   std::string store_error_;
   std::unique_ptr<SolveCache> cache_;  // null when options_.cache is false
-
-  mutable std::mutex stats_mu_;
-  pipeline::PipelineStats stats_;
 };
 
 }  // namespace gapsched::engine

@@ -81,18 +81,15 @@ struct SolveContext {
 
   // ---- Decompose / Compress products ----
   /// The components own the canonical jobs, moved out of `canon` and
-  /// shifted in place.
+  /// shifted in place. Each component's instance (compressed in place when
+  /// Compress ran) is what CacheLookup hashes and audits and Dispatch
+  /// solves; Dispatch may move it out, and nothing reads it after.
   prep::Decomposition dec;
   /// Length-aware dead-time cap for Compress; 0 disables compression.
   Time cap = 0;
   /// Per component when the cap is positive: only the time maps
   /// (`instance` is empty), since Compress rewrote the component itself.
   std::vector<CompressedInstance> compressed;
-  /// The per-component instance CacheLookup hashes and audits and Dispatch
-  /// solves: always &dec.components[c].instance (compressed in place when
-  /// Compress ran). Dispatch may move that instance out; nothing reads it
-  /// after.
-  std::vector<Instance*> solve_inst;
 
   // ---- CacheLookup products ----
   std::vector<CacheKey> keys;
@@ -137,35 +134,42 @@ class Pipeline {
   static void audit(SolveContext& ctx);
 };
 
-/// Lifetime tallies of one pipeline stage across an Engine (or any other
-/// accumulator): how often it ran, how often the pipeline skipped it, and
-/// the summed wall time of the runs.
+/// Tallies of one pipeline stage across the results a roll-up absorbed:
+/// how often it ran, how often the pipeline skipped it, and the summed
+/// wall time of the runs.
 struct StageTally {
   std::uint64_t runs = 0;
   std::uint64_t skips = 0;
   double total_ms = 0.0;
 };
 
-/// Per-stage roll-up of every request an Engine (or a server shard) pushed
-/// through the pipeline, indexed by PipelineStage.
+/// The one roll-up of finished results. Whoever holds results folds them
+/// (a server shard, the CLI, a bench); the Engine keeps none. Each flag
+/// counts on its own: a rejected result that timed out counts in both
+/// `rejected` and `timed_out`.
 struct PipelineStats {
-  std::array<StageTally, kPipelineStageCount> stages{};
   /// Results absorbed. Requests rejected at Solver::check never enter the
   /// pipeline and show up as an all-skip row.
   std::uint64_t requests = 0;
+  std::uint64_t rejected = 0;  // !ok: outside the solver's envelope
+  std::uint64_t feasible = 0;
+  std::uint64_t timed_out = 0;  // over params.time_limit_s or a deadline
+  std::uint64_t audited = 0;
+  std::uint64_t refuted = 0;  // audited with a non-empty audit_error
+  std::uint64_t cache_hits = 0;
+  std::uint64_t component_cache_hits = 0;
+  /// Indexed by PipelineStage.
+  std::array<StageTally, kPipelineStageCount> stages{};
 
-  /// Folds one finished result's stage record into the tallies.
-  void absorb(const SolveStats& stats) {
-    ++requests;
-    for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
-      const StageStats& s = stats.stages[i];
-      if (s.ran) {
-        ++stages[i].runs;
-        stages[i].total_ms += s.ms;
-      } else {
-        ++stages[i].skips;
-      }
-    }
+  /// Folds one finished result into the tallies.
+  void absorb(const SolveResult& result);
+  /// Merges another roll-up into this one.
+  PipelineStats& operator+=(const PipelineStats& other);
+
+  /// True when every result ran inside its envelope, none exceeded its
+  /// time budget, and no audited answer was refuted.
+  bool success() const {
+    return rejected == 0 && timed_out == 0 && refuted == 0;
   }
 };
 

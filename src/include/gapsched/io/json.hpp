@@ -97,9 +97,10 @@ std::optional<engine::SolveResult> result_from_json(
     std::string_view text, std::string* error = nullptr);
 
 // ----------------------------------------------------- stats documents --
-// One codec for every tally the engine exposes: the server's `stats`
-// frame, `solver_cli --cache-stats`, and the benches all read and write
-// these documents instead of ad-hoc printing. Readers are tolerant to
+// One codec for the cache's tallies and the roll-up of finished results
+// (engine::pipeline::PipelineStats): the server's `stats` frame,
+// `solver_cli --cache-stats`, and the benches all read and write these
+// documents instead of ad-hoc printing. Readers are tolerant to
 // missing fields (they keep their defaults, like the result codec's
 // `stages` object) but reject wrong types and unknown stage names.
 
@@ -111,8 +112,10 @@ std::string cache_stats_to_json(const engine::CacheStats& stats);
 std::optional<engine::CacheStats> cache_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
-/// Serializes an Engine's (or a server shard's) per-stage pipeline roll-up:
-///   {"gapsched": "pipeline_stats","requests": 0,
+/// Serializes the roll-up of a caller's finished results:
+///   {"gapsched": "pipeline_stats","requests": 0,"rejected": 0,
+///    "feasible": 0,"timed_out": 0,"audited": 0,"refuted": 0,
+///    "cache_hits": 0,"component_cache_hits": 0,
 ///    "stages": {"canonicalize": {"runs": 0,"skips": 0,"total_ms": 0},
 ///               ... one entry per PipelineStage ...}}
 std::string pipeline_stats_to_json(
@@ -121,31 +124,13 @@ std::optional<engine::pipeline::PipelineStats> pipeline_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
 /// One worker shard's roll-up: the server's per-shard tally, and its
-/// entry in the `stats` frame.
-struct ShardStatsWire {
+/// entry in the `stats` frame ("shard" plus the pipeline_stats keys).
+struct ShardStatsWire : engine::pipeline::PipelineStats {
   std::int64_t shard = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t refuted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t component_cache_hits = 0;
-  engine::pipeline::PipelineStats pipeline;
-
-  /// Folds one finished response into the tallies.
-  void absorb(const engine::SolveResult& result) {
-    ++requests;
-    if (!result.ok) ++rejected;
-    if (result.timed_out) ++timed_out;
-    if (result.audited && !result.audit_error.empty()) ++refuted;
-    if (result.stats.cache_hit) ++cache_hits;
-    component_cache_hits += result.stats.component_cache_hits;
-    pipeline.absorb(result.stats);
-  }
 };
 
-/// The server `stats` frame body: the shared cache's tallies, the
-/// aggregate pipeline roll-up, and one entry per worker shard.
+/// The server `stats` frame body: the shared cache's tallies, one entry
+/// per worker shard, and `pipeline`, the shards' roll-ups summed.
 struct ServerStatsWire {
   engine::CacheStats cache;
   engine::pipeline::PipelineStats pipeline;

@@ -113,8 +113,8 @@ class Server {
   /// must not be called from a connection/shard thread.
   void drain();
 
-  /// Current tallies: shared cache counters, aggregate pipeline roll-up,
-  /// and the per-shard view — the body of the `stats` frame.
+  /// Current tallies: shared cache counters, the per-shard roll-ups, and
+  /// `pipeline`, their sum — the body of the `stats` frame.
   io::ServerStatsWire stats() const;
 
   const engine::SolverRegistry& registry() const {

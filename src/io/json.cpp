@@ -156,19 +156,20 @@ constexpr auto fields(const engine::pipeline::StageTally*) {
 constexpr auto fields(const engine::pipeline::PipelineStats*) {
   using S = engine::pipeline::PipelineStats;
   return std::make_tuple(row("requests", &S::requests),
+                         row("rejected", &S::rejected),
+                         row("feasible", &S::feasible),
+                         row("timed_out", &S::timed_out),
+                         row("audited", &S::audited),
+                         row("refuted", &S::refuted),
+                         row("cache_hits", &S::cache_hits),
+                         row("component_cache_hits", &S::component_cache_hits),
                          row("stages", &S::stages));
 }
 
 constexpr auto fields(const ShardStatsWire*) {
-  using S = ShardStatsWire;
-  return std::make_tuple(row("shard", &S::shard),
-                         row("requests", &S::requests),
-                         row("rejected", &S::rejected),
-                         row("timed_out", &S::timed_out),
-                         row("refuted", &S::refuted),
-                         row("cache_hits", &S::cache_hits),
-                         row("component_cache_hits", &S::component_cache_hits),
-                         row("pipeline", &S::pipeline));
+  return std::tuple_cat(
+      std::make_tuple(row("shard", &ShardStatsWire::shard)),
+      fields(static_cast<const engine::pipeline::PipelineStats*>(nullptr)));
 }
 
 constexpr auto fields(const ServerStatsWire*) {

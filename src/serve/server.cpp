@@ -333,14 +333,7 @@ io::ServerStatsWire Server::stats() const {
     const ShardState& state = *shard_states_[i];
     std::lock_guard<std::mutex> lk(state.mu);
     out.shards.push_back(state.tally);
-    // Aggregate = the per-shard roll-ups folded together.
-    out.pipeline.requests += state.tally.pipeline.requests;
-    for (std::size_t s = 0; s < engine::kPipelineStageCount; ++s) {
-      out.pipeline.stages[s].runs += state.tally.pipeline.stages[s].runs;
-      out.pipeline.stages[s].skips += state.tally.pipeline.stages[s].skips;
-      out.pipeline.stages[s].total_ms +=
-          state.tally.pipeline.stages[s].total_ms;
-    }
+    out.pipeline += state.tally;
   }
   return out;
 }

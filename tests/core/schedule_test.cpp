@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/matching/feasibility.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched {
@@ -91,22 +94,11 @@ TEST_P(StaircaseProperty, PerProcessorMatchesProfile) {
   GAPSCHED_TRACE_SEED(prng_seed);
   Prng rng(prng_seed);
   const int p = 1 + GetParam() % 3;
-  Instance inst = gen_feasible_one_interval(rng, 8, 12, 2, p);
-  // Anchor schedule: place each job at its window midpoint may violate
-  // capacity; instead schedule at anchors via brute placement: each job at
-  // its release, clamped by capacity using later times.
-  Schedule s(inst.n());
-  std::vector<int> used(64, 0);
-  for (std::size_t j = 0; j < inst.n(); ++j) {
-    for (Time t = inst.jobs[j].release(); t <= inst.jobs[j].deadline(); ++t) {
-      if (used[static_cast<std::size_t>(t)] < p) {
-        ++used[static_cast<std::size_t>(t)];
-        s.place(j, t);
-        break;
-      }
-    }
-    if (!s.is_scheduled(j)) GTEST_SKIP() << "greedy packing failed";
-  }
+  const Instance inst = gen_feasible_one_interval(rng, 8, 12, 2, p);
+  // The generator's anchors make every draw feasible.
+  std::optional<Schedule> feasible = any_feasible_schedule(inst);
+  ASSERT_TRUE(feasible.has_value());
+  Schedule& s = *feasible;
   s.assign_processors_staircase();
   ASSERT_EQ(s.validate(inst), "");
   EXPECT_EQ(s.per_processor_transitions(inst), s.profile().transitions());

@@ -188,8 +188,12 @@ TEST(Metamorphic, TimeStretchInvariance) {
       ASSERT_TRUE(wgap.ok && wpow.ok) << wgap.error << wpow.error;
       EXPECT_EQ(base.feasible, wgap.feasible);
       EXPECT_EQ(pbase.feasible, wpow.feasible);
-      if (base.feasible) EXPECT_EQ(base.transitions, wgap.transitions);
-      if (pbase.feasible) EXPECT_DOUBLE_EQ(pbase.cost, wpow.cost);
+      if (base.feasible) {
+        EXPECT_EQ(base.transitions, wgap.transitions);
+      }
+      if (pbase.feasible) {
+        EXPECT_DOUBLE_EQ(pbase.cost, wpow.cost);
+      }
     }
   }
 }

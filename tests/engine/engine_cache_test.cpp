@@ -18,6 +18,7 @@
 #include "gapsched/dp/gap_dp.hpp"
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/io/json.hpp"
 #include "gapsched/prep/prep.hpp"
 #include "../support/test_seed.hpp"
 
@@ -541,6 +542,12 @@ TEST(SolveCacheLru, KeyTextIsByteStableAcrossVersions) {
 
 // ------------------------------------------------------------- summaries --
 
+pipeline::PipelineStats fold(const std::vector<SolveResult>& results) {
+  pipeline::PipelineStats stats;
+  for (const SolveResult& r : results) stats.absorb(r);
+  return stats;
+}
+
 TEST(BatchSummaryTest, CountsTimedOutRejectedAndRefutedSeparately) {
   Engine eng;
   std::vector<BatchJob> jobs;
@@ -552,10 +559,10 @@ TEST(BatchSummaryTest, CountsTimedOutRejectedAndRefutedSeparately) {
   jobs.push_back(std::move(slow));
 
   const std::vector<SolveResult> results = eng.solve_batch(jobs);
-  const BatchSummary summary = summarize(results);
-  EXPECT_EQ(summary.total, 3u);
-  EXPECT_EQ(summary.ok, 2u);
+  const pipeline::PipelineStats summary = fold(results);
+  EXPECT_EQ(summary.requests, 3u);
   EXPECT_EQ(summary.rejected, 1u);
+  EXPECT_EQ(summary.feasible, 2u);
   // The fix this pins: a timed-out result is counted, and it disqualifies
   // the batch from unqualified success even though its entry is `ok`.
   EXPECT_EQ(summary.timed_out, 1u);
@@ -563,10 +570,68 @@ TEST(BatchSummaryTest, CountsTimedOutRejectedAndRefutedSeparately) {
 
   jobs.pop_back();
   jobs.erase(jobs.begin() + 1);
-  const BatchSummary clean = summarize(eng.solve_batch(jobs));
+  const pipeline::PipelineStats clean = fold(eng.solve_batch(jobs));
   EXPECT_EQ(clean.rejected, 0u);
   EXPECT_EQ(clean.timed_out, 0u);
   EXPECT_TRUE(clean.success());
+}
+
+TEST(BatchSummaryTest, RejectedTimeoutCountsAsBothInABatchAndInAShard) {
+  // A request whose deadline expired in a shard queue comes back rejected
+  // with timed_out set; every roll-up counts each flag on its own.
+  SolveResult expired = SolveResult::rejected("deadline exceeded");
+  expired.timed_out = true;
+  const pipeline::PipelineStats batch = fold({expired});
+  io::ShardStatsWire shard;
+  shard.absorb(expired);
+  for (const pipeline::PipelineStats* s :
+       {&batch, static_cast<const pipeline::PipelineStats*>(&shard)}) {
+    EXPECT_EQ(s->requests, 1u);
+    EXPECT_EQ(s->rejected, 1u);
+    EXPECT_EQ(s->timed_out, 1u);
+    EXPECT_EQ(s->feasible, 0u);
+    EXPECT_FALSE(s->success());
+  }
+}
+
+TEST(BatchSummaryTest, MergedHalvesEqualOneFoldOfEverything) {
+  Engine eng({.threads = 1});  // in order, so the repeats are cache hits
+  std::vector<BatchJob> jobs;
+  for (int i = 0; i < 6; ++i) {
+    BatchJob job{"gap_dp",
+                 {small_instance(43 + static_cast<std::uint64_t>(i % 4)),
+                  Objective::kGaps,
+                  {}}};
+    job.request.params.validate = i % 2 == 0;
+    jobs.push_back(std::move(job));
+  }
+  jobs.push_back({"no_such_solver", {small_instance(47), Objective::kGaps,
+                                     {}}});
+  const std::vector<SolveResult> results = eng.solve_batch(jobs);
+  const auto mid = results.begin() + 3;
+  pipeline::PipelineStats merged = fold({results.begin(), mid});
+  merged += fold({mid, results.end()});
+  const pipeline::PipelineStats whole = fold(results);
+
+  EXPECT_EQ(merged.requests, whole.requests);
+  EXPECT_EQ(merged.rejected, whole.rejected);
+  EXPECT_EQ(merged.feasible, whole.feasible);
+  EXPECT_EQ(merged.timed_out, whole.timed_out);
+  EXPECT_EQ(merged.audited, whole.audited);
+  EXPECT_EQ(merged.refuted, whole.refuted);
+  EXPECT_EQ(merged.cache_hits, whole.cache_hits);
+  EXPECT_EQ(merged.component_cache_hits, whole.component_cache_hits);
+  for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
+    EXPECT_EQ(merged.stages[i].runs, whole.stages[i].runs) << i;
+    EXPECT_EQ(merged.stages[i].skips, whole.stages[i].skips) << i;
+    EXPECT_NEAR(merged.stages[i].total_ms, whole.stages[i].total_ms, 1e-9)
+        << i;
+  }
+  // The batch exercised every counter the merge has to carry.
+  EXPECT_EQ(whole.requests, 7u);
+  EXPECT_EQ(whole.rejected, 1u);
+  EXPECT_EQ(whole.audited, 3u);
+  EXPECT_GT(whole.cache_hits, 0u);
 }
 
 }  // namespace

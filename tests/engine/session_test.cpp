@@ -1,12 +1,13 @@
 // The Engine's execution layer and the staged solve pipeline's observable
 // semantics: per-stage ran/skip verdicts in SolveStats::stages, component
-// cache keys that match the public prep path, the Engine's PipelineStats
-// roll-up, solve_stream callback ordering and request-order guarantees,
-// concurrent streams and short-lived callers contending on one shared
-// cache, the no-double-audit invariant (cache hits are re-audited exactly
-// once, by the serving request), and concurrent decomposed solves fanning
-// their components out on the one executor. The concurrency tests here
-// also run under the CI ASan/UBSan and TSan lanes.
+// cache keys that match the public prep path, the PipelineStats roll-up
+// callers fold from their results, solve_stream callback ordering and
+// request-order guarantees, concurrent streams and short-lived callers
+// contending on one shared cache, the no-double-audit invariant (cache
+// hits are re-audited exactly once, by the serving request), and
+// concurrent decomposed solves fanning their components out on the one
+// executor. The concurrency tests here also run under the CI ASan/UBSan
+// and TSan lanes.
 
 #include <gtest/gtest.h>
 
@@ -239,16 +240,16 @@ TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
   EXPECT_GE(multi_component, 3u);  // one per solver at least
 }
 
-// -------------------------------------------------- the engine stats roll-up --
+// ----------------------------------------------------- the stats roll-up --
 
 TEST(Session, PipelineStatsTallyRunsAndSkipsAcrossRequests) {
   Engine eng;
   SolveRequest req{small_instance(913), Objective::kGaps, {}};
   req.params.validate = true;
-  eng.solve("gap_dp", req);  // cold: dispatch runs
-  eng.solve("gap_dp", req);  // warm: served from the cache
+  pipeline::PipelineStats stats;
+  stats.absorb(eng.solve("gap_dp", req));  // cold: dispatch runs
+  stats.absorb(eng.solve("gap_dp", req));  // warm: served from the cache
 
-  const pipeline::PipelineStats stats = eng.pipeline_stats();
   EXPECT_EQ(stats.requests, 2u);
   const auto& dispatch =
       stats.stages[static_cast<std::size_t>(PipelineStage::kDispatch)];
@@ -281,8 +282,11 @@ TEST(Session, RejectionsAreAbsorbedAsAllSkipRows) {
   const SolveResult rejected = eng.solve("gap_dp", wrong);
   EXPECT_FALSE(rejected.ok);
 
-  const pipeline::PipelineStats stats = eng.pipeline_stats();
+  pipeline::PipelineStats stats;
+  stats.absorb(unknown);
+  stats.absorb(rejected);
   EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.rejected, 2u);
   for (const pipeline::StageTally& t : stats.stages) {
     EXPECT_EQ(t.runs, 0u);
     EXPECT_EQ(t.skips, 2u);
@@ -378,9 +382,14 @@ TEST(Session, ConcurrentStreamsShareOneEngineWithoutDoubleAudit) {
   // No double-audit: the Audit stage ran once per request — absorbed runs
   // equal the number of validated requests, even though most answers were
   // cache hits re-served across streams.
-  const pipeline::PipelineStats stats = eng.pipeline_stats();
+  pipeline::PipelineStats stats;
+  for (const std::vector<SolveResult>& stream : all) {
+    for (const SolveResult& r : stream) stats.absorb(r);
+  }
   EXPECT_EQ(stats.requests,
             static_cast<std::uint64_t>(kStreams) * kJobsPerStream);
+  EXPECT_EQ(stats.audited, stats.requests);
+  EXPECT_EQ(stats.refuted, 0u);
   const auto& audit =
       stats.stages[static_cast<std::size_t>(PipelineStage::kAudit)];
   EXPECT_EQ(audit.runs, stats.requests);
@@ -400,12 +409,12 @@ TEST(Session, StandaloneSessionSharesRegistryAndCacheWithAnother) {
 
   SolveRequest req{small_instance(950), Objective::kGaps, {}};
   const SolveResult cold = gap_dp->solve(req, &cache);
-  a.absorb(cold.stats);
+  a.absorb(cold);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_FALSE(cold.stats.cache_hit);
 
   const SolveResult warm = gap_dp->solve(req, &cache);
-  b.absorb(warm.stats);
+  b.absorb(warm);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_EQ(warm.cost, cold.cost);
@@ -413,6 +422,8 @@ TEST(Session, StandaloneSessionSharesRegistryAndCacheWithAnother) {
   // Each caller keeps its own roll-up.
   EXPECT_EQ(a.requests, 1u);
   EXPECT_EQ(b.requests, 1u);
+  EXPECT_EQ(a.cache_hits, 0u);
+  EXPECT_EQ(b.cache_hits, 1u);
 }
 
 TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
@@ -447,18 +458,13 @@ TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
           SolveRequest req{small_instance(site), Objective::kGaps, {}};
           req.params.validate = true;
           const SolveResult result = gap_dp->solve(req, &cache);
-          stats.absorb(result.stats);
+          stats.absorb(result);
           if (!result.ok || !result.audit_error.empty()) ++failures;
           ++solves;
           if (result.stats.cache_hit) ++hits;
         }
         std::lock_guard<std::mutex> lk(folded_mu);
-        folded.requests += stats.requests;
-        for (std::size_t i = 0; i < kPipelineStageCount; ++i) {
-          folded.stages[i].runs += stats.stages[i].runs;
-          folded.stages[i].skips += stats.stages[i].skips;
-          folded.stages[i].total_ms += stats.stages[i].total_ms;
-        }
+        folded += stats;
         // The caller's stats die here; the cache and the fold live on.
       }
     });
@@ -479,6 +485,7 @@ TEST(Session, ChurningShortLivedSessionsLeaveSharedStateIntact) {
   // served from cache warmed by (mostly) already-finished callers.
   EXPECT_GE(hits.load(), expected - kSites * kThreads);
   EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(folded.cache_hits, hits.load());
   const CacheStats after = cache.stats();
   EXPECT_EQ(after.hits, hits.load());
   EXPECT_EQ(after.entries, static_cast<std::size_t>(kSites));

@@ -534,6 +534,8 @@ TEST(JsonCodec, EveryDocumentIsOneLine) {
   request.instance = Instance::one_interval({{0, 3}, {1, 4}, {10, 12}});
   const SolveResult solved = eng.solve("gap_dp", request);
   ASSERT_TRUE(solved.ok) << solved.error;
+  engine::pipeline::PipelineStats solved_stats;
+  solved_stats.absorb(solved);
   ServerStatsWire stats;
   stats.shards.resize(2);
   stats.shards[1].shard = 1;
@@ -543,7 +545,7 @@ TEST(JsonCodec, EveryDocumentIsOneLine) {
       result_to_json(solved),
       result_to_json(SolveResult::rejected("two\nlines")),
       cache_stats_to_json(eng.cache_stats()),
-      pipeline_stats_to_json(eng.pipeline_stats()),
+      pipeline_stats_to_json(solved_stats),
       server_stats_to_json(stats),
   };
   for (const std::string& text : texts) {
@@ -598,6 +600,13 @@ TEST(JsonCodec, CacheStatsToleratesMissingFields) {
 TEST(JsonCodec, PipelineStatsRoundTripPerStage) {
   engine::pipeline::PipelineStats stats;
   stats.requests = 42;
+  stats.rejected = 3;
+  stats.feasible = 30;
+  stats.timed_out = 4;
+  stats.audited = 20;
+  stats.refuted = 1;
+  stats.cache_hits = 11;
+  stats.component_cache_hits = 17;
   for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
     stats.stages[i].runs = 10 * i + 1;
     stats.stages[i].skips = i;
@@ -608,6 +617,13 @@ TEST(JsonCodec, PipelineStatsRoundTripPerStage) {
       pipeline_stats_from_json(pipeline_stats_to_json(stats), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->requests, 42u);
+  EXPECT_EQ(parsed->rejected, 3u);
+  EXPECT_EQ(parsed->feasible, 30u);
+  EXPECT_EQ(parsed->timed_out, 4u);
+  EXPECT_EQ(parsed->audited, 20u);
+  EXPECT_EQ(parsed->refuted, 1u);
+  EXPECT_EQ(parsed->cache_hits, 11u);
+  EXPECT_EQ(parsed->component_cache_hits, 17u);
   for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
     EXPECT_EQ(parsed->stages[i].runs, stats.stages[i].runs) << i;
     EXPECT_EQ(parsed->stages[i].skips, stats.stages[i].skips) << i;
@@ -657,7 +673,7 @@ TEST(JsonCodec, ServerStatsRoundTripWithShards) {
     shard.refuted = 0;
     shard.cache_hits = 5;
     shard.component_cache_hits = 7;
-    shard.pipeline.requests = shard.requests;
+    shard.stages[2].runs = 3 + static_cast<std::uint64_t>(s);
     wire.shards.push_back(shard);
   }
   std::string error;
@@ -672,8 +688,71 @@ TEST(JsonCodec, ServerStatsRoundTripWithShards) {
     EXPECT_EQ(parsed->shards[s].requests, 10 + s);
     EXPECT_EQ(parsed->shards[s].timed_out, 2u);
     EXPECT_EQ(parsed->shards[s].component_cache_hits, 7u);
-    EXPECT_EQ(parsed->shards[s].pipeline.requests, 10 + s);
+    EXPECT_EQ(parsed->shards[s].stages[2].runs, 3 + s);
   }
+}
+
+// A stats frame exactly as the writer before the one roll-up emitted it:
+// each shard entry carried six counters and a nested "pipeline" object.
+// Stats frames are never persisted, but a client and a server of
+// neighbouring versions must still read each other's.
+constexpr const char* kNestedShardStatsFrame =
+    R"({"frame":"stats","gapsched": "server_stats","cache": {"hits": 3,)"
+    R"("misses": 3,"insertions": 3,"evictions": 0,"entries": 3,)"
+    R"("capacity": 65536,"disk_hits": 0,"disk_rejects": 0,"spilled": 0,)"
+    R"("disk_entries": 0},"pipeline": {"requests": 2,"stages": {)"
+    R"("canonicalize": {"runs": 2,"skips": 0,"total_ms": 0.052508},)"
+    R"("decompose": {"runs": 2,"skips": 0,"total_ms": 0.024510999999999998},)"
+    R"("compress": {"runs": 2,"skips": 0,"total_ms": 0.013302999999999999},)"
+    R"("cache_lookup": {"runs": 2,"skips": 0,)"
+    R"("total_ms": 0.033306999999999996},)"
+    R"("dispatch": {"runs": 1,"skips": 1,"total_ms": 0.040107000000000004},)"
+    R"("recombine": {"runs": 2,"skips": 0,"total_ms": 0.007503},)"
+    R"("audit": {"runs": 2,"skips": 0,"total_ms": 0.013198}}},)"
+    R"("shards": [{"shard": 0,"requests": 0,"rejected": 0,"timed_out": 0,)"
+    R"("refuted": 0,"cache_hits": 0,"component_cache_hits": 0,)"
+    R"("pipeline": {"requests": 0,"stages": {)"
+    R"("canonicalize": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("decompose": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("compress": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("cache_lookup": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("dispatch": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("recombine": {"runs": 0,"skips": 0,"total_ms": 0},)"
+    R"("audit": {"runs": 0,"skips": 0,"total_ms": 0}}}},)"
+    R"({"shard": 1,"requests": 2,"rejected": 0,"timed_out": 0,"refuted": 0,)"
+    R"("cache_hits": 1,"component_cache_hits": 3,)"
+    R"("pipeline": {"requests": 2,"stages": {)"
+    R"("canonicalize": {"runs": 2,"skips": 0,"total_ms": 0.052508},)"
+    R"("decompose": {"runs": 2,"skips": 0,"total_ms": 0.024510999999999998},)"
+    R"("compress": {"runs": 2,"skips": 0,"total_ms": 0.013302999999999999},)"
+    R"("cache_lookup": {"runs": 2,"skips": 0,)"
+    R"("total_ms": 0.033306999999999996},)"
+    R"("dispatch": {"runs": 1,"skips": 1,"total_ms": 0.040107000000000004},)"
+    R"("recombine": {"runs": 2,"skips": 0,"total_ms": 0.007503},)"
+    R"("audit": {"runs": 2,"skips": 0,"total_ms": 0.013198}}}}]})";
+
+TEST(JsonCodec, ServerStatsReadsAFrameWithNestedShardPipelines) {
+  std::string error;
+  const auto parsed = server_stats_from_json(kNestedShardStatsFrame, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->cache.hits, 3u);
+  EXPECT_EQ(parsed->cache.misses, 3u);
+  EXPECT_EQ(parsed->cache.entries, 3u);
+  EXPECT_EQ(parsed->cache.capacity, 65536u);
+  EXPECT_EQ(parsed->pipeline.requests, 2u);
+  const auto dispatch =
+      static_cast<std::size_t>(engine::PipelineStage::kDispatch);
+  EXPECT_EQ(parsed->pipeline.stages[dispatch].skips, 1u);
+  ASSERT_EQ(parsed->shards.size(), 2u);
+  EXPECT_EQ(parsed->shards[0].shard, 0);
+  EXPECT_EQ(parsed->shards[0].requests, 0u);
+  EXPECT_EQ(parsed->shards[1].shard, 1);
+  EXPECT_EQ(parsed->shards[1].requests, 2u);
+  EXPECT_EQ(parsed->shards[1].cache_hits, 1u);
+  EXPECT_EQ(parsed->shards[1].component_cache_hits, 3u);
+  // The nested object is skipped like any unknown member: the entry's own
+  // stage rows stay empty rather than misread.
+  EXPECT_EQ(parsed->shards[1].stages[dispatch].runs, 0u);
 }
 
 TEST(JsonCodec, FrameHeadParsesHeaderFieldsAndIgnoresTheBody) {

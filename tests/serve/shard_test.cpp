@@ -148,9 +148,13 @@ TEST(ServeShard, TallyAbsorbsResultOutcomes) {
   EXPECT_EQ(tally.refuted, 1u);
   EXPECT_EQ(tally.cache_hits, 1u);
   EXPECT_EQ(tally.component_cache_hits, 2u);
+  EXPECT_EQ(tally.feasible, 1u);
+  EXPECT_EQ(tally.audited, 1u);
 
   EXPECT_EQ(tally.shard, 3);  // absorb() leaves the shard index alone
-  EXPECT_EQ(tally.pipeline.requests, 3u);
+  for (const engine::pipeline::StageTally& t : tally.stages) {
+    EXPECT_EQ(t.skips, 3u);  // hand-made results ran no stage
+  }
 }
 
 }  // namespace
