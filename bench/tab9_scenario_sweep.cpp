@@ -346,8 +346,11 @@ int main(int, char** argv) {
       }
     }
   }
-  engine::Engine cached;                     // cache on (the default)
-  engine::Engine uncached({.cache = false});
+  // One worker each: a multi-threaded stream races identical requests to
+  // the cache, so how many of them miss and run Dispatch would differ from
+  // run to run, and the speedup compares the two engines at equal width.
+  engine::Engine cached({.threads = 1});  // cache on (the default)
+  engine::Engine uncached({.threads = 1, .cache = false});
   const auto timed_stream = [&](engine::Engine& e) {
     std::size_t delivered = 0;
     Stopwatch sw;

@@ -29,8 +29,12 @@ TimeSet TimeSet::points(const std::vector<Time>& times) {
 
 void TimeSet::normalize() {
   std::erase_if(intervals_, [](const Interval& iv) { return iv.empty(); });
-  std::sort(intervals_.begin(), intervals_.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  const auto by_start = [](const Interval& a, const Interval& b) {
+    return a.lo < b.lo;
+  };
+  if (!std::is_sorted(intervals_.begin(), intervals_.end(), by_start)) {
+    std::sort(intervals_.begin(), intervals_.end(), by_start);
+  }
   // Merge overlapping and adjacent neighbours in place: [0, kept) is the
   // normalized prefix.
   std::size_t kept = 0;

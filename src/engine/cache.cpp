@@ -24,19 +24,17 @@ void append_double(std::string& out, double value) {
   out += buf;
 }
 
-/// Request-independent normal form of a cached entry: the pipeline
-/// re-derives timing and audit for every request a hit serves.
-std::shared_ptr<SolveResult> normalize_entry(const SolveResult& result) {
-  auto stored = std::make_shared<SolveResult>(result);
-  stored->stats.wall_ms = 0.0;
-  stored->stats.cache_hit = false;
-  stored->stats.component_cache_hits = 0;
-  stored->stats.components_deduped = 0;
-  stored->stats.stages = {};
-  stored->timed_out = false;
-  stored->audited = false;
-  stored->audit_error.clear();
-  return stored;
+/// Puts `entry` in the request-independent normal form of a cached entry:
+/// the pipeline re-derives timing and audit for every request a hit serves.
+void normalize(SolveResult& entry) {
+  entry.stats.wall_ms = 0.0;
+  entry.stats.cache_hit = false;
+  entry.stats.component_cache_hits = 0;
+  entry.stats.components_deduped = 0;
+  entry.stats.stages = {};
+  entry.timed_out = false;
+  entry.audited = false;
+  entry.audit_error.clear();
 }
 
 /// The only answers the disk tier holds, on the way in and on the way
@@ -52,7 +50,6 @@ bool persistable(const SolveResult& result) {
 CacheKey make_cache_key(const SolverInfo& info, Objective objective,
                         const SolveParams& params, const Instance& canonical) {
   std::string text;
-  text.reserve(48 + canonical.n() * 12);
   const auto append_int = [](std::string& out, auto value) {
     char buf[24];
     out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
@@ -80,15 +77,27 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
     text += ",b=";
     append_int(text, params.block_size);
   }
+  // The jobs, "|lo,hi;lo,hi;..." each, go into one buffer sized for the
+  // longest spelling: a '|' per job and 20 + 1 + 20 + 1 bytes per interval.
+  constexpr std::size_t kIntervalBytes = 42;
+  std::size_t intervals = 0;
   for (const Job& job : canonical.jobs) {
-    text += '|';
+    intervals += job.allowed.interval_count();
+  }
+  const std::size_t head = text.size();
+  text.resize(head + canonical.n() + intervals * kIntervalBytes);
+  char* p = text.data() + head;
+  char* const end = text.data() + text.size();
+  for (const Job& job : canonical.jobs) {
+    *p++ = '|';
     for (const Interval& iv : job.allowed.intervals()) {
-      append_int(text, iv.lo);
-      text += ',';
-      append_int(text, iv.hi);
-      text += ';';
+      p = std::to_chars(p, end, iv.lo).ptr;
+      *p++ = ',';
+      p = std::to_chars(p, end, iv.hi).ptr;
+      *p++ = ';';
     }
   }
+  text.resize(static_cast<std::size_t>(p - text.data()));
   CacheKey key;
   key.digest = fnv1a64(text);
   key.text = std::move(text);
@@ -144,13 +153,15 @@ std::shared_ptr<const SolveResult> SolveCache::lookup(
     ++disk_rejects_;
     return nullptr;
   }
-  // Copied, not moved: an entry that kept the parser's allocations cost
-  // perfbench restart_warm about 3 % of its throughput.
-  std::shared_ptr<const SolveResult> stored = normalize_entry(*parsed);
+  // Copied, not parsed in place: the parser's buffer, freed here, is then
+  // reused warm by the stages after this one. Parsing straight into the
+  // entry raised traced restart_warm cache_lookup_us in 9 of 10 pairs.
+  auto entry = std::make_shared<SolveResult>(*parsed);
+  normalize(*entry);
   std::lock_guard<std::mutex> lk(mu_);
   ++disk_hits_;
-  insert_locked(key, stored);
-  return stored;
+  insert_locked(key, entry);
+  return entry;
 }
 
 void SolveCache::insert(const CacheKey& key, const SolveResult& result,
@@ -158,7 +169,8 @@ void SolveCache::insert(const CacheKey& key, const SolveResult& result,
   // Normal form built outside the lock; this shared entry is also exactly
   // what the spill worker serializes, so disk records carry no
   // request-specific state either.
-  std::shared_ptr<SolveResult> stored = normalize_entry(result);
+  auto stored = std::make_shared<SolveResult>(result);
+  normalize(*stored);
   // Cost-weighted admission to the disk tier: only persistable answers
   // whose solve paid at least the threshold are worth a record.
   const bool spill =

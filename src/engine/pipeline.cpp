@@ -86,19 +86,6 @@ Time compression_cap(const SolveRequest& request) {
   return static_cast<Time>(alpha_ceil) + 1;
 }
 
-/// Maps a schedule produced on a compressed instance back to the
-/// uncompressed time axis (job order is unchanged by compression).
-Schedule decompress_times(const Schedule& in, const CompressedInstance& ci) {
-  Schedule out(in.size());
-  for (std::size_t j = 0; j < in.size(); ++j) {
-    const std::optional<Placement>& slot = in.at(j);
-    if (slot.has_value()) {
-      out.place(j, ci.to_original(slot->time), slot->processor);
-    }
-  }
-  return out;
-}
-
 /// Rewrites an original-coordinate schedule in the job order and origin of
 /// `comp`, the identity component of its instance (prep::recombine is the
 /// inverse). Infeasible answers carry an empty schedule and stay empty.
@@ -145,7 +132,7 @@ void Pipeline::decompose(SolveContext& ctx) {
         std::move(ctx.canon.order)});
   }
   const std::size_t m = ctx.dec.components.size();
-  ctx.compressed.resize(ctx.cap > 0 ? m : 0);
+  ctx.compressed.resize(m);
   ctx.parts.resize(m);
   ctx.dup_of.assign(m, kNoDup);
   // Default routing solves every component; CacheLookup refines this to
@@ -156,18 +143,21 @@ void Pipeline::decompose(SolveContext& ctx) {
 }
 
 /// Dead-time compresses every component in place at the length-aware cap
-/// (runs when the cap is positive), keeping only the time maps. The
-/// compressed image is both what Dispatch solves and what CacheLookup
-/// hashes — two components differing only in interior dead-run lengths
-/// (beyond the cap) share an entry.
+/// (when the cap is positive), keeping only the time maps. The compressed
+/// image is both what Dispatch solves and what CacheLookup hashes — two
+/// components differing only in interior dead-run lengths (beyond the cap)
+/// share an entry. The stage counts as ran only when it moved some
+/// component: one already in compressed form keeps empty maps.
 void Pipeline::compress(SolveContext& ctx) {
   if (ctx.cap == 0) return;
-  stage_of(ctx, PipelineStage::kCompress).ran = true;
+  bool moved = false;
   for (std::size_t c = 0; c < ctx.dec.components.size(); ++c) {
     ctx.compressed[c] = compress_dead_time_capped_in_place(
         ctx.dec.components[c].instance, ctx.cap);
     ctx.agg.dead_time_removed += ctx.compressed[c].dead_time_removed();
+    moved = moved || !ctx.compressed[c].identity();
   }
+  stage_of(ctx, PipelineStage::kCompress).ran = moved;
 }
 
 /// Consults the content-addressed cache for every component,
@@ -199,7 +189,7 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
         ctx.keys[c], ctx.dec.components[c].instance, ctx.request.objective,
         ctx.request.params, ctx.solver.info().exact);
     if (hit != nullptr) {
-      ctx.parts[c] = *hit;  // entry is shared; copy outside the lock
+      ctx.parts[c] = std::move(hit);
       ctx.hit_components.push_back(c);
       ++ctx.agg.component_cache_hits;
     } else {
@@ -238,19 +228,21 @@ void Pipeline::dispatch(SolveContext& ctx) {
     // apply to the recombined whole.
     Stopwatch solve_watch;
     if (original) {
-      ctx.parts[c] = ctx.solver.do_solve(ctx.request);
+      SolveResult part = ctx.solver.do_solve(ctx.request);
       solve_ms[c] = solve_watch.millis();
-      ctx.parts[c].schedule =
-          canonicalize_schedule(ctx.parts[c].schedule, ctx.dec.components[c]);
+      part.schedule = canonicalize_schedule(part.schedule,
+                                            ctx.dec.components[c]);
+      ctx.parts[c] = std::make_shared<const SolveResult>(std::move(part));
       return;
     }
     // Safe to move the component's instance out: cache keys were built by
-    // CacheLookup, recombine() reads only the components' job maps and
-    // shifts, and decompress_times() reads only the interval maps —
-    // nothing needs the instance afterwards.
-    ctx.parts[c] = ctx.solver.do_solve(SolveRequest{
-        std::move(ctx.dec.components[c].instance), ctx.request.objective,
-        ctx.request.params});
+    // CacheLookup, and Recombine reads only the components' job maps and
+    // shifts and the compression maps — nothing needs the instance
+    // afterwards.
+    ctx.parts[c] = std::make_shared<const SolveResult>(
+        ctx.solver.do_solve(SolveRequest{
+            std::move(ctx.dec.components[c].instance), ctx.request.objective,
+            ctx.request.params}));
     solve_ms[c] = solve_watch.millis();
   };
   if (ctx.to_solve.size() > 1 && largest >= kParallelFanoutMinComponentJobs) {
@@ -260,17 +252,18 @@ void Pipeline::dispatch(SolveContext& ctx) {
   }
   if (ctx.cache != nullptr) {
     for (std::size_t c : ctx.to_solve) {
-      if (ctx.parts[c].ok) {
-        ctx.cache->insert(ctx.keys[c], ctx.parts[c], solve_ms[c]);
+      if (ctx.parts[c]->ok) {
+        ctx.cache->insert(ctx.keys[c], *ctx.parts[c], solve_ms[c]);
       }
     }
   }
 }
 
 /// Assembles the final answer from the component parts: resolves
-/// intra-request duplicates, sums costs/stats across the additive cut,
-/// decompresses times, and maps every schedule back to the requester's job
-/// ids and origin.
+/// intra-request duplicates, sums costs/stats across the additive cut, and
+/// writes every placement once into the answer, decompressed and mapped
+/// back to the requester's job ids and origin
+/// (prep::recombine_component).
 void Pipeline::recombine(SolveContext& ctx) {
   stage_of(ctx, PipelineStage::kRecombine).ran = true;
   const std::size_t m = ctx.dec.components.size();
@@ -283,7 +276,7 @@ void Pipeline::recombine(SolveContext& ctx) {
   out.feasible = true;
   out.stats = ctx.agg;
   for (std::size_t c = 0; c < m; ++c) {
-    const SolveResult& part = ctx.parts[c];
+    const SolveResult& part = *ctx.parts[c];
     if (!part.ok) {
       // A component the family itself cannot handle (e.g. a single cluster
       // over the DP's packed-key limits) rejects the whole request; the
@@ -305,13 +298,14 @@ void Pipeline::recombine(SolveContext& ctx) {
   for (const std::vector<std::size_t>* group :
        {&ctx.to_solve, &ctx.hit_components}) {
     for (std::size_t c : *group) {
-      out.stats.states += ctx.parts[c].stats.states;
-      out.stats.nodes += ctx.parts[c].stats.nodes;
-      out.stats.memo_arena_solves += ctx.parts[c].stats.memo_arena_solves;
-      out.stats.memo_hash_solves += ctx.parts[c].stats.memo_hash_solves;
-      out.stats.memo_find_calls += ctx.parts[c].stats.memo_find_calls;
-      out.stats.memo_probe_steps += ctx.parts[c].stats.memo_probe_steps;
-      out.stats.memo_pruned += ctx.parts[c].stats.memo_pruned;
+      const SolveStats& s = ctx.parts[c]->stats;
+      out.stats.states += s.states;
+      out.stats.nodes += s.nodes;
+      out.stats.memo_arena_solves += s.memo_arena_solves;
+      out.stats.memo_hash_solves += s.memo_hash_solves;
+      out.stats.memo_find_calls += s.memo_find_calls;
+      out.stats.memo_probe_steps += s.memo_probe_steps;
+      out.stats.memo_pruned += s.memo_pruned;
     }
   }
   if (!out.feasible) {
@@ -321,18 +315,16 @@ void Pipeline::recombine(SolveContext& ctx) {
 
   // Components are separated by more than the cut threshold, so transitions
   // and costs are additive (see prep.hpp for the two objectives' arguments).
-  std::vector<Schedule> schedules(m);
+  // Deduplicated components share a compressed-coordinate schedule but map
+  // back through their own dead-run lengths.
+  out.schedule = Schedule(ctx.request.instance.n());
   for (std::size_t c = 0; c < m; ++c) {
-    out.cost += ctx.parts[c].cost;
-    out.transitions += ctx.parts[c].transitions;
-    // Deduplicated components share a compressed-coordinate schedule but
-    // map back through their own dead-run lengths.
-    schedules[c] = ctx.cap > 0
-                       ? decompress_times(ctx.parts[c].schedule,
-                                          ctx.compressed[c])
-                       : std::move(ctx.parts[c].schedule);
+    const SolveResult& part = *ctx.parts[c];
+    out.cost += part.cost;
+    out.transitions += part.transitions;
+    prep::recombine_component(ctx.dec.components[c], part.schedule,
+                              ctx.compressed[c], out.schedule);
   }
-  out.schedule = prep::recombine(ctx.dec, schedules, ctx.request.instance.n());
   out.stats.scheduled = out.schedule.scheduled_count();
   ctx.result = std::move(out);
 }

@@ -44,9 +44,10 @@ struct Instance {
   /// Latest deadline over all jobs. Requires n >= 1.
   Time latest_deadline() const;
 
-  /// Union of every job's allowed times: one sort-and-merge over all
-  /// intervals. Its maximal intervals are the live regions; the times
-  /// between them are dead (no job can use them).
+  /// Union of every job's allowed times: one merge over all intervals,
+  /// sorted first unless they already come in start order (release-sorted
+  /// one-interval jobs). Its maximal intervals are the live regions; the
+  /// times between them are dead (no job can use them).
   TimeSet live_times() const;
 
   /// Basic well-formedness: >=1 processor, every job has a non-empty

@@ -10,6 +10,7 @@ namespace gapsched {
 /// Result of compress_dead_time[_capped]: the compressed instance plus the
 /// time map. compress_dead_time_capped_in_place leaves `instance` empty
 /// (default-constructed): the compressed image is the caller's instance.
+/// Empty maps are the identity: both maps send every time to itself.
 struct CompressedInstance {
   Instance instance;
   /// Maps a compressed time back to the original time. Both maps are one
@@ -17,9 +18,16 @@ struct CompressedInstance {
   Time to_original(Time compressed) const;
   /// Maps an original allowed time to its compressed time.
   Time to_compressed(Time original) const;
+  /// The same maps for a run of nearby times: the search starts at *hint,
+  /// the live interval the previous call found (0 at first), and its
+  /// successor before any binary search, and *hint is updated.
+  Time to_original(Time compressed, std::size_t* hint) const;
+  Time to_compressed(Time original, std::size_t* hint) const;
   /// Total dead time units removed by the transform (0 when nothing was
   /// truncated, i.e. the instance was already in compressed form).
   Time dead_time_removed() const;
+  /// True when the map moves no time: both maps are equal, or both empty.
+  bool identity() const { return compressed_intervals == original_intervals; }
 
   /// The maximal intervals of the allowed-time union, in original and in
   /// compressed coordinates (index-aligned, sorted). Dead runs sit between
@@ -52,15 +60,18 @@ CompressedInstance compress_dead_time(const Instance& inst);
 /// exactly ceil(alpha) compresses below alpha and its bridge term shrinks —
 /// the fuzz harness pins this).
 ///
-/// Compresses a copy of `inst` with the in-place form below.
+/// Compresses a copy of `inst` with the in-place form below. Its maps are
+/// always the live intervals, also when the map is the identity.
 CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap);
 
 /// In-place form of compress_dead_time_capped, the one implementation:
 /// rewrites every job's interval starts in `inst` through the time map
 /// (lengths are kept) and returns only the two interval maps, with an
 /// empty `instance`. When the live union already starts at 0 and no
-/// interior dead run exceeds the cap, the map is the identity and `inst`
-/// is not touched.
+/// interior dead run exceeds the cap, the map is the identity: `inst` is
+/// not touched and both maps come back empty. For intervals in start order
+/// (release-sorted one-interval jobs, every prep component) that is found
+/// by one sweep that allocates nothing.
 CompressedInstance compress_dead_time_capped_in_place(Instance& inst,
                                                       Time cap);
 

@@ -280,11 +280,20 @@ class DpEngine {
       if (viable && Policy::kOccupancy && prune_) {
         // Occupancy quick check: occupants at t1 must be released exactly
         // at t1; occupants at t2 are the q ancestors plus jobs still alive
-        // at t2. States demanding more are infeasible by counting.
+        // at t2. States demanding more are infeasible by counting. Each
+        // count stops once its demand is met: `jobs` is in deadline order,
+        // so the jobs alive at t2 are a suffix read from the back, and a
+        // state neither bound can prune (l1 = 0, l2 <= q) reads no job.
+        // Plain index loops: compute() recurses about n deep, and a
+        // 4095-job solve under ASan already needs most of an 8 MiB stack.
         int e1 = 0, e2 = 0;
-        for (std::size_t x : jobs) {
-          if (ctx_.release_bd[x] == t1) ++e1;
-          if (ctx_.deadline_bd[x] >= t2) ++e2;
+        for (std::size_t x = jobs.size();
+             x > 0 && l2 > q + e2 && ctx_.deadline_bd[jobs[x - 1]] >= t2;
+             --x) {
+          ++e2;
+        }
+        for (std::size_t x = 0; x < jobs.size() && l1 > e1; ++x) {
+          if (ctx_.release_bd[jobs[x]] == t1) ++e1;
         }
         if (l1 > e1 || l2 > q + e2) {
           ++pruned_;

@@ -27,7 +27,8 @@
 // the cache, the cap, and which components hit:
 //
 //   * Canonicalize, Decompose and Recombine run for every request;
-//   * Compress runs when the cap is positive;
+//   * Compress runs when the cap is positive and some component is not
+//     already in compressed form;
 //   * CacheLookup runs whenever the caller passed a SolveCache. It hands
 //     SolveCache::lookup each component's key together with the instance
 //     that key hashes, the objective, the params and the solver's
@@ -51,6 +52,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gapsched/core/transforms.hpp"
@@ -87,8 +89,10 @@ struct SolveContext {
   prep::Decomposition dec;
   /// Length-aware dead-time cap for Compress; 0 disables compression.
   Time cap = 0;
-  /// Per component when the cap is positive: only the time maps
-  /// (`instance` is empty), since Compress rewrote the component itself.
+  /// Per component: only the time maps (`instance` is empty), since
+  /// Compress rewrote the component itself. Both maps stay empty (the
+  /// identity) when the cap is 0 or the component was already in
+  /// compressed form.
   std::vector<CompressedInstance> compressed;
 
   // ---- CacheLookup products ----
@@ -100,7 +104,8 @@ struct SolveContext {
   std::vector<std::size_t> dup_of;
 
   // ---- Dispatch / Recombine products ----
-  std::vector<SolveResult> parts;
+  /// Per component: its fresh solve, or the cache's shared entry itself.
+  std::vector<std::shared_ptr<const SolveResult>> parts;
   /// Prep/caching stats aggregated across stages, folded into the final
   /// result by Recombine.
   SolveStats agg;

@@ -49,6 +49,7 @@
 
 #include "gapsched/core/instance.hpp"
 #include "gapsched/core/schedule.hpp"
+#include "gapsched/core/transforms.hpp"
 
 namespace gapsched::prep {
 
@@ -109,5 +110,13 @@ Decomposition decompose(Canonical&& canon, Time threshold);
 /// ids and original times. Unscheduled component jobs stay unscheduled.
 Schedule recombine(const Decomposition& dec,
                    const std::vector<Schedule>& parts, std::size_t n);
+
+/// The one mapping loop behind recombine: writes `part`, a schedule of
+/// `comp`'s jobs, into `out` (an n-job schedule) in original job ids and
+/// times. When `part` solves the dead-time compressed image of
+/// comp.instance, `map` holds that compression and takes each time back
+/// first; with empty maps (the identity) the times are component-local.
+void recombine_component(const Component& comp, const Schedule& part,
+                         const CompressedInstance& map, Schedule& out);
 
 }  // namespace gapsched::prep

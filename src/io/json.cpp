@@ -210,17 +210,6 @@ constexpr auto fields(const Slot*) {
                          row("processor", &Slot::processor));
 }
 
-/// The wire form a Schedule is read through.
-struct ScheduleWire {
-  std::size_t jobs = 0;
-  std::vector<Slot> slots;
-};
-
-constexpr auto fields(const ScheduleWire*) {
-  return std::make_tuple(row("jobs", &ScheduleWire::jobs),
-                         row("slots", &ScheduleWire::slots));
-}
-
 /// A wire struct: one with a field table above.
 template <typename S>
 concept Tabled = requires(const S* s) { fields(s); };
@@ -454,26 +443,28 @@ class Reader {
   /// integral and fits int64.
   double number(std::optional<std::int64_t>* integer = nullptr) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
+    const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+    std::int64_t v = 0;
+    if (short_integer(&v)) {
+      if (integer != nullptr) *integer = v;
+      return v == 0 && negative ? -0.0 : static_cast<double>(v);
+    }
     for (; pos_ < text_.size(); ++pos_) {
       const char c = text_[pos_];
       if (c >= '0' && c <= '9') continue;
       if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-') break;
-      integral = false;
     }
     if (pos_ == start) fail("expected a value");
     const std::string_view token = text_.substr(start, pos_ - start);
-    std::int64_t v = 0;
     const char* last = token.data() + token.size();
     if (const auto [end, ec] = std::from_chars(token.data(), last, v);
-        integral && ec == std::errc{} && end == last) {
+        ec == std::errc{} && end == last) {
       // An integral token (-?[0-9]*) that fits int64 converts straight from
       // the view. Up to 2^53 in magnitude the double conversion is exact,
-      // so it is what strtod reads ("-0" included: -0.0).
+      // so it is what strtod reads ("-0..." included: -0.0).
       if (integer != nullptr) *integer = v;
       if (v >= -kExactIntInDouble && v <= kExactIntInDouble) {
-        return v == 0 && token.front() == '-' ? -0.0 : static_cast<double>(v);
+        return v == 0 && negative ? -0.0 : static_cast<double>(v);
       }
     }
     // Fractions, exponents, and integers beyond the exact range.
@@ -482,6 +473,34 @@ class Reader {
     const double value = std::strtod(owned.c_str(), &end);
     if (end != owned.c_str() + owned.size()) fail("malformed number");
     return value;
+  }
+
+  /// Reads an integer token of at most 15 digits (below 2^53, so exact in
+  /// a double) in the scan that finds its end: -?[0-9]{1,15} followed by
+  /// a byte no number token holds. False, with pos_ unmoved, otherwise.
+  bool short_integer(std::int64_t* out) {
+    std::size_t i = pos_;
+    const bool negative = i < text_.size() && text_[i] == '-';
+    if (negative) ++i;
+    const std::size_t digits = i;
+    std::int64_t v = 0;
+    while (i < text_.size() && i - digits < 16 && text_[i] >= '0' &&
+           text_[i] <= '9') {
+      v = v * 10 + (text_[i++] - '0');
+    }
+    if (i == digits || i - digits == 16 ||
+        (i < text_.size() && continues_number(text_[i]))) {
+      return false;
+    }
+    pos_ = i;
+    *out = negative ? -v : v;
+    return true;
+  }
+
+  /// True for the bytes a number token may hold after its first digit.
+  static bool continues_number(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
   }
 
   /// The string token at pos_: a view of the input when it has no escapes,
@@ -723,30 +742,116 @@ class Reader {
     *out = Job{TimeSet(std::move(intervals))};
   }
 
-  /// `jobs` and `slots` may come in either order, so slots are checked
-  /// against the job count once both are read.
+  /// `jobs` and `slots` may come in either order. Slots after `jobs` go
+  /// straight into *out, sized once. Slots before it are validated where
+  /// they stand and placed by a second read of the same bytes once the
+  /// object is read. Either way the `jobs` limit is checked after the
+  /// object, and then every slot's job against the count.
   void read(Schedule* out, std::string_view key) {
-    ScheduleWire wire;
-    read(&wire, key);
-    if (wire.jobs > kMaxJobs) {
-      note("'jobs' count " + std::to_string(wire.jobs) +
+    if (!opens('{')) return mismatch(malformed(key));
+    static constexpr std::array<std::string_view, 2> kScheduleKeys = {
+        "jobs", "slots"};
+    std::size_t jobs = 0;
+    bool sized = false;        // *out holds `jobs` empty slots
+    bool out_of_range = false;
+    std::size_t deferred = 0;  // byte where slots listed before jobs start
+    int deferred_depth = -1;
+    object(
+        [](std::string_view k) {
+          const auto it =
+              std::find(kScheduleKeys.begin(), kScheduleKeys.end(), k);
+          return it == kScheduleKeys.end()
+                     ? -1
+                     : static_cast<int>(it - kScheduleKeys.begin());
+        },
+        [&](int r, std::string_view k) {
+          if (r < 0) return skip();
+          if (r == 0) {
+            read(&jobs, k);
+            if (!failed() && jobs <= kMaxJobs) {
+              *out = Schedule(jobs);
+              sized = true;
+            }
+            return;
+          }
+          if (!sized) {
+            skip_ws();
+            deferred = pos_;
+            deferred_depth = depth_;
+          }
+          slots(sized ? out : nullptr, k, &out_of_range);
+        });
+    if (jobs > kMaxJobs) {
+      note("'jobs' count " + std::to_string(jobs) +
            " is above the limit of " + std::to_string(kMaxJobs));
     }
     if (failed()) return;
-    *out = Schedule(wire.jobs);
-    for (const Slot& slot : wire.slots) {
-      if (slot.job >= wire.jobs) return note("malformed schedule slot");
-      out->place(slot.job, slot.time, slot.processor);
+    if (!sized) *out = Schedule(jobs);  // no 'jobs' member: 0 jobs
+    if (deferred_depth >= 0) {
+      const std::size_t resume = pos_;
+      const int depth = std::exchange(depth_, deferred_depth);
+      pos_ = deferred;
+      slots(out, "slots", &out_of_range);
+      pos_ = resume;
+      depth_ = depth;
     }
+    if (out_of_range) note("malformed schedule slot");
+  }
+
+  /// Reads the slots array at pos_ into *target, which has one slot per
+  /// job; null only validates. A slot naming a job past the target sets
+  /// *out_of_range and is not placed; a later slot for the same job
+  /// replaces an earlier one.
+  void slots(Schedule* target, std::string_view key, bool* out_of_range) {
+    if (!opens('[')) return mismatch(malformed(key));
+    std::size_t count = 0;
+    array([&] {
+      if (count++ == kMaxJobs) {
+        return mismatch("'" + std::string(key) + "' lists more than " +
+                        std::to_string(kMaxJobs) + " entries");
+      }
+      Slot slot;
+      read(&slot, key);
+      if (target == nullptr || failed()) return;
+      if (slot.job >= target->size()) {
+        *out_of_range = true;
+      } else {
+        target->place(slot.job, slot.time, slot.processor);
+      }
+    });
   }
 
   /// [job,time,processor], or the object earlier writers emitted.
   void read(Slot* out, std::string_view) {
     if (begin() == '{') {
       members(out);
-    } else if (!tuple(&out->job, &out->time, &out->processor)) {
+    } else if (!compact_slot(out) &&
+               !tuple(&out->job, &out->time, &out->processor)) {
       note("malformed schedule slot");
     }
+  }
+
+  /// A slot as the writer spells it, "[job,time,processor]" with no blanks
+  /// and each number a short integer in range, read in one scan. False,
+  /// with pos_ unmoved, for any other spelling: tuple() then reads it.
+  bool compact_slot(Slot* out) {
+    const std::size_t start = pos_;
+    const auto byte = [this](char c) {
+      return pos_ < text_.size() && text_[pos_] == c && (++pos_, true);
+    };
+    std::int64_t job = 0;
+    std::int64_t time = 0;
+    std::int64_t processor = 0;
+    if (depth_ + 1 < kMaxParseDepth && byte('[') && short_integer(&job) &&
+        byte(',') && short_integer(&time) && byte(',') &&
+        short_integer(&processor) && byte(']') && job >= 0 &&
+        std::in_range<int>(processor)) {
+      *out = Slot{static_cast<std::size_t>(job), time,
+                  static_cast<int>(processor)};
+      return true;
+    }
+    pos_ = start;
+    return false;
   }
 
   /// Reads an array of exactly sizeof...(T) scalars into *out...; false

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gapsched/util/nearly_sorted.hpp"
+
 namespace gapsched::oracle {
 
 namespace {
@@ -42,10 +44,15 @@ ScheduleAudit audit_schedule(const Instance& inst, const Schedule& schedule,
     return a;
   }
 
-  // Collect raw placements; every structural check is a direct scan.
-  std::vector<Time> times;
-  std::vector<std::pair<Time, int>> proc_slots;  // explicit (time, processor)
-  times.reserve(inst.n());
+  // Collect raw placements; every structural check is a direct scan. Each
+  // scheduled job contributes its (time, processor), sorted once (in about
+  // one pass when job order roughly follows time, as in a canonical
+  // component): runs of equal times are the occupancy and runs of equal
+  // pairs the collisions.
+  // A job without a processor, or on one out of range, counts in the
+  // occupancy only (as kUnassigned, which no collision check matches).
+  std::vector<std::pair<Time, int>> placed;
+  placed.reserve(inst.n());
   for (std::size_t i = 0; i < inst.n(); ++i) {
     const auto& slot = schedule.at(i);
     if (!slot.has_value()) {
@@ -55,30 +62,32 @@ ScheduleAudit audit_schedule(const Instance& inst, const Schedule& schedule,
       continue;
     }
     ++a.scheduled;
-    times.push_back(slot->time);
     if (!allowed_at(inst.jobs[i], slot->time)) {
       a.violations.push_back("job " + std::to_string(i) +
                              " runs at disallowed time " + fmt_time(slot->time));
     }
+    int processor = Placement::kUnassigned;
     if (slot->processor != Placement::kUnassigned) {
       if (slot->processor < 0 || slot->processor >= inst.processors) {
         a.violations.push_back("job " + std::to_string(i) +
                                " on out-of-range processor " +
                                std::to_string(slot->processor));
       } else {
-        proc_slots.emplace_back(slot->time, slot->processor);
+        processor = slot->processor;
       }
     }
+    placed.emplace_back(slot->time, processor);
   }
   a.complete = a.scheduled == inst.n();
-  a.busy_time = static_cast<std::int64_t>(times.size());
+  a.busy_time = static_cast<std::int64_t>(placed.size());
+  sort_nearly_sorted(placed.begin(), placed.end());
 
-  // Occupancy sweep: sort + run-length count, then capacity check.
-  std::sort(times.begin(), times.end());
-  for (std::size_t i = 0; i < times.size();) {
+  // Occupancy sweep: run-length count, then capacity check.
+  a.occupancy.reserve(placed.size());
+  for (std::size_t i = 0; i < placed.size();) {
     std::size_t j = i;
-    while (j < times.size() && times[j] == times[i]) ++j;
-    a.occupancy.emplace_back(times[i], static_cast<int>(j - i));
+    while (j < placed.size() && placed[j].first == placed[i].first) ++j;
+    a.occupancy.emplace_back(placed[i].first, static_cast<int>(j - i));
     i = j;
   }
   for (const auto& [t, count] : a.occupancy) {
@@ -91,12 +100,12 @@ ScheduleAudit audit_schedule(const Instance& inst, const Schedule& schedule,
   }
 
   // Explicit processor assignments must not collide.
-  std::sort(proc_slots.begin(), proc_slots.end());
-  for (std::size_t i = 1; i < proc_slots.size(); ++i) {
-    if (proc_slots[i] == proc_slots[i - 1]) {
+  for (std::size_t i = 1; i < placed.size(); ++i) {
+    if (placed[i] == placed[i - 1] &&
+        placed[i].second != Placement::kUnassigned) {
       a.violations.push_back("two jobs share time " +
-                             fmt_time(proc_slots[i].first) + " on processor " +
-                             std::to_string(proc_slots[i].second));
+                             fmt_time(placed[i].first) + " on processor " +
+                             std::to_string(placed[i].second));
     }
   }
 

@@ -2,32 +2,44 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <tuple>
 #include <utility>
+
+#include "gapsched/util/nearly_sorted.hpp"
 
 namespace gapsched::prep {
 
 Canonical canonicalize(const Instance& inst) {
   Canonical out;
   out.instance.processors = inst.processors;
-  out.order.resize(inst.n());
-  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
   if (inst.n() == 0) return out;
 
-  std::sort(out.order.begin(), out.order.end(),
-            [&](std::size_t a, std::size_t b) {
-              const Time ra = inst.jobs[a].allowed.min();
-              const Time rb = inst.jobs[b].allowed.min();
-              if (ra != rb) return ra < rb;
-              const Time da = inst.jobs[a].allowed.max();
-              const Time db = inst.jobs[b].allowed.max();
-              if (da != db) return da < db;
-              return a < b;
-            });
-  out.shift = inst.earliest_release();
+  // Each job's sort key read once into a flat array, so no comparison
+  // reaches into a job's TimeSet. The id breaks ties: the order is total.
+  // Jobs usually come roughly in time order, which the sort finishes in
+  // about one pass.
+  struct Key {
+    Time release;
+    Time deadline;
+    std::size_t id;
+    bool operator<(const Key& o) const {
+      return std::tie(release, deadline, id) <
+             std::tie(o.release, o.deadline, o.id);
+    }
+  };
+  std::vector<Key> keys;
+  keys.reserve(inst.n());
+  for (std::size_t i = 0; i < inst.n(); ++i) {
+    keys.push_back({inst.jobs[i].allowed.min(), inst.jobs[i].allowed.max(), i});
+  }
+  sort_nearly_sorted(keys.begin(), keys.end());
+  out.shift = keys.front().release;
+  out.order.reserve(inst.n());
   out.instance.jobs.reserve(inst.n());
-  for (std::size_t i : out.order) {
-    out.instance.jobs.push_back(Job{inst.jobs[i].allowed.shifted(-out.shift)});
+  for (const Key& key : keys) {
+    out.order.push_back(key.id);
+    out.instance.jobs.push_back(
+        Job{inst.jobs[key.id].allowed.shifted(-out.shift)});
   }
   return out;
 }
@@ -80,7 +92,7 @@ Decomposition decompose(Canonical&& canon, Time threshold) {
     comp.shift = canon.shift + local_min;
     for (std::size_t i = lo; i < hi; ++i) {
       Job& job = canon.instance.jobs[i];
-      job.allowed.shift(-local_min);
+      if (local_min != 0) job.allowed.shift(-local_min);
       comp.instance.jobs.push_back(std::move(job));
       comp.jobs.push_back(canon.order[i]);
     }
@@ -89,18 +101,27 @@ Decomposition decompose(Canonical&& canon, Time threshold) {
   return dec;
 }
 
+void recombine_component(const Component& comp, const Schedule& part,
+                         const CompressedInstance& map, Schedule& out) {
+  assert(part.size() == comp.jobs.size());
+  const bool compressed = !map.identity();
+  std::size_t hint = 0;
+  for (std::size_t j = 0; j < comp.jobs.size(); ++j) {
+    const auto& slot = part.at(j);
+    if (!slot.has_value()) continue;
+    const Time local =
+        compressed ? map.to_original(slot->time, &hint) : slot->time;
+    out.place(comp.jobs[j], local + comp.shift, slot->processor);
+  }
+}
+
 Schedule recombine(const Decomposition& dec,
                    const std::vector<Schedule>& parts, std::size_t n) {
   assert(parts.size() == dec.components.size());
+  const CompressedInstance identity;
   Schedule out(n);
   for (std::size_t c = 0; c < dec.components.size(); ++c) {
-    const Component& comp = dec.components[c];
-    assert(parts[c].size() == comp.jobs.size());
-    for (std::size_t j = 0; j < comp.jobs.size(); ++j) {
-      const auto& slot = parts[c].at(j);
-      if (!slot.has_value()) continue;
-      out.place(comp.jobs[j], slot->time + comp.shift, slot->processor);
-    }
+    recombine_component(dec.components[c], parts[c], identity, out);
   }
   return out;
 }

@@ -123,16 +123,22 @@ TEST(CompressDeadTimeCapped, AlreadyCompactInstancesAreUntouched) {
 // ---------------------------------------------------- the in-place form --
 
 /// Compresses a copy of `inst` in place and checks it against the copying
-/// form: the rewritten instance, both interval maps, the removed dead time,
-/// and an empty `instance` in the returned maps.
+/// form: the rewritten instance, both interval maps (empty for the
+/// identity), the removed dead time, and an empty `instance` in the
+/// returned maps.
 void expect_in_place_matches_copy(const Instance& inst, Time cap) {
   const CompressedInstance copy = compress_dead_time_capped(inst, cap);
   Instance in_place = inst;
   const CompressedInstance maps =
       compress_dead_time_capped_in_place(in_place, cap);
   EXPECT_EQ(maps.instance.n(), 0u);
-  EXPECT_EQ(maps.original_intervals, copy.original_intervals);
-  EXPECT_EQ(maps.compressed_intervals, copy.compressed_intervals);
+  if (copy.identity()) {
+    EXPECT_TRUE(maps.original_intervals.empty());
+    EXPECT_TRUE(maps.compressed_intervals.empty());
+  } else {
+    EXPECT_EQ(maps.original_intervals, copy.original_intervals);
+    EXPECT_EQ(maps.compressed_intervals, copy.compressed_intervals);
+  }
   EXPECT_EQ(maps.dead_time_removed(), copy.dead_time_removed());
   EXPECT_EQ(in_place.processors, copy.instance.processors);
   ASSERT_EQ(in_place.n(), copy.instance.n());
@@ -162,6 +168,58 @@ TEST(CompressDeadTimeCapped, InPlaceMatchesCopyAcrossTheCatalog) {
       }
     }
   }
+}
+
+TEST(CompressDeadTimeCapped, InPlaceReturnsEmptyMapsExactlyForTheIdentity) {
+  // Catalog components (release-sorted, so found by the allocation-free
+  // sweep) and edge shapes: the origin off 0, a run of exactly the cap, and
+  // one a unit past it. The in-place form returns empty maps exactly when
+  // the copying form's maps are the identity, and the empty maps still map
+  // every time to itself.
+  std::size_t identities = 0;
+  std::size_t moved = 0;
+  const auto check = [&](const Instance& inst, Time cap) {
+    const CompressedInstance copy = compress_dead_time_capped(inst, cap);
+    Instance in_place = inst;
+    const CompressedInstance maps =
+        compress_dead_time_capped_in_place(in_place, cap);
+    EXPECT_EQ(maps.original_intervals.empty(), copy.identity());
+    EXPECT_EQ(maps.identity(), copy.identity());
+    ++(copy.identity() ? identities : moved);
+    if (copy.identity()) {
+      for (const Interval& iv : copy.original_intervals) {
+        EXPECT_EQ(maps.to_original(iv.lo), iv.lo);
+        EXPECT_EQ(maps.to_compressed(iv.hi), iv.hi);
+      }
+    }
+  };
+  for (const scenarios::Scenario* sc :
+       scenarios::ScenarioCatalog::instance().all()) {
+    for (const std::uint64_t seed : {1u, 7u}) {
+      const Instance inst = sc->make(seed);
+      const prep::Decomposition dec =
+          prep::decompose(inst, static_cast<Time>(inst.n()));
+      for (const prep::Component& comp : dec.components) {
+        for (const Time cap : {Time{1}, Time{4}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << sc->name << ":" << seed << " cap " << cap);
+          check(comp.instance, cap);
+        }
+      }
+    }
+  }
+  EXPECT_GT(identities, 0u);
+  EXPECT_GT(moved, 0u);
+  identities = moved = 0;
+  check(Instance::one_interval({{1, 3}}), 1);
+  check(Instance::one_interval({{0, 3}, {7, 8}}), 3);
+  check(Instance::one_interval({{0, 3}, {8, 8}}), 3);
+  // Out of start order: decided by the full layout, with the same answer.
+  check(Instance::one_interval({{5, 6}, {0, 3}}), 1);
+  EXPECT_EQ(identities, 2u);
+  EXPECT_EQ(moved, 2u);
+  Instance empty;
+  EXPECT_TRUE(compress_dead_time_capped_in_place(empty, 1).identity());
 }
 
 TEST(CompressDeadTimeCapped, InPlaceLeavesCompactInstancesByteIdentical) {
@@ -385,27 +443,40 @@ void expect_matches_naive(const Instance& inst, Time cap, bool naive_maps) {
     ASSERT_EQ(c.instance.jobs[j].allowed, jobs[j].allowed) << "job " << j;
   }
   // The in-place form rewrites a copy to the same image and returns the
-  // same maps without an instance.
+  // same maps without an instance, or empty maps for the identity.
+  const bool identity = compressed == live;
   Instance in_place = inst;
   const CompressedInstance maps =
       compress_dead_time_capped_in_place(in_place, cap);
   ASSERT_EQ(maps.instance.n(), 0u);
-  ASSERT_EQ(maps.original_intervals, live);
-  ASSERT_EQ(maps.compressed_intervals, compressed);
+  ASSERT_EQ(maps.original_intervals,
+            identity ? std::vector<Interval>{} : live);
+  ASSERT_EQ(maps.compressed_intervals,
+            identity ? std::vector<Interval>{} : compressed);
   ASSERT_EQ(maps.dead_time_removed(), c.dead_time_removed());
   ASSERT_EQ(in_place.processors, inst.processors);
   ASSERT_EQ(in_place.n(), jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ASSERT_EQ(in_place.jobs[j].allowed, jobs[j].allowed) << "job " << j;
   }
+  std::size_t up = 0;
+  std::size_t back = 0;
   for (const Interval& iv : live) {
     for (Time t = iv.lo; t <= iv.hi; ++t) {
       const Time squeezed = c.to_compressed(t);
       ASSERT_EQ(c.to_original(squeezed), t);
+      // The hinted maps agree with the binary search along a sweep.
+      ASSERT_EQ(c.to_compressed(t, &up), squeezed) << t;
+      ASSERT_EQ(c.to_original(squeezed, &back), t) << t;
       if (naive_maps) {
         ASSERT_EQ(squeezed, naive_map(live, compressed, t)) << t;
       }
     }
+  }
+  // And against a sweep from the far end.
+  for (auto iv = live.rbegin(); iv != live.rend(); ++iv) {
+    ASSERT_EQ(c.to_compressed(iv->hi, &up), c.to_compressed(iv->hi));
+    ASSERT_EQ(c.to_compressed(iv->lo, &up), c.to_compressed(iv->lo));
   }
 
   const Time k = 1 + cap;

@@ -64,10 +64,12 @@ TEST(PipelineStages, DecomposedSolveReportsThePrepStages) {
   SolveRequest req{identical_clusters(3), Objective::kGaps, {}};
   const SolveResult r = eng.solve("gap_dp", req);
   ASSERT_TRUE(r.ok) << r.error;
-  // Every request is canonicalized, then cut into components.
+  // Every request is canonicalized, then cut into components. Each
+  // cluster is one live interval at origin 0, already in compressed form,
+  // so Compress has nothing to move and reports itself skipped.
   EXPECT_TRUE(stage(r, PipelineStage::kCanonicalize).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kDecompose).ran);
-  EXPECT_TRUE(stage(r, PipelineStage::kCompress).ran);
+  EXPECT_FALSE(stage(r, PipelineStage::kCompress).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kCacheLookup).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kDispatch).ran);
   EXPECT_TRUE(stage(r, PipelineStage::kRecombine).ran);
@@ -197,6 +199,7 @@ TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
 
   const std::string path = testing::temp_path("component_keys", ".store");
   std::vector<SolverInfo> infos;
+  std::vector<bool> compress_ran;
   {
     EngineOptions opt;
     opt.store_path = path;
@@ -206,7 +209,7 @@ TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
     for (const Case& c : cases) {
       const SolveResult r = eng.solve(c.solver, request_of(c));
       ASSERT_TRUE(r.ok && r.feasible) << c.solver << ": " << r.error;
-      EXPECT_TRUE(stage(r, PipelineStage::kCompress).ran) << c.solver;
+      compress_ran.push_back(stage(r, PipelineStage::kCompress).ran);
       infos.push_back(eng.registry().find(c.solver)->info());
     }
     eng.flush_store();
@@ -217,6 +220,7 @@ TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
   ASSERT_NE(store, nullptr) << error;
   std::size_t multi_component = 0;
   std::size_t probed = 0;
+  std::size_t compressed_cases = 0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
     const SolveRequest req = request_of(c);
@@ -227,17 +231,24 @@ TEST(PipelineStages, ComponentKeysMatchThePublicPrepPath) {
         prep::decompose(c.instance, power ? std::max(n, alpha_ceil) : n);
     const Time cap = power ? alpha_ceil + 1 : 1;
     if (dec.components.size() > 1) ++multi_component;
+    bool moved = false;
     for (const prep::Component& comp : dec.components) {
-      const CacheKey key =
-          make_cache_key(infos[i], c.objective, req.params,
-                         compress_dead_time_capped(comp.instance, cap).instance);
+      const CompressedInstance compressed =
+          compress_dead_time_capped(comp.instance, cap);
+      moved = moved || !compressed.identity();
+      const CacheKey key = make_cache_key(infos[i], c.objective, req.params,
+                                          compressed.instance);
       ++probed;
       EXPECT_TRUE(store->load(key.digest, key.text).has_value())
           << c.solver << " component at shift " << comp.shift;
     }
+    // Compress reports itself ran exactly when it moved some component.
+    EXPECT_EQ(compress_ran[i], moved) << c.solver << " case " << i;
+    if (moved) ++compressed_cases;
   }
   EXPECT_GT(probed, cases.size());
   EXPECT_GE(multi_component, 3u);  // one per solver at least
+  EXPECT_GE(compressed_cases, 3u);  // the dead-run clusters, per solver
 }
 
 // ----------------------------------------------------- the stats roll-up --

@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gapsched/parallel/thread_pool.hpp"
+#include "gapsched/util/nearly_sorted.hpp"
 #include "gapsched/util/prng.hpp"
 #include "gapsched/util/stopwatch.hpp"
 #include "gapsched/util/table.hpp"
+#include "../support/test_seed.hpp"
 
 namespace gapsched {
 namespace {
@@ -162,6 +166,52 @@ TEST(ThreadPool, CallerDoesNotWaitForAnotherCallersWork) {
   blocked.join();
   other.wait();
   EXPECT_EQ(status, std::future_status::ready);
+}
+
+// ------------------------------------------------- sort_nearly_sorted --
+
+TEST(SortNearlySortedVsReference, MatchesStdSortOnEveryShape) {
+  // Values only (equal elements are interchangeable), so the result must
+  // equal std::sort's exactly: sorted, reversed (the fallback after n
+  // moves), constant, shuffled with many duplicates, and nearly sorted with
+  // local swaps at several densities, which stays on the insertion pass.
+  const std::uint64_t prng_seed = testing::seed_for(12003);
+  GAPSCHED_TRACE_SEED(prng_seed);
+  Prng rng(prng_seed);
+  using Item = std::pair<long, int>;
+  const auto check = [](std::vector<Item> v, const char* shape) {
+    std::vector<Item> want = v;
+    std::sort(want.begin(), want.end());
+    sort_nearly_sorted(v.begin(), v.end());
+    EXPECT_EQ(v, want) << shape << " n " << v.size();
+  };
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 17u, 256u, 2000u}) {
+    std::vector<Item> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted[i] = {static_cast<long>(i / 3), static_cast<int>(i % 2)};
+    }
+    std::sort(sorted.begin(), sorted.end());
+    check(sorted, "sorted");
+    check(std::vector<Item>(sorted.rbegin(), sorted.rend()), "reversed");
+    check(std::vector<Item>(n, Item{4, 1}), "constant");
+    std::vector<Item> shuffled = sorted;
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.index(i)]);
+    }
+    check(shuffled, "shuffled");
+    for (const std::size_t every : {2u, 7u, 50u}) {
+      std::vector<Item> near = sorted;
+      for (std::size_t i = 0; i + 3 < n; i += every) {
+        std::swap(near[i], near[i + 1 + rng.index(3)]);
+      }
+      check(near, "nearly sorted");
+    }
+    // Displacement well past the budget forces the fallback part way in.
+    std::vector<Item> tail_first = sorted;
+    std::rotate(tail_first.begin(), tail_first.begin() + n / 2,
+                tail_first.end());
+    check(tail_first, "rotated");
+  }
 }
 
 }  // namespace
