@@ -28,7 +28,8 @@ std::vector<Time> candidate_times(const Instance& inst,
 
   if (plus_one_closure) {
     const Time horizon_max = inst.latest_deadline();
-    std::vector<Interval> widened = core.intervals();
+    std::vector<Interval> widened(core.intervals().begin(),
+                                  core.intervals().end());
     for (Interval& iv : widened) iv.hi = std::min(iv.hi + 1, horizon_max);
     core = TimeSet(std::move(widened));
   }

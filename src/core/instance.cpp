@@ -34,16 +34,17 @@ Time Instance::latest_deadline() const {
   return best;
 }
 
-TimeSet Instance::live_times() const {
+std::vector<Interval> Instance::live_intervals() const {
   std::size_t total = 0;
   for (const Job& j : jobs) total += j.allowed.interval_count();
   std::vector<Interval> all;
   all.reserve(total);
   for (const Job& j : jobs) {
-    all.insert(all.end(), j.allowed.intervals().begin(),
-               j.allowed.intervals().end());
+    const std::span<const Interval> ivs = j.allowed.intervals();
+    all.insert(all.end(), ivs.begin(), ivs.end());
   }
-  return TimeSet(std::move(all));
+  normalize_intervals(all);
+  return all;
 }
 
 std::string Instance::validate() const {

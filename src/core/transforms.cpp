@@ -13,7 +13,7 @@ namespace {
 /// to the same offset in the matching interval of `to`. The interval *hint
 /// names (the previous call's) and its successor are tried before one
 /// binary search; *hint keeps the interval found.
-Time remap(const std::vector<Interval>& from, const std::vector<Interval>& to,
+Time remap(std::span<const Interval> from, std::span<const Interval> to,
            Time t, std::size_t* hint) {
   if (from.empty()) return t;  // empty maps are the identity
   std::size_t i = *hint;
@@ -98,7 +98,7 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
   CompressedInstance out = compress_dead_time_capped_in_place(copy, cap);
   if (out.original_intervals.empty() && copy.n() > 0) {
     // The identity: both maps are the live intervals themselves.
-    out.original_intervals = copy.live_times().intervals();
+    out.original_intervals = copy.live_intervals();
     out.compressed_intervals = out.original_intervals;
   }
   out.instance = std::move(copy);
@@ -115,7 +115,7 @@ CompressedInstance compress_dead_time_capped_in_place(Instance& inst,
   // of length d to min(d, cap) units. For release-sorted one-interval jobs
   // (every prep component) the union is one linear merge: the intervals
   // already come in start order.
-  out.original_intervals = inst.live_times().intervals();
+  out.original_intervals = inst.live_intervals();
   out.compressed_intervals.reserve(out.original_intervals.size());
   Time cursor = 0;
   Time prev_hi = 0;
@@ -149,16 +149,16 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
   Instance out = inst;
   if (inst.n() == 0) return out;
 
-  const TimeSet live = inst.live_times();
+  const std::vector<Interval> live = inst.live_intervals();
 
   // Each live interval's image: the origin is preserved, and each interior
   // dead run of length d >= min_run grows to k * d.
   std::vector<Interval> stretched;
-  stretched.reserve(live.interval_count());
-  Time cursor = live.min();
+  stretched.reserve(live.size());
+  Time cursor = live.front().lo;
   Time prev_hi = 0;
   bool first = true;
-  for (const Interval& iv : live.intervals()) {
+  for (const Interval& iv : live) {
     if (!first) {
       const Time dead = iv.lo - prev_hi - 1;
       cursor += dead >= min_run ? dead * k : dead;
@@ -171,7 +171,7 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
 
   std::size_t hint = 0;
   const auto map_lo = [&](Time lo) {
-    return remap(live.intervals(), stretched, lo, &hint);
+    return remap(live, stretched, lo, &hint);
   };
   for (Job& j : out.jobs) j.allowed.remap_starts(map_lo);
   return out;

@@ -44,11 +44,13 @@ struct Instance {
   /// Latest deadline over all jobs. Requires n >= 1.
   Time latest_deadline() const;
 
-  /// Union of every job's allowed times: one merge over all intervals,
-  /// sorted first unless they already come in start order (release-sorted
-  /// one-interval jobs). Its maximal intervals are the live regions; the
-  /// times between them are dead (no job can use them).
-  TimeSet live_times() const;
+  /// The maximal intervals of every job's allowed times, normalized: one
+  /// merge over all intervals, sorted first unless they already come in
+  /// start order (release-sorted one-interval jobs). They are the live
+  /// regions; the times between them are dead (no job can use them).
+  std::vector<Interval> live_intervals() const;
+  /// The same union as a set.
+  TimeSet live_times() const { return TimeSet(live_intervals()); }
 
   /// Basic well-formedness: >=1 processor, every job has a non-empty
   /// allowed set. Returns an empty string when OK, else a diagnostic.

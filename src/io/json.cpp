@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <system_error>
 #include <tuple>
 #include <type_traits>
@@ -309,13 +310,17 @@ void put(std::string& out, const StageMap<T>& stages) {
 }
 
 template <typename T>
-void put(std::string& out, const std::vector<T>& items) {
+void put(std::string& out, std::span<const T> items) {
   out += '[';
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ',';
     put(out, items[i]);
   }
   out += ']';
+}
+template <typename T>
+void put(std::string& out, const std::vector<T>& items) {
+  put(out, std::span<const T>(items));
 }
 
 void put(std::string& out, const Job& job) {
@@ -732,14 +737,23 @@ class Reader {
     if (!opens('[')) {
       return mismatch("each job must be an array of [lo, hi] intervals");
     }
-    std::vector<Interval> intervals;
+    // A one-interval job (every Section 2 job) is read into `first` and
+    // never allocates; a second interval starts `all`, which then holds
+    // every interval.
+    Interval first;
+    std::vector<Interval> all;
+    bool any = false;
     array([&] {
-      Interval& iv = intervals.emplace_back();
+      if (any && all.empty()) all.push_back(first);
+      Interval& iv = any ? all.emplace_back() : first;
+      any = true;
       if (!tuple(&iv.lo, &iv.hi)) {
         note("each interval must be an integer pair [lo, hi]");
+      } else if (!in_time_range(iv)) {
+        note(std::string(kTimeRangeError));
       }
     });
-    *out = Job{TimeSet(std::move(intervals))};
+    *out = Job{all.empty() ? TimeSet(first) : TimeSet(std::move(all))};
   }
 
   /// `jobs` and `slots` may come in either order. Slots after `jobs` go

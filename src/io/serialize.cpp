@@ -79,17 +79,32 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
     if (!(ls >> kw >> k) || kw != "job" || k == 0) {
       return fail(error, "bad job line: " + line);
     }
-    // Each interval takes at least four bytes (" 0 3") of the line.
-    std::vector<Interval> ivs;
-    ivs.reserve(std::min(k, line.size() / 4));
+    // A one-interval job is read into `first` and never allocates; from
+    // the second interval on, `all` holds every interval.
+    Interval first;
+    std::vector<Interval> all;
     for (std::size_t i = 0; i < k; ++i) {
       Interval iv;
       if (!(ls >> iv.lo >> iv.hi) || iv.empty()) {
         return fail(error, "bad interval in job line: " + line);
       }
-      ivs.push_back(iv);
+      if (!io::in_time_range(iv)) {
+        return fail(error, std::string(io::kTimeRangeError) +
+                               " in job line: " + line);
+      }
+      if (i == 0) {
+        first = iv;
+        continue;
+      }
+      if (i == 1) {
+        // Each interval takes at least four bytes (" 0 3") of the line.
+        all.reserve(std::min(k, line.size() / 4));
+        all.push_back(first);
+      }
+      all.push_back(iv);
     }
-    inst.jobs.push_back(Job{TimeSet(std::move(ivs))});
+    inst.jobs.push_back(
+        Job{all.empty() ? TimeSet(first) : TimeSet(std::move(all))});
   }
   return inst;
 }

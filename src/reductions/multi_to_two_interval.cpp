@@ -15,7 +15,7 @@ TwoIntervalReduction reduce_multi_to_two_interval(const Instance& inst) {
   const Time block_start = cursor;
 
   for (const Job& job : inst.jobs) {
-    const auto& ivs = job.allowed.intervals();
+    const std::span<const Interval> ivs = job.allowed.intervals();
     const std::size_t k = ivs.size();
     if (k <= 2) {
       red.instance.jobs.push_back(job);

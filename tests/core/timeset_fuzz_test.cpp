@@ -77,6 +77,27 @@ TEST_P(TimeSetFuzz, OperationChainMatchesReference) {
       current = current.restricted_to({a, b});
     }
 
+    // Hand the set on by copy or move between steps, so every operation
+    // runs on sets that went through the inline and the heap form.
+    switch (rng.index(3)) {
+      case 0: {
+        TimeSet copy(current);
+        current = std::move(copy);
+        break;
+      }
+      case 1: {
+        TimeSet moved(std::move(current));
+        current = moved;
+        break;
+      }
+      default: {
+        TimeSet assigned = TimeSet::window(-100, -90);
+        assigned = current;
+        current = TimeSet{};
+        current = std::move(assigned);
+      }
+    }
+
     // Full pointwise agreement plus invariants.
     ASSERT_EQ(current.size(), static_cast<std::int64_t>(model.size()))
         << "step " << step << " op " << op;

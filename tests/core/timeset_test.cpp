@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "gapsched/core/instance.hpp"
+
 namespace gapsched {
 namespace {
+
+// One interval is held inline: a Job is no larger than a vector's header.
+static_assert(sizeof(Job) == 24);
 
 TEST(TimeSet, NormalizesOverlappingAndAdjacentIntervals) {
   TimeSet s({{5, 9}, {1, 3}, {4, 6}, {15, 15}});
@@ -91,9 +100,10 @@ TEST(TimeSet, ShiftAndRemapStartsRewriteInPlace) {
   // A strictly increasing map that keeps the intervals apart: lengths stay,
   // only the starts move, and the result is still normalized.
   a.remap_starts([](Time lo) { return 2 * lo; });
-  EXPECT_EQ(a.intervals(),
-            (std::vector<Interval>{{0, 1}, {8, 8}, {16, 19}}));
-  EXPECT_EQ(a, TimeSet(a.intervals()));
+  const std::vector<Interval> moved(a.intervals().begin(),
+                                   a.intervals().end());
+  EXPECT_EQ(moved, (std::vector<Interval>{{0, 1}, {8, 8}, {16, 19}}));
+  EXPECT_EQ(a, TimeSet(moved));
 }
 
 TEST(TimeSet, RestrictedTo) {
@@ -106,6 +116,113 @@ TEST(TimeSet, RestrictedTo) {
 TEST(TimeSet, ToVector) {
   TimeSet a({{1, 3}, {6, 6}});
   EXPECT_EQ(a.to_vector(), (std::vector<Time>{1, 2, 3, 6}));
+}
+
+TEST(TimeSet, ExtremeTimesMergeWithoutOverflow) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  constexpr Time kMin = std::numeric_limits<Time>::min();
+  const TimeSet top({{0, kMax}, {5, 6}});
+  ASSERT_EQ(top.interval_count(), 1u);
+  EXPECT_EQ(top.min(), 0);
+  EXPECT_EQ(top.max(), kMax);
+  const TimeSet bottom({{kMin + 1, 0}, {kMin, kMin}, {-5, -4}});
+  ASSERT_EQ(bottom.interval_count(), 1u);
+  EXPECT_EQ(bottom.min(), kMin);
+  EXPECT_EQ(bottom.max(), 0);
+  // Adjacent at both ends of the range, and apart by one missing time.
+  EXPECT_EQ(TimeSet({{kMax, kMax}, {kMax - 1, kMax - 1}}).interval_count(), 1u);
+  EXPECT_EQ(TimeSet({{kMax, kMax}, {kMax - 2, kMax - 2}}).interval_count(), 2u);
+  EXPECT_EQ(TimeSet({{kMin, kMin}, {kMin + 1, kMin + 1}}).interval_count(), 1u);
+  EXPECT_EQ(TimeSet({{kMin, kMin}, {kMin + 2, kMin + 2}}).interval_count(), 2u);
+  EXPECT_EQ(TimeSet({{kMin, -1}, {0, kMax}}).interval_count(), 1u);
+  // Carving up to the top of the range leaves nothing past it.
+  EXPECT_EQ(TimeSet({{kMax - 3, kMax}}).subtract(TimeSet({{kMax - 1, kMax}})),
+            TimeSet({{kMax - 3, kMax - 2}}));
+  EXPECT_TRUE(TimeSet({{kMax - 3, kMax}}).subtract(top).empty());
+}
+
+// ---- value semantics of the inline (0 or 1 interval) and heap forms.
+
+std::vector<TimeSet> sets_of_each_form() {
+  return {TimeSet{}, TimeSet::window(3, 8), TimeSet({{0, 1}, {4, 4}, {9, 12}})};
+}
+
+TEST(TimeSet, CopiesAreEqualAndIndependent) {
+  for (const TimeSet& original : sets_of_each_form()) {
+    const std::size_t k = original.interval_count();
+    TimeSet copy(original);
+    EXPECT_EQ(copy, original) << k;
+    TimeSet assigned = TimeSet::window(100, 200);
+    assigned = original;
+    EXPECT_EQ(assigned, original) << k;
+    TimeSet heap_assigned({{50, 51}, {60, 61}});
+    heap_assigned = original;
+    EXPECT_EQ(heap_assigned, original) << k;
+    if (k > 0) {
+      EXPECT_NE(copy.intervals().data(), original.intervals().data()) << k;
+    }
+    // Shifting a copy leaves the original where it was.
+    const TimeSet before = original;
+    copy.shift(7);
+    EXPECT_EQ(original, before) << k;
+    if (k > 0) {
+      EXPECT_NE(copy, original) << k;
+      EXPECT_EQ(copy.min(), original.min() + 7) << k;
+    }
+  }
+}
+
+TEST(TimeSet, MovesTransferAndLeaveAnEmptyUsableSet) {
+  for (const TimeSet& original : sets_of_each_form()) {
+    const std::size_t k = original.interval_count();
+    TimeSet source = original;
+    TimeSet moved(std::move(source));
+    EXPECT_EQ(moved, original) << k;
+    EXPECT_TRUE(source.empty()) << k;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.interval_count(), 0u) << k;
+    EXPECT_TRUE(source.intervals().empty()) << k;
+    // The moved-from set is still a set: reassign and use it.
+    source = TimeSet({{1, 2}, {6, 7}});
+    EXPECT_EQ(source.size(), 4) << k;
+    source = TimeSet::window(5, 5);
+    EXPECT_TRUE(source.contains(5)) << k;
+
+    for (TimeSet target : sets_of_each_form()) {
+      TimeSet from = original;
+      target = std::move(from);
+      EXPECT_EQ(target, original) << k;
+      EXPECT_TRUE(from.empty()) << k;  // NOLINT(bugprone-use-after-move)
+      from = original;
+      EXPECT_EQ(from, original) << k;
+    }
+  }
+}
+
+TEST(TimeSet, SelfAssignmentKeepsTheSet) {
+  for (const TimeSet& original : sets_of_each_form()) {
+    TimeSet s = original;
+    TimeSet& alias = s;
+    s = alias;
+    EXPECT_EQ(s, original);
+    s = std::move(alias);
+    EXPECT_EQ(s, original);
+  }
+}
+
+TEST(TimeSet, EqualSetsBuiltDifferentlyCompareEqual) {
+  EXPECT_EQ(TimeSet::window(2, 9), TimeSet({{5, 9}, {2, 4}}));
+  EXPECT_EQ(TimeSet::window(2, 9), TimeSet(Interval{2, 9}));
+  EXPECT_EQ(TimeSet::window(2, 9),
+            TimeSet({{2, 3}, {8, 9}}).unite(TimeSet::window(4, 7)));
+  EXPECT_EQ(TimeSet::window(2, 9), TimeSet::window(-1, 6).shifted(3));
+  EXPECT_EQ(TimeSet({{1, 2}, {5, 5}}), TimeSet::points({5, 2, 1}));
+  EXPECT_EQ(TimeSet({{1, 2}, {5, 5}}),
+            TimeSet::window(1, 5).subtract(TimeSet::window(3, 4)));
+  EXPECT_EQ(TimeSet{}, TimeSet(Interval{4, 3}));
+  EXPECT_EQ(TimeSet{}, TimeSet(std::vector<Interval>{}));
+  EXPECT_EQ(TimeSet{}, TimeSet::window(1, 2).intersect(TimeSet::window(5, 6)));
+  EXPECT_NE(TimeSet::window(2, 9), TimeSet{});
+  EXPECT_NE(TimeSet::window(2, 9), TimeSet({{2, 4}, {6, 9}}));
 }
 
 // Property sweep: subtract/intersect/unite agree with pointwise semantics.

@@ -235,8 +235,8 @@ TEST(CompressDeadTimeCapped, InPlaceLeavesCompactInstancesByteIdentical) {
   EXPECT_EQ(inst.processors, before.processors);
   ASSERT_EQ(inst.n(), before.n());
   for (std::size_t j = 0; j < inst.n(); ++j) {
-    const std::vector<Interval>& got = inst.jobs[j].allowed.intervals();
-    const std::vector<Interval>& want = before.jobs[j].allowed.intervals();
+    const std::span<const Interval> got = inst.jobs[j].allowed.intervals();
+    const std::span<const Interval> want = before.jobs[j].allowed.intervals();
     ASSERT_EQ(got.size(), want.size()) << "job " << j;
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           got.size() * sizeof(Interval)),

@@ -20,6 +20,7 @@
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/greedy/fhkn_greedy.hpp"
 #include "gapsched/greedy/lazy.hpp"
+#include "gapsched/io/json.hpp"
 #include "gapsched/online/online_edf.hpp"
 #include "gapsched/online/online_powerdown.hpp"
 #include "gapsched/powermin/powermin_approx.hpp"
@@ -296,6 +297,40 @@ TEST(Validation, TimeLimitFlagsLongSolves) {
 
   req.params.time_limit_s = 1e6;  // nothing exceeds this
   EXPECT_FALSE(engine_solve("gap_dp", req).timed_out);
+}
+
+// io::kMaxTime is the readers' bound on job times. Every family must answer
+// jobs at both ends of it as it answers the same clusters brought 10^6
+// apart, oracle-audited, with decomposition on and off: no int64 sum of
+// two bounded times' difference and a margin overflows on the way.
+TEST(Validation, JobsAtTheReaderTimeBoundSolveInEveryFamily) {
+  const auto clusters = [](Time left, Time right) {
+    Instance inst;
+    for (Time t : {left, right}) {
+      inst.jobs.push_back(Job{TimeSet::window(t, t + 2)});
+      inst.jobs.push_back(Job{TimeSet::window(t + 1, t + 2)});
+    }
+    return inst;
+  };
+  const Instance edge = clusters(-io::kMaxTime, io::kMaxTime - 2);
+  const Instance near = clusters(0, 1000000);
+  for (const Solver* solver : SolverRegistry::instance().all()) {
+    const std::string& name = solver->info().name;
+    for (bool decompose : {true, false}) {
+      SolveRequest req{edge, solver->info().objective, {}};
+      req.params.validate = true;
+      req.params.decompose = decompose;
+      const SolveResult got = engine_solve(name, req);
+      req.instance = near;
+      const SolveResult want = engine_solve(name, req);
+      const std::string where = name + (decompose ? "" : " --no-decompose");
+      ASSERT_TRUE(got.ok) << where << ": " << got.error;
+      EXPECT_TRUE(got.audited) << where;
+      EXPECT_EQ(got.audit_error, "") << where;
+      EXPECT_TRUE(got.feasible) << where;
+      EXPECT_EQ(got.cost, want.cost) << where;
+    }
+  }
 }
 
 // ------------------------------------------------------------- solve_batch --

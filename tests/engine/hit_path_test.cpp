@@ -486,7 +486,7 @@ void expect_audit_matches(const Instance& inst, const Schedule& schedule) {
 Schedule random_schedule(const Instance& inst, Prng& rng) {
   Schedule s(inst.n());
   for (std::size_t j = 0; j < inst.n(); ++j) {
-    const std::vector<Interval>& ivs = inst.jobs[j].allowed.intervals();
+    const std::span<const Interval> ivs = inst.jobs[j].allowed.intervals();
     const Interval& iv = ivs[rng.index(ivs.size())];
     const int processor =
         rng.chance(0.2) ? Placement::kUnassigned

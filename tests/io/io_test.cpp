@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/csv.hpp"
@@ -74,6 +76,35 @@ TEST(Serialize, HostileCountsAreRejectedWithoutAllocating) {
       "gapsched-schedule v1\njobs 1000000000000000\nslot 0 1 -\n");
   EXPECT_FALSE(read_schedule(schedule, &error).has_value());
   EXPECT_NE(error.find("bad jobs line"), std::string::npos) << error;
+}
+
+// Past io::kMaxTime the solvers' sums of time differences and margins
+// could overflow int64: such a job line is a diagnostic.
+TEST(Serialize, JobTimesOutsideKMaxTimeAreRejected) {
+  const std::string max = std::to_string(io::kMaxTime);
+  const std::string past = std::to_string(io::kMaxTime + 1);
+  for (const std::string& job : std::vector<std::string>{
+           "job 1 9223372036854775800 9223372036854775806",
+           "job 1 -9223372036854775807 0", "job 1 0 " + past,
+           "job 2 0 1 " + past + " " + past, "job 1 -" + past + " 0"}) {
+    std::string error;
+    EXPECT_FALSE(instance_from_string(
+                     "gapsched-instance v1\nprocessors 1\njobs 2\n"
+                     "job 1 0 3\n" + job + "\n",
+                     &error)
+                     .has_value())
+        << job;
+    EXPECT_EQ(error, std::string(io::kTimeRangeError) + " in job line: " + job);
+  }
+  std::string error;
+  const auto edge = instance_from_string(
+      "gapsched-instance v1\nprocessors 1\njobs 2\njob 1 -" + max + " -" +
+          max + "\njob 2 0 2 4 " + max + "\n",
+      &error);
+  ASSERT_TRUE(edge.has_value()) << error;
+  EXPECT_EQ(edge->jobs[0].allowed,
+            TimeSet::window(-io::kMaxTime, -io::kMaxTime));
+  EXPECT_EQ(edge->jobs[1].allowed, TimeSet({{0, 2}, {4, io::kMaxTime}}));
 }
 
 TEST(Serialize, CountsUpToTheLimitAreAccepted) {

@@ -11,6 +11,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/io/json.hpp"
@@ -880,6 +881,35 @@ TEST(JsonCodec, DeclaredJobCountsAboveKMaxJobsAreRejectedAtOnce) {
       R"({"schedule": {"jobs": )" + std::to_string(kMaxJobs) + "}}", &error);
   ASSERT_TRUE(at_limit.has_value()) << error;
   EXPECT_EQ(at_limit->schedule.size(), kMaxJobs);
+}
+
+TEST(JsonCodec, JobTimesOutsideKMaxTimeAreRejected) {
+  // Past 2^61 the solvers' sums of time differences and margins could
+  // overflow int64, so the reader refuses such a job with a diagnostic.
+  const auto request = [](const std::string& jobs, std::string* error) {
+    std::string solver;
+    return request_from_json(
+        R"({"solver": "gap_dp", "instance": {"jobs": )" + jobs + "}}",
+        &solver, error);
+  };
+  const std::string max = std::to_string(kMaxTime);
+  const std::string past = std::to_string(kMaxTime + 1);
+  for (const std::string& jobs : std::vector<std::string>{
+           "[[[0, 3]], [[9223372036854775800, 9223372036854775806]]]",
+           "[[[-9223372036854775807, 0]]]", "[[[0, " + past + "]]]",
+           "[[[0, 1], [5, 6], [-" + past + ", 9]]]"}) {
+    std::string error;
+    EXPECT_FALSE(request(jobs, &error).has_value()) << jobs;
+    EXPECT_EQ(error, kTimeRangeError) << jobs;
+  }
+  std::string error;
+  const auto edge =
+      request("[[[-" + max + ", -" + max + "]], [[0, 2], [4, " + max + "]]]",
+              &error);
+  ASSERT_TRUE(edge.has_value()) << error;
+  EXPECT_EQ(edge->instance.jobs[0].allowed,
+            TimeSet::window(-kMaxTime, -kMaxTime));
+  EXPECT_EQ(edge->instance.jobs[1].allowed, TimeSet({{0, 2}, {4, kMaxTime}}));
 }
 
 // ---------------------------------------------------- reader edge cases --
