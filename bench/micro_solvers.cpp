@@ -133,8 +133,7 @@ bool pr5_rejected(const Instance& inst) {
 }
 
 bench::Json run_dp_scenario(const DpScenario& sc) {
-  const dp::DpOptions baseline_opts{.layout = dp::MemoLayout::kHash,
-                                    .prune = false};
+  const dp::DpOptions baseline_opts{.prune = false, .arena_max_entries = 0};
   const dp::DpOptions tuned_opts{};  // default layout + pruning (production)
 
   bench::Json row = bench::Json::object();

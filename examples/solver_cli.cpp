@@ -33,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,15 @@ int usage() {
             << "run 'solver_cli --list' for the registered solvers and\n"
             << "'solver_cli --scenarios' for the named workload families\n";
   return 2;
+}
+
+/// std::stoul for a count flag. stoul reads "-1" as the largest unsigned
+/// long, so a minus sign is refused here instead.
+unsigned long parse_count(const std::string& text) {
+  if (text.find('-') != std::string::npos) {
+    throw std::invalid_argument("negative count: " + text);
+  }
+  return std::stoul(text);
 }
 
 int list_solvers(const engine::Engine& eng) {
@@ -393,7 +403,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--spans") {
         auto v = value();
         if (!v) return usage();
-        request.params.max_spans = std::stoul(*v);
+        request.params.max_spans = parse_count(*v);
       } else if (arg == "--threshold") {
         auto v = value();
         if (!v) return usage();
@@ -439,7 +449,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--store-max-bytes") {
         auto v = value();
         if (!v) return usage();
-        eng_options.store_max_bytes = std::stoul(*v);
+        eng_options.store_max_bytes = parse_count(*v);
       } else if (arg == "--warm") {
         auto v = value();
         if (!v) return usage();
@@ -539,7 +549,7 @@ int main(int argc, char** argv) {
       if (request.objective == engine::Objective::kPower) {
         request.params.alpha = std::stod(param);
       } else if (request.objective == engine::Objective::kThroughput) {
-        request.params.max_spans = std::stoul(param);
+        request.params.max_spans = parse_count(param);
       } else {
         std::cerr << "unexpected argument '" << param << "'\n";
         return usage();

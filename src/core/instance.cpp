@@ -53,6 +53,10 @@ std::string Instance::validate() const {
     if (jobs[i].allowed.empty()) {
       return "job " + std::to_string(i) + " has an empty allowed set";
     }
+    // The set is normalized, so its hull bounds every interval end.
+    if (!in_time_range({jobs[i].release(), jobs[i].deadline()})) {
+      return "job " + std::to_string(i) + ": " + std::string(kTimeRangeError);
+    }
   }
   return {};
 }

@@ -200,10 +200,10 @@ void Pipeline::cache_lookup(SolveContext& ctx) {
       ctx.to_solve.empty() && ctx.agg.component_cache_hits > 0;
 }
 
-/// Runs the family adapter (do_solve) on every component left to solve —
-/// fanned out on the executor when several large ones remain — and
-/// publishes fresh results to the cache. Skipped entirely when the cache
-/// already served everything.
+/// Runs the family adapter on every component left to solve — fanned out
+/// on the executor when several large ones remain — and publishes fresh
+/// results to the cache. Skipped entirely when the cache already served
+/// everything.
 void Pipeline::dispatch(SolveContext& ctx) {
   stage_of(ctx, PipelineStage::kDispatch).ran = !ctx.to_solve.empty();
   // One component that Compress left alone is the request itself up to job
@@ -228,7 +228,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
     // apply to the recombined whole.
     Stopwatch solve_watch;
     if (original) {
-      SolveResult part = ctx.solver.do_solve(ctx.request);
+      SolveResult part = ctx.solver.adapter_(ctx.request);
       solve_ms[c] = solve_watch.millis();
       part.schedule = canonicalize_schedule(part.schedule,
                                             ctx.dec.components[c]);
@@ -240,7 +240,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
     // shifts and the compression maps — nothing needs the instance
     // afterwards.
     ctx.parts[c] = std::make_shared<const SolveResult>(
-        ctx.solver.do_solve(SolveRequest{
+        ctx.solver.adapter_(SolveRequest{
             std::move(ctx.dec.components[c].instance), ctx.request.objective,
             ctx.request.params}));
     solve_ms[c] = solve_watch.millis();

@@ -4,7 +4,7 @@
 
 namespace gapsched::engine {
 
-// Defined in builtin_solvers.cpp; called exactly once below.
+// Defined in builtin_solvers.cpp; called once per registry below.
 void register_builtin_solvers(SolverRegistry& registry);
 
 SolverRegistry& SolverRegistry::instance() {
@@ -21,19 +21,19 @@ std::unique_ptr<SolverRegistry> SolverRegistry::create_with_builtins() {
 }
 
 bool SolverRegistry::add(std::unique_ptr<Solver> solver) {
-  const std::string& name = solver->info().name;
-  return solvers_.emplace(name, std::move(solver)).second;
+  std::string name = solver->info().name;
+  return solvers_.try_emplace(std::move(name), std::move(*solver)).second;
 }
 
 const Solver* SolverRegistry::find(std::string_view name) const {
   auto it = solvers_.find(name);
-  return it == solvers_.end() ? nullptr : it->second.get();
+  return it == solvers_.end() ? nullptr : &it->second;
 }
 
 std::vector<const Solver*> SolverRegistry::all() const {
   std::vector<const Solver*> out;
   out.reserve(solvers_.size());
-  for (const auto& [name, solver] : solvers_) out.push_back(solver.get());
+  for (const auto& [name, solver] : solvers_) out.push_back(&solver);
   return out;
 }
 
@@ -41,7 +41,7 @@ std::vector<const Solver*> SolverRegistry::for_objective(
     Objective objective) const {
   std::vector<const Solver*> out;
   for (const auto& [name, solver] : solvers_) {
-    if (solver->info().objective == objective) out.push_back(solver.get());
+    if (solver.info().objective == objective) out.push_back(&solver);
   }
   return out;
 }

@@ -53,7 +53,8 @@ struct Instance {
   TimeSet live_times() const { return TimeSet(live_intervals()); }
 
   /// Basic well-formedness: >=1 processor, every job has a non-empty
-  /// allowed set. Returns an empty string when OK, else a diagnostic.
+  /// allowed set within [-kMaxTime, kMaxTime]. Returns an empty string
+  /// when OK, else a diagnostic.
   std::string validate() const;
 
   /// Convenience builder for one-interval jobs.

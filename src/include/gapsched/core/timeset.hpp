@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace gapsched {
@@ -39,6 +40,25 @@ struct Interval {
   bool contains(Time t) const { return lo <= t && t <= hi; }
   bool operator==(const Interval&) const = default;
 };
+
+/// Largest accepted magnitude of a job's interval ends: 2^61. Both instance
+/// readers refuse a time past it while parsing, and Instance::validate()
+/// refuses it in every request. The difference of two such times is at
+/// most 2^62, and the solvers add to a time or a difference at most the
+/// Prop 2.1 margin n + 1 or a compressed dead run min(run, cap), never
+/// longer than the run itself; every such sum stays below 2^63 in
+/// magnitude, so none of them overflows int64.
+inline constexpr Time kMaxTime = Time{1} << 61;
+
+/// True when both ends of `iv` lie within [-kMaxTime, kMaxTime].
+constexpr bool in_time_range(Interval iv) {
+  return -kMaxTime <= iv.lo && iv.lo <= kMaxTime && -kMaxTime <= iv.hi &&
+         iv.hi <= kMaxTime;
+}
+
+/// The diagnostic for an interval end outside that range.
+inline constexpr std::string_view kTimeRangeError =
+    "interval time outside [-2^61, 2^61]";
 
 /// Sorts `intervals` by start, drops the empty ones and merges overlapping
 /// and adjacent neighbours, in place: the normal form a TimeSet holds.

@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -151,15 +152,6 @@ class HashMemo {
 
  private:
   MemoTable<Value> table_;
-};
-
-/// ArenaMemo already speaks the index interface; this shim only adds the
-/// probe accessor so the engine can treat both layouts uniformly.
-template <class Value>
-class DenseMemo : public ArenaMemo<Value> {
- public:
-  using ArenaMemo<Value>::ArenaMemo;
-  std::uint64_t probe_steps() const { return 0; }
 };
 
 // ---------------------------------------------------------------- engine --
@@ -478,36 +470,28 @@ DpRun<Policy> run_dp(const DpContext& ctx, const Policy& policy,
   volume = mul_sat(volume, static_cast<std::uint64_t>(p) + 1);
   volume = mul_sat(volume, static_cast<std::uint64_t>(p) + 1);
 
-  const bool arena = opts.layout != MemoLayout::kHash &&
-                     volume <= opts.arena_max_entries;
-
   DpRun<Policy> out;
   out.memo.box_volume = volume;
-  if (arena) {
-    DenseMemo<Value> memo(i_min, extent, n, q_max, p);
-    DpEngine<Policy, DenseMemo<Value>> engine(ctx, policy, opts.prune, memo);
+  const auto solve = [&](auto& memo, MemoLayout layout) {
+    DpEngine<Policy, std::remove_reference_t<decltype(memo)>> engine(
+        ctx, policy, opts.prune, memo);
     auto run = engine.run();
     out.feasible = run.feasible;
     out.value = run.value;
     out.schedule = std::move(run.schedule);
     out.states = memo.size();
-    out.memo.layout = MemoLayout::kArena;
+    out.memo.layout = layout;
     out.memo.entries = memo.size();
     out.memo.find_calls = run.find_calls;
     out.memo.pruned = run.pruned;
+  };
+  if (volume <= opts.arena_max_entries) {
+    ArenaMemo<Value> memo(i_min, extent, n, q_max, p);
+    solve(memo, MemoLayout::kArena);
   } else {
     HashMemo<Value> memo;
-    DpEngine<Policy, HashMemo<Value>> engine(ctx, policy, opts.prune, memo);
-    auto run = engine.run();
-    out.feasible = run.feasible;
-    out.value = run.value;
-    out.schedule = std::move(run.schedule);
-    out.states = memo.size();
-    out.memo.layout = MemoLayout::kHash;
-    out.memo.entries = memo.size();
-    out.memo.find_calls = run.find_calls;
+    solve(memo, MemoLayout::kHash);
     out.memo.probe_steps = memo.probe_steps();
-    out.memo.pruned = run.pruned;
   }
   return out;
 }

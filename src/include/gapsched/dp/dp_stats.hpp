@@ -9,13 +9,11 @@
 
 namespace gapsched::dp {
 
-/// Memo storage strategy for one DP solve.
+/// Memo storage of one DP solve, as reported in MemoStats.
 enum class MemoLayout : std::uint8_t {
-  /// Force the open-addressing hash table (the pre-arena layout).
+  /// The open-addressing hash table.
   kHash,
-  /// Dense direct-indexed arena when the state box fits
-  /// DpOptions::arena_max_entries, else the hash table (an unconditional
-  /// arena could be an allocation bomb).
+  /// The dense direct-indexed arena.
   kArena,
 };
 
@@ -23,13 +21,12 @@ enum class MemoLayout : std::uint8_t {
 /// the engine's production configuration; benches and tests override
 /// individual knobs to A/B layouts and pruning.
 struct DpOptions {
-  MemoLayout layout = MemoLayout::kArena;
   /// Candidate-axis and occupancy-cap pruning (see dp_engine.hpp for the
   /// dominance arguments). Off reproduces the unpruned enumeration.
   bool prune = true;
-  /// Largest state-box volume (entries, not bytes) the arena layout may
-  /// allocate; ~21 bytes per entry. Above this kArena falls back to the
-  /// hash table.
+  /// Largest state-box volume (entries, not bytes) the arena may allocate;
+  /// ~21 bytes per entry. A larger box uses the hash table (an
+  /// unconditional arena could be an allocation bomb), and 0 forces it.
   std::size_t arena_max_entries = std::size_t{1} << 21;
 };
 

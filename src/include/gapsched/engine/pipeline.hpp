@@ -34,8 +34,8 @@
 //     that key hashes, the objective, the params and the solver's
 //     exactness, so a record read through from the cache's store is always
 //     re-audited by the oracle before it serves;
-//   * Dispatch runs the family adapter (do_solve) on the components the
-//     cache did not serve, and is skipped when it served them all. A lone
+//   * Dispatch runs the family adapter on the components the cache did
+//     not serve, and is skipped when it served them all. A lone
 //     uncompressed component is solved as the requester's original
 //     instance, so job-order-sensitive heuristics answer exactly as they
 //     would without a cache; its schedule is stored in component

@@ -1,6 +1,6 @@
 #pragma once
 // SolverRegistry: the static catalogue of every solver family in the
-// library. The built-in adapters (src/engine/builtin_solvers.cpp) are
+// library. The built-in rows (src/engine/builtin_solvers.cpp) are
 // registered on first access, so `SolverRegistry::instance()` always starts
 // fully populated — no reliance on static-initializer link order.
 
@@ -48,7 +48,8 @@ class SolverRegistry {
  private:
   SolverRegistry() = default;
 
-  std::map<std::string, std::unique_ptr<Solver>, std::less<>> solvers_;
+  /// Map nodes never move, so find() pointers stay valid across add().
+  std::map<std::string, Solver, std::less<>> solvers_;
 };
 
 }  // namespace gapsched::engine

@@ -1,12 +1,13 @@
 #pragma once
-// The Solver interface: one virtual seam between the engine and every
-// algorithm family. Concrete adapters live in src/engine/builtin_solvers.cpp
-// and register themselves with the SolverRegistry. The solve path itself is
-// the staged request pipeline in engine/pipeline.hpp; this header only owns
-// the family seam.
+// The Solver value: one solver family is its SolverInfo plus a stateless
+// adapter function. Every built-in family is one row of the table in
+// src/engine/builtin_solvers.cpp, registered with the SolverRegistry; a new
+// family is one more row. The solve path itself is the staged request
+// pipeline in engine/pipeline.hpp; this header only owns the family seam.
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "gapsched/engine/types.hpp"
 
@@ -54,13 +55,20 @@ struct SolverInfo {
   unsigned params = 0;
 };
 
-/// Abstract solver. Implementations must be stateless across calls (solve()
-/// is invoked concurrently from Engine::solve_batch's worker threads).
+/// One solver family: its description and its adapter.
 class Solver {
  public:
-  virtual ~Solver() = default;
+  /// The family-specific adapter, invoked by the pipeline's Dispatch stage
+  /// with requests that passed check(). Fills ok/feasible/cost/
+  /// transitions/schedule/stats fields other than wall_ms. A plain function
+  /// pointer carries no state, so solve() may be called concurrently
+  /// (Engine::solve_batch's worker threads do).
+  using Adapter = SolveResult (*)(const SolveRequest& request);
 
-  virtual const SolverInfo& info() const = 0;
+  Solver(SolverInfo info, Adapter adapter)
+      : info_(std::move(info)), adapter_(adapter) {}
+
+  const SolverInfo& info() const { return info_; }
 
   /// Validates the request against info() and the instance's own
   /// well-formedness, then walks the staged pipeline (engine/pipeline.hpp);
@@ -80,16 +88,12 @@ class Solver {
   /// without running the underlying algorithm.
   std::string check(const SolveRequest& request) const;
 
- protected:
-  /// The family-specific adapter, invoked by the pipeline's Dispatch
-  /// stage. Called only with requests that passed check(); must fill
-  /// ok/feasible/cost/transitions/schedule/stats fields other than
-  /// wall_ms.
-  virtual SolveResult do_solve(const SolveRequest& request) const = 0;
-
  private:
-  /// The Dispatch stage is the only caller of do_solve outside this class.
+  /// The Dispatch stage is the only caller of the adapter.
   friend class pipeline::Pipeline;
+
+  SolverInfo info_;
+  Adapter adapter_;
 };
 
 }  // namespace gapsched::engine

@@ -43,7 +43,7 @@ enum class PipelineStage : std::size_t {
   kDecompose,         // m >= 1 components: cut clusters, or the identity
   kCompress,          // length-aware dead-time compression per component
   kCacheLookup,       // content-addressed lookup + intra-request dedup
-  kDispatch,          // the family adapter (do_solve), fanned out per component
+  kDispatch,          // the family adapter, fanned out per component
   kRecombine,         // merge parts, map schedules back, aggregate stats
   kAudit,             // independent oracle re-derivation (params.validate)
 };

@@ -68,24 +68,6 @@ inline constexpr int kMaxParseDepth = 64;
 /// the bcd DP's n < 2^21 bound, above what an 8 MiB frame can carry.
 inline constexpr std::size_t kMaxJobs = std::size_t{1} << 21;
 
-/// Largest accepted magnitude of a job's interval ends, in a document or a
-/// text file: 2^61. The difference of two such times is at most 2^62, and
-/// the solvers add to a time or a difference at most the Prop 2.1 margin
-/// n + 1 (n <= kMaxJobs) or a compressed dead run min(run, cap), never
-/// longer than the run itself; every such sum stays below 2^63 in
-/// magnitude, so none of them overflows int64.
-inline constexpr Time kMaxTime = Time{1} << 61;
-
-/// True when both ends of `iv` lie within [-kMaxTime, kMaxTime].
-constexpr bool in_time_range(Interval iv) {
-  return -kMaxTime <= iv.lo && iv.lo <= kMaxTime && -kMaxTime <= iv.hi &&
-         iv.hi <= kMaxTime;
-}
-
-/// The diagnostic for an interval end outside that range.
-inline constexpr std::string_view kTimeRangeError =
-    "interval time outside [-2^61, 2^61]";
-
 /// Largest accepted frame `deadline_ms`: 1e9 ms, about 11.6 days. The
 /// server turns the deadline into a steady_clock duration, and a double
 /// past that clock's int64 range converts with undefined behaviour.

@@ -88,8 +88,8 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
       if (!(ls >> iv.lo >> iv.hi) || iv.empty()) {
         return fail(error, "bad interval in job line: " + line);
       }
-      if (!io::in_time_range(iv)) {
-        return fail(error, std::string(io::kTimeRangeError) +
+      if (!in_time_range(iv)) {
+        return fail(error, std::string(kTimeRangeError) +
                                " in job line: " + line);
       }
       if (i == 0) {

@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gapsched/engine/engine.hpp"
@@ -192,65 +194,119 @@ TEST(Differential, RegistryWideAgreementOnCatalog) {
 // objective value, and oracle-clean schedules, for every family on every
 // catalog scenario. Heuristic and throughput families ignore the flag, so
 // for them this doubles as a determinism check.
-TEST(Differential, DecompositionOnVsOffAgreesAcrossCatalog) {
+//
+// Every (scenario, draw) cell is checked exactly once. The slow scenarios
+// (span_search with decomposition off takes 35-50 s a draw on
+// power_longhaul) get one parameterized case per draw, so ctest times each
+// cell and runs them side by side; every other cell (all together a few
+// seconds) runs in Differential.DecompositionOnVsOffAgreesAcrossCatalog.
+constexpr int kDecompositionDraws = 3;
+const std::vector<std::string> kSlowDecompositionScenarios = {
+    "power_longhaul"};
+
+bool is_slow_decomposition_scenario(const std::string& name) {
+  return std::find(kSlowDecompositionScenarios.begin(),
+                   kSlowDecompositionScenarios.end(),
+                   name) != kSlowDecompositionScenarios.end();
+}
+
+void expect_decomposition_invisible(std::size_t sc_idx, int draw) {
   // Cache OFF here: the on/off pair must be two genuinely independent
   // solves, not one solve and one canonical-key lookup of it.
   engine::Engine eng({.cache = false});
-  const SolverRegistry& registry = eng.registry();
-  const std::vector<const Solver*> solvers = registry.all();
+  const std::vector<const Solver*> solvers = eng.registry().all();
+  const Scenario* sc = ScenarioCatalog::instance().all().at(sc_idx);
+  SCOPED_TRACE(::testing::Message() << "scenario " << sc->name);
+  const std::uint64_t seed = testing::seed_for(7000 + sc_idx * 53 + draw);
+  GAPSCHED_TRACE_SEED(seed);
+  const Instance inst = sc->make(seed);
+
+  // Adjacent batch slots: [2i] decomposed (default), [2i+1] monolithic.
+  std::vector<BatchJob> batch;
+  batch.reserve(2 * solvers.size());
+  for (const Solver* solver : solvers) {
+    BatchJob job;
+    job.solver = solver->info().name;
+    job.request.instance = inst;
+    job.request.objective = solver->info().objective;
+    job.request.params.alpha = kAlpha;
+    job.request.params.max_spans = kMaxSpans;
+    job.request.params.validate = true;
+    BatchJob mono = job;
+    mono.request.params.decompose = false;
+    batch.push_back(std::move(job));
+    batch.push_back(std::move(mono));
+  }
+  const std::vector<SolveResult> results = eng.solve_batch(batch);
+  ASSERT_EQ(results.size(), 2 * solvers.size());
+
+  for (std::size_t i = 0; i < solvers.size(); ++i) {
+    const engine::SolverInfo& info = solvers[i]->info();
+    const SolveResult& on = results[2 * i];
+    const SolveResult& off = results[2 * i + 1];
+    SCOPED_TRACE(::testing::Message() << "family " << info.name);
+    ASSERT_EQ(on.ok, off.ok) << on.error << " vs " << off.error;
+    if (!on.ok) continue;
+    EXPECT_EQ(on.audit_error, "") << on.audit_error;
+    EXPECT_EQ(off.audit_error, "") << off.audit_error;
+    ASSERT_EQ(on.feasible, off.feasible);
+    if (!on.feasible) continue;
+    if (info.objective == Objective::kPower) {
+      EXPECT_NEAR(on.cost, off.cost, power_tol(on.cost, off.cost));
+    } else {
+      EXPECT_EQ(on.cost, off.cost);
+      EXPECT_EQ(on.transitions, off.transitions);
+    }
+    EXPECT_EQ(on.schedule.scheduled_count(), off.schedule.scheduled_count());
+  }
+}
+
+TEST(Differential, DecompositionOnVsOffAgreesAcrossCatalog) {
   const std::vector<const Scenario*> catalog =
       ScenarioCatalog::instance().all();
-
-  constexpr int kDraws = 3;
+  // A slow name that left the catalog would silently drop no cell, but it
+  // would leave a stale split behind: keep the list honest.
+  for (const std::string& name : kSlowDecompositionScenarios) {
+    EXPECT_TRUE(std::any_of(catalog.begin(), catalog.end(),
+                            [&](const Scenario* sc) { return sc->name == name; }))
+        << name << " is not a catalog scenario";
+  }
   for (std::size_t sc_idx = 0; sc_idx < catalog.size(); ++sc_idx) {
-    const Scenario* sc = catalog[sc_idx];
-    SCOPED_TRACE(::testing::Message() << "scenario " << sc->name);
-    for (int draw = 0; draw < kDraws; ++draw) {
-      const std::uint64_t seed = testing::seed_for(7000 + sc_idx * 53 + draw);
-      GAPSCHED_TRACE_SEED(seed);
-      const Instance inst = sc->make(seed);
-
-      // Adjacent batch slots: [2i] decomposed (default), [2i+1] monolithic.
-      std::vector<BatchJob> batch;
-      batch.reserve(2 * solvers.size());
-      for (const Solver* solver : solvers) {
-        BatchJob job;
-        job.solver = solver->info().name;
-        job.request.instance = inst;
-        job.request.objective = solver->info().objective;
-        job.request.params.alpha = kAlpha;
-        job.request.params.max_spans = kMaxSpans;
-        job.request.params.validate = true;
-        BatchJob mono = job;
-        mono.request.params.decompose = false;
-        batch.push_back(std::move(job));
-        batch.push_back(std::move(mono));
-      }
-      const std::vector<SolveResult> results = eng.solve_batch(batch);
-      ASSERT_EQ(results.size(), 2 * solvers.size());
-
-      for (std::size_t i = 0; i < solvers.size(); ++i) {
-        const engine::SolverInfo& info = solvers[i]->info();
-        const SolveResult& on = results[2 * i];
-        const SolveResult& off = results[2 * i + 1];
-        SCOPED_TRACE(::testing::Message() << "family " << info.name);
-        ASSERT_EQ(on.ok, off.ok) << on.error << " vs " << off.error;
-        if (!on.ok) continue;
-        EXPECT_EQ(on.audit_error, "") << on.audit_error;
-        EXPECT_EQ(off.audit_error, "") << off.audit_error;
-        ASSERT_EQ(on.feasible, off.feasible);
-        if (!on.feasible) continue;
-        if (info.objective == Objective::kPower) {
-          EXPECT_NEAR(on.cost, off.cost, power_tol(on.cost, off.cost));
-        } else {
-          EXPECT_EQ(on.cost, off.cost);
-          EXPECT_EQ(on.transitions, off.transitions);
-        }
-        EXPECT_EQ(on.schedule.scheduled_count(), off.schedule.scheduled_count());
-      }
+    if (is_slow_decomposition_scenario(catalog[sc_idx]->name)) continue;
+    for (int draw = 0; draw < kDecompositionDraws; ++draw) {
+      expect_decomposition_invisible(sc_idx, draw);
     }
   }
 }
+
+class DecompositionOnVsOff
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(DecompositionOnVsOff, AgreesOnCatalogDraw) {
+  const auto [sc_idx, draw] = GetParam();
+  expect_decomposition_invisible(sc_idx, draw);
+}
+
+std::vector<std::tuple<std::size_t, int>> slow_decomposition_cells() {
+  const std::vector<const Scenario*> catalog =
+      ScenarioCatalog::instance().all();
+  std::vector<std::tuple<std::size_t, int>> cells;
+  for (std::size_t sc_idx = 0; sc_idx < catalog.size(); ++sc_idx) {
+    if (!is_slow_decomposition_scenario(catalog[sc_idx]->name)) continue;
+    for (int draw = 0; draw < kDecompositionDraws; ++draw) {
+      cells.emplace_back(sc_idx, draw);
+    }
+  }
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, DecompositionOnVsOff,
+    ::testing::ValuesIn(slow_decomposition_cells()),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, int>>& info) {
+      return ScenarioCatalog::instance().all()[std::get<0>(info.param)]->name +
+             "_draw" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace gapsched

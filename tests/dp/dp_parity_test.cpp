@@ -67,13 +67,13 @@ void expect_power_identical(const PowerDpResult& a, const PowerDpResult& b,
 
 // Arena vs hash memo, and pruning on vs off, across the catalog.
 TEST(DpParity, ArenaVsHashAcrossScenarioCatalog) {
-  dp::DpOptions hash_opts{.layout = dp::MemoLayout::kHash, .prune = true};
-  dp::DpOptions hash_noprune{.layout = dp::MemoLayout::kHash, .prune = false};
-  dp::DpOptions arena_opts{.layout = dp::MemoLayout::kArena, .prune = true};
-  // Forcing the arena high enough that every catalog draw's state box fits
-  // densely; draws whose box still exceeds it fall back to hash, which is
-  // itself a config worth exercising.
-  arena_opts.arena_max_entries = std::size_t{1} << 26;
+  const dp::DpOptions hash_opts{.prune = true, .arena_max_entries = 0};
+  const dp::DpOptions hash_noprune{.prune = false, .arena_max_entries = 0};
+  // Raising the arena cap high enough that every catalog draw's state box
+  // fits densely; draws whose box still exceeds it fall back to hash,
+  // which is itself a config worth exercising.
+  const dp::DpOptions arena_opts{.prune = true,
+                                 .arena_max_entries = std::size_t{1} << 26};
 
   int arena_solves = 0;
   for (const Instance& inst : catalog_draws(2)) {

@@ -422,31 +422,19 @@ TEST(EngineStream, ConcurrentStreamsShareTheCacheSafely) {
 // ------------------------------------------------------------- registries --
 
 TEST(EngineRegistry, IsOwnedPerEngine) {
-  class FakeSolver final : public Solver {
-   public:
-    FakeSolver() {
-      info_.name = "per_engine_fake";
-      info_.summary = "test double";
-      info_.paper_ref = "n/a";
-      info_.complexity = "O(1)";
-    }
-    const SolverInfo& info() const override { return info_; }
-
-   protected:
-    SolveResult do_solve(const SolveRequest&) const override {
-      SolveResult r;
-      r.ok = true;
-      r.feasible = true;
-      return r;
-    }
-
-   private:
-    SolverInfo info_;
-  };
-
   Engine eng;
   EXPECT_EQ(eng.registry().size(), SolverRegistry::instance().size());
-  ASSERT_TRUE(eng.registry().add(std::make_unique<FakeSolver>()));
+  ASSERT_TRUE(eng.registry().add(std::make_unique<Solver>(
+      SolverInfo{.name = "per_engine_fake",
+                 .summary = "test double",
+                 .paper_ref = "n/a",
+                 .complexity = "O(1)"},
+      [](const SolveRequest&) {
+        SolveResult r;
+        r.ok = true;
+        r.feasible = true;
+        return r;
+      })));
   EXPECT_NE(eng.registry().find("per_engine_fake"), nullptr);
   // The process-wide registry (the deprecated shims' registry) is
   // untouched, and so is a sibling engine.

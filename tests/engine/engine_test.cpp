@@ -95,24 +95,6 @@ TEST(Registry, ObjectivePartitionCoversAllSolvers) {
   EXPECT_EQ(total, SolverRegistry::instance().size());
 }
 
-/// Minimal solver used to probe registration edge cases.
-class FakeSolver final : public Solver {
- public:
-  explicit FakeSolver(std::string name) {
-    info_.name = std::move(name);
-    info_.summary = "test double";
-    info_.paper_ref = "n/a";
-    info_.complexity = "O(1)";
-  }
-  const SolverInfo& info() const override { return info_; }
-
- protected:
-  SolveResult do_solve(const SolveRequest&) const override { return {}; }
-
- private:
-  SolverInfo info_;
-};
-
 TEST(Registry, RejectsDuplicateNames) {
   SolverRegistry& registry = SolverRegistry::instance();
   const Solver* original = registry.find("gap_dp");
@@ -120,7 +102,12 @@ TEST(Registry, RejectsDuplicateNames) {
   const std::size_t before = registry.size();
   // A second registration under an existing name is refused and must not
   // displace (or invalidate pointers to) the original solver.
-  EXPECT_FALSE(registry.add(std::make_unique<FakeSolver>("gap_dp")));
+  EXPECT_FALSE(registry.add(std::make_unique<Solver>(
+      SolverInfo{.name = "gap_dp",
+                 .summary = "test double",
+                 .paper_ref = "n/a",
+                 .complexity = "O(1)"},
+      [](const SolveRequest&) { return SolveResult{}; })));
   EXPECT_EQ(registry.size(), before);
   EXPECT_EQ(registry.find("gap_dp"), original);
   EXPECT_EQ(original->info().paper_ref, "Theorem 1 (Section 2)");
@@ -299,7 +286,7 @@ TEST(Validation, TimeLimitFlagsLongSolves) {
   EXPECT_FALSE(engine_solve("gap_dp", req).timed_out);
 }
 
-// io::kMaxTime is the readers' bound on job times. Every family must answer
+// kMaxTime is the engine's bound on job times. Every family must answer
 // jobs at both ends of it as it answers the same clusters brought 10^6
 // apart, oracle-audited, with decomposition on and off: no int64 sum of
 // two bounded times' difference and a margin overflows on the way.
@@ -312,7 +299,7 @@ TEST(Validation, JobsAtTheReaderTimeBoundSolveInEveryFamily) {
     }
     return inst;
   };
-  const Instance edge = clusters(-io::kMaxTime, io::kMaxTime - 2);
+  const Instance edge = clusters(-kMaxTime, kMaxTime - 2);
   const Instance near = clusters(0, 1000000);
   for (const Solver* solver : SolverRegistry::instance().all()) {
     const std::string& name = solver->info().name;
@@ -329,6 +316,32 @@ TEST(Validation, JobsAtTheReaderTimeBoundSolveInEveryFamily) {
       EXPECT_EQ(got.audit_error, "") << where;
       EXPECT_TRUE(got.feasible) << where;
       EXPECT_EQ(got.cost, want.cost) << where;
+    }
+  }
+}
+
+// Past kMaxTime a request is rejected before any family runs, the same for
+// an instance built in process as for one a reader parsed. Jobs [0, 3] and
+// [2^63 - 8, 2^63 - 2] once answered "infeasible" under gap_dp without
+// decomposition, a claim the schedule audit cannot refute.
+TEST(Validation, JobTimesPastTheBoundAreRejectedInEveryFamily) {
+  const Instance high = Instance::one_interval(
+      {{0, 3}, {9223372036854775800, 9223372036854775806}});
+  const Instance low =
+      Instance::one_interval({{-kMaxTime - 1, -kMaxTime}, {0, 3}});
+  for (const Solver* solver : SolverRegistry::instance().all()) {
+    const std::string& name = solver->info().name;
+    for (const Instance* inst : {&high, &low}) {
+      for (bool decompose : {true, false}) {
+        SolveRequest req{*inst, solver->info().objective, {}};
+        req.params.validate = true;
+        req.params.decompose = decompose;
+        const SolveResult r = engine_solve(name, req);
+        const std::string where = name + (decompose ? "" : " --no-decompose");
+        EXPECT_FALSE(r.ok) << where;
+        EXPECT_NE(r.error.find(kTimeRangeError), std::string::npos)
+            << where << ": " << r.error;
+      }
     }
   }
 }

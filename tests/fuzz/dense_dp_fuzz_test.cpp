@@ -42,7 +42,7 @@ std::string check_dense_gap(const Instance& inst) {
   }
   const GapDpResult tuned = solve_gap_dp(inst);
   const GapDpResult hashed =
-      solve_gap_dp(inst, dp::DpOptions{.layout = dp::MemoLayout::kHash});
+      solve_gap_dp(inst, dp::DpOptions{.arena_max_entries = 0});
   if (hashed.feasible != tuned.feasible) {
     return "hash config flipped feasibility";
   }
@@ -88,7 +88,7 @@ std::string check_dense_power(const Instance& inst) {
   if (!dp::DpContext(inst).limit_violation().empty()) return "";
   const PowerDpResult tuned = solve_power_dp(inst, kAlpha);
   const PowerDpResult hashed = solve_power_dp(
-      inst, kAlpha, dp::DpOptions{.layout = dp::MemoLayout::kHash});
+      inst, kAlpha, dp::DpOptions{.arena_max_entries = 0});
   if (hashed.feasible != tuned.feasible ||
       (tuned.feasible &&
        (hashed.power != tuned.power || hashed.states != tuned.states))) {

@@ -78,11 +78,11 @@ TEST(Serialize, HostileCountsAreRejectedWithoutAllocating) {
   EXPECT_NE(error.find("bad jobs line"), std::string::npos) << error;
 }
 
-// Past io::kMaxTime the solvers' sums of time differences and margins
+// Past kMaxTime the solvers' sums of time differences and margins
 // could overflow int64: such a job line is a diagnostic.
 TEST(Serialize, JobTimesOutsideKMaxTimeAreRejected) {
-  const std::string max = std::to_string(io::kMaxTime);
-  const std::string past = std::to_string(io::kMaxTime + 1);
+  const std::string max = std::to_string(kMaxTime);
+  const std::string past = std::to_string(kMaxTime + 1);
   for (const std::string& job : std::vector<std::string>{
            "job 1 9223372036854775800 9223372036854775806",
            "job 1 -9223372036854775807 0", "job 1 0 " + past,
@@ -94,7 +94,7 @@ TEST(Serialize, JobTimesOutsideKMaxTimeAreRejected) {
                      &error)
                      .has_value())
         << job;
-    EXPECT_EQ(error, std::string(io::kTimeRangeError) + " in job line: " + job);
+    EXPECT_EQ(error, std::string(kTimeRangeError) + " in job line: " + job);
   }
   std::string error;
   const auto edge = instance_from_string(
@@ -103,8 +103,8 @@ TEST(Serialize, JobTimesOutsideKMaxTimeAreRejected) {
       &error);
   ASSERT_TRUE(edge.has_value()) << error;
   EXPECT_EQ(edge->jobs[0].allowed,
-            TimeSet::window(-io::kMaxTime, -io::kMaxTime));
-  EXPECT_EQ(edge->jobs[1].allowed, TimeSet({{0, 2}, {4, io::kMaxTime}}));
+            TimeSet::window(-kMaxTime, -kMaxTime));
+  EXPECT_EQ(edge->jobs[1].allowed, TimeSet({{0, 2}, {4, kMaxTime}}));
 }
 
 TEST(Serialize, CountsUpToTheLimitAreAccepted) {
