@@ -15,9 +15,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gapsched/serve/server.hpp"
+#include "gapsched/util/flags.hpp"
 
 namespace {
 
@@ -25,26 +27,43 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void on_signal(int) { g_signal = 1; }
 
+using gapsched::read_value;
+using Opts = gapsched::serve::ServerOptions;
+using Value = std::string_view;
+
+constexpr gapsched::Flag<Opts> kFlags[] = {
+    {"--host", "<addr>", "bind address (default 127.0.0.1)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.host); }},
+    {"--port", "<p>",
+     "TCP port in [0, 65535]; 0 picks an ephemeral port and prints it "
+     "(default 0)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.port); }},
+    {"--shards", "<n>", "worker shards, at most 256; 0 = min(4, cores)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.shards); }},
+    {"--shard-queue", "<n>", "per-shard task queue depth (default 128)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.shard_queue); }},
+    {"--outbound-queue", "<n>",
+     "per-connection outbound frame queue depth (default 256)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.outbound_queue); }},
+    {"--cache-capacity", "<n>", "shared solve-cache entry cap (default 65536)",
+     0, [](Opts& o, Value v) { return read_value(v, &o.cache_capacity); }},
+    {"--store", "<path>",
+     "persistent on-disk solve store shared by all shards, CLI sessions, "
+     "and restarts (created if missing; loads oracle-gated)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.store_path); }},
+    {"--spill-min-ms", "<x>",
+     "only persist solves that took >= x ms (default 0.1)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.store_spill_min_ms); }},
+    {"--store-max-bytes", "<n>",
+     "store size budget; compaction keeps the most expensive entries "
+     "(default unbounded)", 0,
+     [](Opts& o, Value v) { return read_value(v, &o.store_max_bytes); }},
+};
+
 int usage() {
   std::cerr
       << "usage: gapsched_serve [options]\n"
-      << "  --host <addr>        bind address (default 127.0.0.1)\n"
-      << "  --port <p>           TCP port in [0, 65535]; 0 picks an\n"
-      << "                       ephemeral port and prints it (default 0)\n"
-      << "  --shards <n>         worker shards, at most 256; 0 = min(4,\n"
-      << "                       cores)\n"
-      << "  --shard-queue <n>    per-shard task queue depth (default 128)\n"
-      << "  --outbound-queue <n> per-connection outbound frame queue depth\n"
-      << "                       (default 256)\n"
-      << "  --cache-capacity <n> shared solve-cache entry cap\n"
-      << "                       (default 65536)\n"
-      << "  --store <path>       persistent on-disk solve store shared by\n"
-      << "                       all shards, CLI sessions, and restarts\n"
-      << "                       (created if missing; loads oracle-gated)\n"
-      << "  --spill-min-ms <x>   only persist solves that took >= x ms\n"
-      << "                       (default 0.1)\n"
-      << "  --store-max-bytes <n> store size budget; compaction keeps the\n"
-      << "                       most expensive entries (default unbounded)\n"
+      << gapsched::flag_usage<Opts>(kFlags)
       << "protocol: newline-delimited JSON frames (request/result/stats/\n"
       << "drain/error); results stream in completion order, clients\n"
       << "reorder by id. SIGTERM or a drain frame triggers a graceful\n"
@@ -55,62 +74,15 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  gapsched::serve::ServerOptions options;
+  Opts options;
   const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto value = [&]() -> const std::string* {
-      return i + 1 < args.size() ? &args[++i] : nullptr;
-    };
-    try {
-      if (arg == "--host") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.host = *v;
-      } else if (arg == "--port") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.port = std::stoi(*v);
-      } else if (arg == "--shards") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.shards = std::stoul(*v);
-      } else if (arg == "--shard-queue") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.shard_queue = std::stoul(*v);
-      } else if (arg == "--outbound-queue") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.outbound_queue = std::stoul(*v);
-      } else if (arg == "--cache-capacity") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.cache_capacity = std::stoul(*v);
-      } else if (arg == "--store") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.store_path = *v;
-      } else if (arg == "--spill-min-ms") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.store_spill_min_ms = std::stod(*v);
-      } else if (arg == "--store-max-bytes") {
-        const std::string* v = value();
-        if (v == nullptr) return usage();
-        options.store_max_bytes = std::stoul(*v);
-      } else {
-        std::cerr << "unknown option '" << arg << "'\n";
-        return usage();
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad numeric argument near '" << arg << "'\n";
-      return 2;
-    }
+  std::string error = gapsched::parse_flags<Opts>(kFlags, args, &options);
+  if (!error.empty()) {
+    std::cerr << error << "\n";
+    return usage();
   }
 
   gapsched::serve::Server server(options);
-  std::string error;
   if (!server.start(&error)) {
     std::cerr << "cannot start server on " << options.host << ":"
               << options.port << ": " << error << "\n";

@@ -10,9 +10,6 @@
 //   $ ./solver_cli restart_greedy --spans 3 instance.txt
 //   $ ./solver_cli gap_dp --json scenario:sparse_spread:7   # io/json codec
 //
-// Legacy spellings (gaps / power / power-approx / greedy / throughput) are
-// kept as aliases of the registry names.
-//
 // Default output: the objective value, a Gantt chart, metrics, and the
 // schedule in the io/serialize.hpp text format. With --json, the result is
 // emitted as the io/json.hpp response document instead (machine-readable;
@@ -24,16 +21,13 @@
 // the streamed result frame is rendered exactly like a local solve. In that
 // mode --cache-stats prints the SERVER's stats frame (same codec).
 //
-// Exit codes: 0 solved; 1 infeasible; 2 bad usage / rejected request;
-// 3 oracle refuted the answer (--validate); 4 the solve exceeded
-// --time-limit (the answer is printed but must be treated as advisory);
-// 5 client transport failure under --connect (connection refused, server
-// closed early, or a malformed frame — the request's outcome is unknown).
+// Options (one row each in kFlags) and exit codes: usage() below, which
+// runs when solver_cli is given no arguments.
 
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,11 +37,89 @@
 #include "gapsched/io/serialize.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/serve/protocol.hpp"
+#include "gapsched/util/flags.hpp"
 #include "gapsched/util/table.hpp"
 
 using namespace gapsched;
 
 namespace {
+
+/// Everything solver_cli's options set.
+struct Cli {
+  engine::SolveParams params;
+  engine::EngineOptions engine;
+  bool json = false;
+  bool cache_stats = false;
+  std::string connect;
+  std::string warm;
+};
+
+using Value = std::string_view;
+using enum engine::ParamFlag;
+
+/// solver_cli's options. `needs` 0 marks an engine-level concern,
+/// meaningful for every family; --no-decompose and --no-compress are
+/// consumed by the exact gap/power families alone, but clearing a
+/// default-on optimization is never a surprising no-op.
+constexpr Flag<Cli> kFlags[] = {
+    {"--alpha", "<a>", "wake-up cost (power solvers; default 2)", kUsesAlpha,
+     [](Cli& o, Value v) { return read_value(v, &o.params.alpha); }},
+    {"--spans", "<k>", "span budget (throughput solvers)", kUsesMaxSpans,
+     [](Cli& o, Value v) { return read_value(v, &o.params.max_spans); }},
+    {"--threshold", "<t>", "idle threshold (online_powerdown)", kUsesThreshold,
+     [](Cli& o, Value v) {
+       return read_value(v, &o.params.powerdown_threshold);
+     }},
+    {"--swap", "<s>", "set-packing swap size (powermin_approx)", kUsesPacking,
+     [](Cli& o, Value v) { return read_value(v, &o.params.swap_size); }},
+    {"--block", "<k>", "Lemma 5 block size (powermin_approx)", kUsesPacking,
+     [](Cli& o, Value v) { return read_value(v, &o.params.block_size); }},
+    {"--validate", "",
+     "re-check the answer with the independent schedule oracle (any "
+     "solver; exit 3 on a refuted answer)", 0,
+     [](Cli& o, Value) { o.params.validate = true; return true; }},
+    {"--no-decompose", "",
+     "skip the prep stage that splits far-apart job clusters into "
+     "independent components (exact gap/power solvers; on by default)", 0,
+     [](Cli& o, Value) { o.params.decompose = false; return true; }},
+    {"--no-compress", "",
+     "keep interior dead runs at full length instead of compressing them "
+     "(to 1 unit for gap solves, ceil(alpha)+1 for power solves)", 0,
+     [](Cli& o, Value) { o.params.compress = false; return true; }},
+    {"--time-limit", "<s>",
+     "advisory wall-clock budget in seconds (0 = unlimited); exit 4 when "
+     "the solve ran longer", 0,
+     [](Cli& o, Value v) { return read_value(v, &o.params.time_limit_s); }},
+    {"--json", "", "emit the result as the io/json.hpp response document", 0,
+     [](Cli& o, Value) { o.json = true; return true; }},
+    {"--cache-stats", "",
+     "print the solve-cache tallies and the pipeline stage counters as "
+     "io/json.hpp stats documents on stderr (the codec of the server's stats "
+     "frame); under --connect, the server's stats frame", 0,
+     [](Cli& o, Value) { o.cache_stats = true; return true; }},
+    {"--store", "<path>",
+     "persistent on-disk solve store (created if missing), shared with "
+     "other runs and gapsched_serve --store; the oracle re-audits every "
+     "loaded entry before it may serve", 0,
+     [](Cli& o, Value v) { return read_value(v, &o.engine.store_path); }},
+    {"--spill-min-ms", "<x>",
+     "only persist solves that took >= x ms (default 0.1)", 0,
+     [](Cli& o, Value v) {
+       return read_value(v, &o.engine.store_spill_min_ms);
+     }},
+    {"--store-max-bytes", "<n>",
+     "store size budget; compaction keeps the most expensive entries", 0,
+     [](Cli& o, Value v) { return read_value(v, &o.engine.store_max_bytes); }},
+    {"--warm", "<specs>",
+     "no single instance: pre-solve a comma-separated list of instance "
+     "specs ('catalog' = every static catalog scenario) into the --store, "
+     "validating each answer; exit 3 if any is refuted", 0,
+     [](Cli& o, Value v) { return read_value(v, &o.warm); }},
+    {"--connect", "<h:p>",
+     "do not solve locally: send the request to the gapsched_serve at "
+     "host:port and render its result frame", 0,
+     [](Cli& o, Value v) { return read_value(v, &o.connect); }},
+};
 
 int usage() {
   std::cerr << "usage: solver_cli --list | --scenarios\n"
@@ -55,52 +127,7 @@ int usage() {
             << "instance: a file in the io/serialize.hpp format, or\n"
             << "          scenario:<name>[:<seed>] from the scenario catalog\n"
             << "options:\n"
-            << "  --alpha <a>      wake-up cost (power solvers; default 2)\n"
-            << "  --spans <k>      span budget (throughput solvers)\n"
-            << "  --threshold <t>  idle threshold (online_powerdown)\n"
-            << "  --swap <s>       set-packing swap size (powermin_approx)\n"
-            << "  --block <k>      Lemma 5 block size (powermin_approx)\n"
-            << "  --validate       re-check the answer with the independent\n"
-            << "                   schedule oracle (any solver; exit 3 on a\n"
-            << "                   refuted answer)\n"
-            << "  --no-decompose   skip the prep pipeline that splits far-\n"
-            << "                   apart job clusters into independent\n"
-            << "                   components (exact gap/power solvers;\n"
-            << "                   decomposition is on by default)\n"
-            << "  --no-compress    keep interior dead runs at full length\n"
-            << "                   instead of the pipeline's length-aware\n"
-            << "                   compression (1 unit for gap solves,\n"
-            << "                   ceil(alpha)+1 for power solves)\n"
-            << "  --time-limit <s> advisory wall-clock budget in seconds;\n"
-            << "                   exit 4 when the solve ran longer\n"
-            << "  --json           emit the result as the io/json.hpp JSON\n"
-            << "                   response document (machine-readable)\n"
-            << "  --cache-stats    print the engine's solve-cache tallies\n"
-            << "                   and the per-stage pipeline counters as\n"
-            << "                   io/json.hpp stats documents on stderr\n"
-            << "                   (the same codec as the server's stats\n"
-            << "                   frame); under --connect, prints the\n"
-            << "                   server's stats frame instead\n"
-            << "  --store <path>   persistent on-disk solve store (created\n"
-            << "                   if missing), shared with other CLI runs\n"
-            << "                   and gapsched_serve --store; every loaded\n"
-            << "                   entry is re-audited by the oracle before\n"
-            << "                   it may serve\n"
-            << "  --spill-min-ms <x> only persist solves that took >= x ms\n"
-            << "                   (default 0.1)\n"
-            << "  --store-max-bytes <n> store size budget; compaction keeps\n"
-            << "                   the most expensive entries\n"
-            << "  --warm <specs>   no single instance: pre-solve a comma-\n"
-            << "                   separated list of instance specs (files\n"
-            << "                   or scenario:<name>[:<seed>]; the word\n"
-            << "                   'catalog' expands to every static\n"
-            << "                   catalog scenario) into the --store,\n"
-            << "                   validating each answer; exit 3 if any\n"
-            << "                   is refuted\n"
-            << "  --connect <h:p>  do not solve locally: send the request\n"
-            << "                   to a running gapsched_serve at host:port\n"
-            << "                   over the NDJSON frame protocol and\n"
-            << "                   render its streamed result frame\n"
+            << flag_usage<Cli>(kFlags)
             << "exit codes:\n"
             << "  0  solved\n"
             << "  1  infeasible (or the instance could not be loaded)\n"
@@ -118,19 +145,11 @@ int usage() {
   return 2;
 }
 
-/// std::stoul for a count flag. stoul reads "-1" as the largest unsigned
-/// long, so a minus sign is refused here instead.
-unsigned long parse_count(const std::string& text) {
-  if (text.find('-') != std::string::npos) {
-    throw std::invalid_argument("negative count: " + text);
-  }
-  return std::stoul(text);
-}
-
-int list_solvers(const engine::Engine& eng) {
+int list_solvers() {
   Table table({"solver", "objective", "exact", "paper", "complexity",
                "summary"});
-  for (const engine::Solver* solver : eng.registry().all()) {
+  for (const engine::Solver* solver :
+       engine::SolverRegistry::instance().all()) {
     const engine::SolverInfo& info = solver->info();
     table.row()
         .add(info.name)
@@ -165,35 +184,17 @@ int list_scenarios() {
   return 0;
 }
 
-/// Maps the pre-engine CLI verbs onto registry names.
-std::string canonical_name(const std::string& mode) {
-  if (mode == "gaps") return "gap_dp";
-  if (mode == "power") return "power_dp";
-  if (mode == "power-approx") return "powermin_approx";
-  if (mode == "greedy") return "fhkn_greedy";
-  if (mode == "throughput") return "restart_greedy";
-  return mode;
-}
-
 std::optional<Instance> load(const std::string& path) {
   // scenario:<name>[:<seed>] draws from the catalog instead of a file.
   // Wrapper names contain colons of their own (stretched:<k>:<base>), so
-  // the seed is the LAST segment, and only when it is all digits.
+  // the seed is the LAST segment, and only when it is a uint64 number.
   if (path.rfind("scenario:", 0) == 0) {
     std::string spec = path.substr(9);
     std::uint64_t seed = 1;
     if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
-      const std::string tail = spec.substr(colon + 1);
-      const bool numeric =
-          !tail.empty() && tail.find_first_not_of("0123456789") ==
-                               std::string::npos;
-      if (numeric) {
-        try {
-          seed = std::stoull(tail);
-        } catch (const std::exception&) {
-          std::cerr << "bad scenario seed in '" << path << "'\n";
-          return std::nullopt;
-        }
+      const std::string_view tail = std::string_view(spec).substr(colon + 1);
+      if (const auto numeric = parse_number<std::uint64_t>(tail)) {
+        seed = *numeric;
         spec.resize(colon);
       }
     }
@@ -367,166 +368,58 @@ int warm_store(engine::Engine& eng, const engine::Solver& solver,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) return usage();
-  if (args[0] == "--list" || args[0] == "list") {
-    return list_solvers(engine::Engine{});
-  }
+  if (args[0] == "--list" || args[0] == "list") return list_solvers();
   if (args[0] == "--scenarios" || args[0] == "scenarios") {
     return list_scenarios();
   }
-  if (args.size() < 2) return usage();
-
-  engine::SolveRequest request;
-  engine::EngineOptions eng_options;
-  bool emit_json = false;
-  bool cache_stats = false;
-  std::string connect_spec;
-  std::string warm_spec;
-  // Flags may appear anywhere; non-flag arguments are collected and
-  // resolved afterwards so the legacy "power <alpha> <file>" and
-  // "throughput <k> <file>" spellings still work.
+  // Solvers are stateless rows, the same in the process-wide registry as
+  // in an engine's; this one is read before the engine, which the options
+  // configure, exists.
+  const engine::Solver* solver =
+      engine::SolverRegistry::instance().find(args[0]);
+  if (solver == nullptr) {
+    std::cerr << "unknown solver '" << args[0] << "' (see solver_cli --list)\n";
+    return 2;
+  }
+  const std::string& name = solver->info().name;
+  Cli cli;
   std::vector<std::string> positionals;
-  std::vector<std::string> flags_seen;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (!arg.empty() && arg[0] == '-') flags_seen.push_back(arg);
-    auto value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= args.size()) return std::nullopt;
-      return args[++i];
-    };
-    try {
-      if (arg == "--alpha") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.alpha = std::stod(*v);
-      } else if (arg == "--spans") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.max_spans = parse_count(*v);
-      } else if (arg == "--threshold") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.powerdown_threshold = std::stod(*v);
-      } else if (arg == "--swap") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.swap_size = std::stoi(*v);
-      } else if (arg == "--block") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.block_size = std::stoi(*v);
-      } else if (arg == "--time-limit") {
-        auto v = value();
-        if (!v) return usage();
-        request.params.time_limit_s = std::stod(*v);
-        if (request.params.time_limit_s < 0.0) {
-          std::cerr << "--time-limit must be >= 0 (0 = unlimited)\n";
-          return 2;
-        }
-      } else if (arg == "--validate") {
-        request.params.validate = true;
-      } else if (arg == "--no-decompose") {
-        request.params.decompose = false;
-      } else if (arg == "--no-compress") {
-        request.params.compress = false;
-      } else if (arg == "--json") {
-        emit_json = true;
-      } else if (arg == "--cache-stats") {
-        cache_stats = true;
-      } else if (arg == "--connect") {
-        auto v = value();
-        if (!v) return usage();
-        connect_spec = *v;
-      } else if (arg == "--store") {
-        auto v = value();
-        if (!v) return usage();
-        eng_options.store_path = *v;
-      } else if (arg == "--spill-min-ms") {
-        auto v = value();
-        if (!v) return usage();
-        eng_options.store_spill_min_ms = std::stod(*v);
-      } else if (arg == "--store-max-bytes") {
-        auto v = value();
-        if (!v) return usage();
-        eng_options.store_max_bytes = parse_count(*v);
-      } else if (arg == "--warm") {
-        auto v = value();
-        if (!v) return usage();
-        warm_spec = *v;
-      } else if (!arg.empty() && arg[0] == '-') {
-        std::cerr << "unknown option '" << arg << "'\n";
-        return usage();
-      } else {
-        positionals.push_back(arg);
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad numeric argument near '" << arg << "'\n";
-      return 2;
-    }
+  if (const std::string error = parse_flags<Cli>(
+          kFlags, std::span(args).subspan(1), &cli, &positionals,
+          solver->info().params, "solver '" + name + "'");
+      !error.empty()) {
+    std::cerr << error << "\n";
+    return usage();
   }
   // The store and warming are local-engine concerns; combining them with a
   // remote solve would silently create and populate a file the remote
   // server never sees. Checked before the Engine exists (constructing it
   // would already create the store file).
-  if (!connect_spec.empty() &&
-      (!eng_options.store_path.empty() || !warm_spec.empty())) {
+  if (!cli.connect.empty() &&
+      (!cli.engine.store_path.empty() || !cli.warm.empty())) {
     std::cerr << "--store/--warm are local; with --connect, start the server "
                  "with gapsched_serve --store instead\n";
     return 2;
   }
-  if (!warm_spec.empty() && eng_options.store_path.empty()) {
+  if (!cli.warm.empty() && cli.engine.store_path.empty()) {
     std::cerr << "--warm populates a persistent store; add --store <path>\n";
     return 2;
   }
+  engine::SolveRequest request;
+  request.objective = solver->info().objective;
+  request.params = cli.params;
 
-  // One persistent engine for the whole invocation: registry, solve cache,
-  // and (with --store) the persistent disk tier.
-  engine::Engine eng(eng_options);
-  if (!eng_options.store_path.empty() && eng.store() == nullptr) {
+  // One persistent engine for the whole invocation: the solve cache and
+  // (with --store) the persistent disk tier.
+  engine::Engine eng(cli.engine);
+  if (!cli.engine.store_path.empty() && eng.store() == nullptr) {
     // A corrupt or foreign store file costs persistence, never the solve.
     std::cerr << "warning: running without the store: " << eng.store_error()
               << "\n";
   }
-  const std::string name = canonical_name(args[0]);
-  const engine::Solver* solver = eng.registry().find(name);
-  if (solver == nullptr) {
-    std::cerr << "unknown solver '" << args[0] << "' (see solver_cli --list)\n";
-    return 2;
-  }
-  request.objective = solver->info().objective;
-
-  // A flag the selected solver does not consume (per its SolverInfo::params
-  // declaration) is an error, not a silent no-op.
-  const unsigned consumed = solver->info().params;
-  for (const std::string& flag : flags_seen) {
-    bool applies = false;
-    if (flag == "--validate" || flag == "--json" || flag == "--cache-stats" ||
-        flag == "--time-limit" || flag == "--connect" || flag == "--store" ||
-        flag == "--spill-min-ms" || flag == "--store-max-bytes" ||
-        flag == "--warm") {
-      applies = true;  // engine-level concerns, meaningful for every family
-    } else if (flag == "--no-decompose" || flag == "--no-compress") {
-      // Only the exact gap/power families consume these flags, but clearing
-      // a default-on optimization is never a surprising no-op — accept them
-      // everywhere like --validate.
-      applies = true;
-    } else if (flag == "--alpha") {
-      applies = (consumed & engine::kUsesAlpha) != 0;
-    } else if (flag == "--spans") {
-      applies = (consumed & engine::kUsesMaxSpans) != 0;
-    } else if (flag == "--threshold") {
-      applies = (consumed & engine::kUsesThreshold) != 0;
-    } else if (flag == "--swap" || flag == "--block") {
-      applies = (consumed & engine::kUsesPacking) != 0;
-    }
-    if (!applies) {
-      std::cerr << "option '" << flag << "' does not apply to solver '"
-                << name << "'\n";
-      return usage();
-    }
-  }
-  if (!warm_spec.empty()) {
+  if (!cli.warm.empty()) {
     if (!positionals.empty()) {
       std::cerr << "--warm takes its instances from its own spec list; "
                    "unexpected argument '"
@@ -534,55 +427,40 @@ int main(int argc, char** argv) {
       return 2;
     }
     engine::pipeline::PipelineStats solved;
-    const int rc = warm_store(eng, *solver, request, warm_spec, &solved);
-    if (cache_stats) print_cache_stats(eng, solved);
+    const int rc = warm_store(eng, *solver, request, cli.warm, &solved);
+    if (cli.cache_stats) print_cache_stats(eng, solved);
     return rc;
   }
-  if (positionals.empty() || positionals.size() > 2) return usage();
-  const std::string file = positionals.back();
-  if (positionals.size() == 2) {
-    // Legacy positional parameter before the file name; only the power and
-    // throughput verbs ever had one, anything else is a stray argument and
-    // an error (not silently ignored).
-    const std::string& param = positionals.front();
-    try {
-      if (request.objective == engine::Objective::kPower) {
-        request.params.alpha = std::stod(param);
-      } else if (request.objective == engine::Objective::kThroughput) {
-        request.params.max_spans = parse_count(param);
-      } else {
-        std::cerr << "unexpected argument '" << param << "'\n";
-        return usage();
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad numeric argument near '" << param << "'\n";
-      return 2;
+  if (positionals.size() != 1) {
+    if (positionals.size() > 1) {
+      std::cerr << "unexpected argument '" << positionals[1] << "'\n";
     }
+    return usage();
   }
 
-  auto inst = load(file);
+  auto inst = load(positionals.front());
   if (!inst) return 1;
   request.instance = std::move(*inst);
 
   engine::SolveResult result;
-  if (connect_spec.empty()) {
+  if (cli.connect.empty()) {
     result = eng.solve(*solver, request);
     // Make the write-behind spill durable before reporting stats (and
     // before exit hands the store file to the next process).
     eng.flush_store();
-    if (cache_stats) {
+    if (cli.cache_stats) {
       engine::pipeline::PipelineStats solved;
       solved.absorb(result);
       print_cache_stats(eng, solved);
     }
   } else {
-    const int rc = remote_solve(connect_spec, name, request, cache_stats,
-                                &result);
+    const int rc =
+        remote_solve(cli.connect, name, request, cli.cache_stats, &result);
     if (rc != 0) return rc;
   }
 
   // Machine-readable mode: the response document is the whole stdout.
-  if (emit_json) std::cout << io::result_to_json(result) << "\n";
+  if (cli.json) std::cout << io::result_to_json(result) << "\n";
 
   if (!result.ok) {
     std::cerr << "rejected: " << result.error << "\n";
@@ -598,10 +476,10 @@ int main(int argc, char** argv) {
               << " ms); treat the answer as advisory\n";
   }
   if (!result.feasible) {
-    if (!emit_json) std::cout << "infeasible\n";
+    if (!cli.json) std::cout << "infeasible\n";
     return result.timed_out ? 4 : 1;
   }
-  if (emit_json) return result.timed_out ? 4 : 0;
+  if (cli.json) return result.timed_out ? 4 : 0;
 
   const engine::SolverInfo& info = solver->info();
   std::cout << info.name << " (" << engine::to_string(info.objective)

@@ -1,5 +1,6 @@
 #include "gapsched/engine/solver.hpp"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -32,17 +33,27 @@ std::string Solver::check(const SolveRequest& request) const {
     return "solver '" + meta.name +
            "' requires one-interval (release/deadline) jobs";
   }
-  if ((meta.params & kUsesAlpha) != 0 && !(request.params.alpha >= 0.0)) {
-    return "alpha must be >= 0";
+  const SolveParams& params = request.params;
+  if ((meta.params & kUsesAlpha) != 0 &&
+      (!std::isfinite(params.alpha) || params.alpha < 0.0)) {
+    return "alpha must be finite and >= 0";
   }
-  if ((meta.params & kUsesMaxSpans) != 0 && request.params.max_spans < 1) {
+  // +inf is a threshold that never powers down; NaN is none at all.
+  if ((meta.params & kUsesThreshold) != 0 &&
+      std::isnan(params.powerdown_threshold)) {
+    return "powerdown_threshold must not be NaN";
+  }
+  if (std::isnan(params.time_limit_s) || params.time_limit_s < 0.0) {
+    return "time_limit_s must be >= 0 (0 = unlimited)";
+  }
+  if ((meta.params & kUsesMaxSpans) != 0 && params.max_spans < 1) {
     return "max_spans must be >= 1";
   }
   if ((meta.params & kUsesPacking) != 0) {
-    if (request.params.swap_size < 0 || request.params.swap_size > 2) {
+    if (params.swap_size < 0 || params.swap_size > 2) {
       return "swap_size must be in [0, 2]";
     }
-    if (request.params.block_size < 2 || request.params.block_size > 4) {
+    if (params.block_size < 2 || params.block_size > 4) {
       return "block_size must be in [2, 4]";
     }
   }

@@ -67,21 +67,23 @@ struct StageStats {
 /// Solver-family parameters beyond the instance itself. Unused fields are
 /// ignored by solvers that do not consume them.
 struct SolveParams {
-  /// Wake-up cost for the power objectives. Must be >= 0.
+  /// Wake-up cost for the power objectives. Must be finite and >= 0.
   double alpha = 2.0;
   /// Span budget for the throughput objective ("k gaps"). Must be >= 1.
   std::size_t max_spans = 1;
   /// Idle threshold for the online power-down strategy; < 0 selects the
-  /// canonical 2-competitive value (= alpha).
+  /// canonical 2-competitive value (= alpha), +inf never powers down. Not
+  /// NaN.
   double powerdown_threshold = -1.0;
   /// Swap size of the Theorem 3 set-packing local search (0, 1 or 2).
   int swap_size = 2;
   /// Block length k of the Theorem 3 / Lemma 5 construction (2..4).
   int block_size = 2;
-  /// Advisory wall-clock budget in seconds; 0 means unlimited. Solvers are
-  /// single-shot and not preemptible, so the engine cannot abort a running
-  /// solve — it flags SolveResult::timed_out when the budget was exceeded so
-  /// batch drivers and ladders can discard or demote the result.
+  /// Advisory wall-clock budget in seconds, >= 0; 0 means unlimited.
+  /// Solvers are single-shot and not preemptible, so the engine cannot
+  /// abort a running solve — it flags SolveResult::timed_out when the
+  /// budget was exceeded so batch drivers and ladders can discard or demote
+  /// the result.
   double time_limit_s = 0.0;
   /// When true, the engine re-checks the returned schedule and cost with
   /// the independent gapsched::oracle layer after the solve; any violation

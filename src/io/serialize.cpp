@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "gapsched/io/json.hpp"
+#include "gapsched/util/flags.hpp"
 
 namespace gapsched {
 
@@ -25,6 +26,17 @@ bool next_line(std::istream& is, std::string* line) {
   }
   return false;
 }
+
+/// Reads the next whitespace-separated field of `ls` whole as a number
+/// (parse_number), so "1x" is no 1. False when it is missing or not one.
+template <typename T>
+bool field(std::istream& ls, T* out) {
+  std::string token;
+  return static_cast<bool>(ls >> token) && read_value(token, out);
+}
+
+/// True when `ls` holds no further field.
+bool ended(std::istream& ls) { return (ls >> std::ws).eof(); }
 
 }  // namespace
 
@@ -58,13 +70,14 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
     std::string kw;
     if (!next_line(is, &line)) return fail(error, "missing processors line");
     std::istringstream ls(line);
-    if (!(ls >> kw >> inst.processors) || kw != "processors" ||
-        inst.processors < 1) {
+    if (!(ls >> kw) || !field(ls, &inst.processors) || kw != "processors" ||
+        inst.processors < 1 || !ended(ls)) {
       return fail(error, "bad processors line: " + line);
     }
     if (!next_line(is, &line)) return fail(error, "missing jobs line");
     std::istringstream ls2(line);
-    if (!(ls2 >> kw >> n) || kw != "jobs" || n > io::kMaxJobs) {
+    if (!(ls2 >> kw) || !field(ls2, &n) || kw != "jobs" ||
+        n > io::kMaxJobs || !ended(ls2)) {
       return fail(error, "bad jobs line: " + line);
     }
   }
@@ -76,7 +89,7 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
     std::istringstream ls(line);
     std::string kw;
     std::size_t k = 0;
-    if (!(ls >> kw >> k) || kw != "job" || k == 0) {
+    if (!(ls >> kw) || !field(ls, &k) || kw != "job" || k == 0) {
       return fail(error, "bad job line: " + line);
     }
     // A one-interval job is read into `first` and never allocates; from
@@ -85,7 +98,7 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
     std::vector<Interval> all;
     for (std::size_t i = 0; i < k; ++i) {
       Interval iv;
-      if (!(ls >> iv.lo >> iv.hi) || iv.empty()) {
+      if (!field(ls, &iv.lo) || !field(ls, &iv.hi) || iv.empty()) {
         return fail(error, "bad interval in job line: " + line);
       }
       if (!in_time_range(iv)) {
@@ -102,6 +115,9 @@ std::optional<Instance> read_instance(std::istream& is, std::string* error) {
         all.push_back(first);
       }
       all.push_back(iv);
+    }
+    if (!ended(ls)) {
+      return fail(error, "more intervals than the count in job line: " + line);
     }
     inst.jobs.push_back(
         Job{all.empty() ? TimeSet(first) : TimeSet(std::move(all))});
@@ -140,7 +156,8 @@ std::optional<Schedule> read_schedule(std::istream& is, std::string* error) {
   {
     std::istringstream ls(line);
     std::string kw;
-    if (!(ls >> kw >> n) || kw != "jobs" || n > io::kMaxJobs) {
+    if (!(ls >> kw) || !field(ls, &n) || kw != "jobs" || n > io::kMaxJobs ||
+        !ended(ls)) {
       return fail(error, "bad jobs line: " + line);
     }
   }
@@ -150,16 +167,13 @@ std::optional<Schedule> read_schedule(std::istream& is, std::string* error) {
     std::string kw, proc;
     std::size_t j = 0;
     Time t = 0;
-    if (!(ls >> kw >> j >> t >> proc) || kw != "slot" || j >= n) {
+    if (!(ls >> kw) || !field(ls, &j) || !field(ls, &t) || !(ls >> proc) ||
+        kw != "slot" || j >= n || !ended(ls)) {
       return fail(error, "bad slot line: " + line);
     }
     int p = Placement::kUnassigned;
-    if (proc != "-") {
-      try {
-        p = std::stoi(proc);
-      } catch (...) {
-        return fail(error, "bad processor in slot line: " + line);
-      }
+    if (proc != "-" && !read_value(proc, &p)) {
+      return fail(error, "bad processor in slot line: " + line);
     }
     s.place(j, t, p);
   }

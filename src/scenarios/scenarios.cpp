@@ -5,6 +5,7 @@
 
 #include "gapsched/core/transforms.hpp"
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/util/flags.hpp"
 #include "gapsched/util/prng.hpp"
 
 namespace gapsched::scenarios {
@@ -265,16 +266,9 @@ Instance make_poly_wide(std::size_t n, std::uint64_t seed) {
 bool parse_sized_family(std::string_view name, std::string_view prefix,
                         std::size_t* n) {
   if (name.substr(0, prefix.size()) != prefix) return false;
-  const std::string_view digits = name.substr(prefix.size());
-  if (digits.empty()) return false;
-  std::size_t jobs = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    jobs = jobs * 10 + static_cast<std::size_t>(c - '0');
-    if (jobs > kMaxPolyScaleJobs) return false;
-  }
-  if (jobs < 1) return false;
-  *n = jobs;
+  const auto jobs = parse_number<std::size_t>(name.substr(prefix.size()));
+  if (!jobs || *jobs < 1 || *jobs > kMaxPolyScaleJobs) return false;
+  *n = *jobs;
   return true;
 }
 
@@ -285,15 +279,10 @@ bool parse_stretched(std::string_view name, Time* k, std::string_view* base) {
   if (name.substr(0, kPrefix.size()) != kPrefix) return false;
   std::string_view rest = name.substr(kPrefix.size());
   const std::size_t colon = rest.find(':');
-  if (colon == std::string_view::npos || colon == 0) return false;
-  Time factor = 0;
-  for (char c : rest.substr(0, colon)) {
-    if (c < '0' || c > '9') return false;
-    factor = factor * 10 + (c - '0');
-    if (factor > kMaxStretchFactor) return false;
-  }
-  if (factor < 1) return false;
-  *k = factor;
+  if (colon == std::string_view::npos) return false;
+  const auto factor = parse_number<Time>(rest.substr(0, colon));
+  if (!factor || *factor < 1 || *factor > kMaxStretchFactor) return false;
+  *k = *factor;
   *base = rest.substr(colon + 1);
   return true;
 }

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <utility>
 
+#include "gapsched/util/flags.hpp"
+
 namespace gapsched::serve {
 
 namespace {
@@ -112,16 +114,10 @@ bool parse_host_port(std::string_view spec, std::string* host, int* port) {
       colon + 1 >= spec.size()) {
     return false;
   }
-  const std::string_view port_text = spec.substr(colon + 1);
-  int value = 0;
-  for (char c : port_text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-    if (value > 65535) return false;
-  }
-  if (value <= 0) return false;
+  const auto value = parse_number<int>(spec.substr(colon + 1));
+  if (!value || *value <= 0 || *value > 65535) return false;
   *host = std::string(spec.substr(0, colon));
-  *port = value;
+  *port = *value;
   return true;
 }
 

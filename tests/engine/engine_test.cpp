@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "gapsched/bcd/bcd.hpp"
@@ -263,6 +265,60 @@ TEST(Validation, BadParametersAreRejected) {
   SolveRequest tp{small_instance(18), Objective::kThroughput, {}};
   tp.params.max_spans = 0;
   EXPECT_FALSE(engine_solve("restart_greedy", tp).ok);
+}
+
+// Parameters outside their domain are refused before any stage runs, in
+// every family that reads them. alpha = +inf once made power_dp call the
+// feasible [0, 5] infeasible (a claim the schedule audit cannot refute),
+// powermin_approx priced it at inf, a NaN threshold priced
+// online_powerdown at NaN, and a NaN time limit ran with none.
+TEST(Validation, NonFiniteParametersAreRejectedInEveryFamily) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const Instance one_job = Instance::one_interval({{0, 5}});
+  for (const Solver* solver : SolverRegistry::instance().all()) {
+    const SolverInfo& info = solver->info();
+    const auto solve = [&](void (*set)(SolveParams&, double), double value) {
+      SolveRequest req{one_job, info.objective, {}};
+      req.params.validate = true;
+      set(req.params, value);
+      return engine_solve(info.name, req);
+    };
+    const auto alpha = [](SolveParams& p, double v) { p.alpha = v; };
+    const auto threshold = [](SolveParams& p, double v) {
+      p.powerdown_threshold = v;
+    };
+    const auto limit = [](SolveParams& p, double v) { p.time_limit_s = v; };
+    if ((info.params & kUsesAlpha) != 0) {
+      for (double v : {kInf, -kInf, kNan, -1.0}) {
+        EXPECT_FALSE(solve(alpha, v).ok) << info.name << " alpha " << v;
+      }
+    }
+    if ((info.params & kUsesThreshold) != 0) {
+      EXPECT_FALSE(solve(threshold, kNan).ok) << info.name;
+      // +inf is a threshold that never powers down.
+      const SolveResult never = solve(threshold, kInf);
+      EXPECT_TRUE(never.ok) << info.name << ": " << never.error;
+      EXPECT_TRUE(std::isfinite(never.cost)) << info.name;
+    }
+    for (double v : {-1.0, kNan}) {
+      EXPECT_FALSE(solve(limit, v).ok) << info.name << " time limit " << v;
+    }
+    EXPECT_TRUE(solve(limit, kInf).ok) << info.name;
+  }
+
+  // A wire document whose alpha overflows a double reads as +inf.
+  SolveRequest base{one_job, Objective::kPower, {}};
+  base.params.alpha = 2.5;
+  std::string text = io::request_to_json("power_dp", base);
+  text.replace(text.find("2.5"), 3, "1e999");
+  std::string solver, error;
+  const auto request = io::request_from_json(text, &solver, &error);
+  ASSERT_TRUE(request.has_value()) << error;
+  ASSERT_EQ(request->params.alpha, kInf);
+  const SolveResult r = engine_solve(solver, *request);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "alpha must be finite and >= 0");
 }
 
 TEST(Validation, MalformedInstanceIsRejected) {

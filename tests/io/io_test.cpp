@@ -107,6 +107,45 @@ TEST(Serialize, JobTimesOutsideKMaxTimeAreRejected) {
   EXPECT_EQ(edge->jobs[1].allowed, TimeSet({{0, 2}, {4, kMaxTime}}));
 }
 
+// Each number is read whole and a line holds nothing past its fields:
+// "job 1 0 3 5 8" once dropped [5, 8] and answered for another instance,
+// "processors 1x" read as 1, and a slot's processor "2x" as 2.
+TEST(Serialize, LinesAreReadWhole) {
+  struct Case {
+    std::string lines, error;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"processors 1x\njobs 1\njob 1 0 3",
+            "bad processors line: processors 1x"},
+           {"processors 1 2\njobs 1\njob 1 0 3",
+            "bad processors line: processors 1 2"},
+           {"processors 1\njobs 1x\njob 1 0 3", "bad jobs line: jobs 1x"},
+           {"processors 1\njobs 1 1\njob 1 0 3", "bad jobs line: jobs 1 1"},
+           {"processors 1\njobs 1\njob 1x 0 3", "bad job line: job 1x 0 3"},
+           {"processors 1\njobs 1\njob 1 0 3x",
+            "bad interval in job line: job 1 0 3x"},
+           {"processors 1\njobs 1\njob 1 0 3 5 8",
+            "more intervals than the count in job line: job 1 0 3 5 8"}}) {
+    std::string error;
+    EXPECT_FALSE(instance_from_string(
+                     "gapsched-instance v1\n" + c.lines + "\n", &error)
+                     .has_value())
+        << c.lines;
+    EXPECT_EQ(error, c.error);
+  }
+  for (const Case& c : std::vector<Case>{
+           {"slot 0 1 2x", "bad processor in slot line: slot 0 1 2x"},
+           {"slot 0 1 2 9", "bad slot line: slot 0 1 2 9"},
+           {"slot 0 1x 2", "bad slot line: slot 0 1x 2"},
+           {"slot 0x 1 2", "bad slot line: slot 0x 1 2"}}) {
+    std::istringstream is("gapsched-schedule v1\njobs 1\n" + c.lines +
+                          "\n");
+    std::string error;
+    EXPECT_FALSE(read_schedule(is, &error).has_value()) << c.lines;
+    EXPECT_EQ(error, c.error);
+  }
+}
+
 TEST(Serialize, CountsUpToTheLimitAreAccepted) {
   std::ostringstream text;
   text << "gapsched-schedule v1\njobs " << io::kMaxJobs << "\nslot "
