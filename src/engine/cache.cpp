@@ -99,7 +99,7 @@ CacheKey make_cache_key(const SolverInfo& info, Objective objective,
   }
   text.resize(static_cast<std::size_t>(p - text.data()));
   CacheKey key;
-  key.digest = fnv1a64(text);
+  key.digest = hash64(text);
   key.text = std::move(text);
   return key;
 }

@@ -1,39 +1,26 @@
 #pragma once
-// Canonical content hashing of the core containers.
+// The repository's one content hash: the solve cache's key digest (and with
+// it shard routing) and the persistent store's record checksum.
 //
-// The engine's content-addressed solve cache keys requests by the canonical
-// form of their instance (gapsched::prep sorts jobs and shifts the origin to
-// time 0), so time-shifted and job-permuted copies of the same workload hash
-// equal and share one cache entry. The digests here are plain FNV-1a over a
-// stable byte/field ordering — deterministic across runs and platforms with
-// the same integer widths, and independent of any solver code.
+// hash64 reads its input as little-endian 64-bit words, four independent
+// lanes at a time over 32-byte blocks (multiply-rotate rounds), then folds
+// in the length and the tail and finishes with an avalanche. Words are
+// loaded little-endian on every host, so the same bytes give the same
+// digest everywhere: the store's format version (store/store.hpp) pins
+// this function, and tests/core/hash_test.cpp pins known answers.
+//
+// Every per-word step is a bijection of the state it updates, and every
+// later step is a bijection of that state, so two inputs of one length that
+// differ only inside one 8-byte word (counted from the first byte) never
+// hash equal. A single flipped bit therefore always changes a record's
+// checksum.
 
 #include <cstdint>
 #include <string_view>
 
-#include "gapsched/core/instance.hpp"
-
 namespace gapsched {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// FNV-1a over raw bytes, seedable for chaining.
-std::uint64_t fnv1a64(std::string_view bytes,
-                      std::uint64_t seed = kFnvOffsetBasis);
-
-/// Folds one 64-bit word into a running FNV-1a digest (little-endian bytes).
-std::uint64_t fnv1a64_word(std::uint64_t word, std::uint64_t seed);
-
-/// Content digest of a TimeSet: its interval endpoints in order.
-std::uint64_t digest(const TimeSet& set, std::uint64_t seed = kFnvOffsetBasis);
-
-/// Content digest of an Instance: processor count, job count, and every
-/// job's allowed intervals, in job order. Two instances digest equal iff
-/// they are field-for-field identical (up to 64-bit collisions), so
-/// canonical-form equivalence is `digest(canonicalize(a).instance) ==
-/// digest(canonicalize(b).instance)`.
-std::uint64_t digest(const Instance& inst,
-                     std::uint64_t seed = kFnvOffsetBasis);
+/// Word-wide 64-bit hash of `bytes`, seedable for independent families.
+std::uint64_t hash64(std::string_view bytes, std::uint64_t seed = 0);
 
 }  // namespace gapsched

@@ -16,9 +16,9 @@
 // shifted and compressed in place from then on; the key hashes the
 // component exactly as Dispatch would solve it, and a disk candidate is
 // audited against that same component without another copy. The key
-// carries both a 64-bit FNV-1a digest (the hash bucket — the "content
-// address") and the full canonical text, compared on lookup so digest
-// collisions can never alias two different solves.
+// carries both a 64-bit hash64 digest (core/hash.hpp; the hash bucket, the
+// "content address") and the full canonical text, compared on lookup so
+// digest collisions can never alias two different solves.
 //
 // Thread safety: all operations take an internal mutex; the cache is shared
 // by Engine::solve_stream workers and by the prep pipeline's component
@@ -54,7 +54,7 @@
 
 namespace gapsched::engine {
 
-/// Canonical-form cache key: FNV-1a digest + the exact canonical text.
+/// Canonical-form cache key: hash64 digest + the exact canonical text.
 struct CacheKey {
   std::uint64_t digest = 0;
   std::string text;

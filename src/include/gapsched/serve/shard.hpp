@@ -34,7 +34,7 @@
 
 namespace gapsched::serve {
 
-/// Content digest used for shard routing: the engine cache key's FNV-1a
+/// Content digest used for shard routing: the engine cache key's hash64
 /// digest of (solver, objective, consumed params, canonicalized instance).
 /// Canonical-equivalent requests — time-shifted or job-permuted copies —
 /// share a key, so they share a shard and dedup in its cache walk.

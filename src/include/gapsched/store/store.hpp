@@ -14,7 +14,7 @@
 //
 //   file   := header record*
 //   header := magic[8] = "gapstore"     — identifies the file type
-//             version  : u32            — kFormatVersion; mismatch fails open
+//             version  : u32            — kFormatVersion (see Versioning)
 //             reserved : u32            — zero
 //   record := rmagic      : u32         — kRecordMagic, per-record resync
 //             key_len     : u32
@@ -27,8 +27,8 @@
 //                                         on load so digest collisions can
 //                                         never alias two solves
 //             payload[payload_len]      — io/json.hpp result document
-//             checksum    : u64         — FNV-1a over every preceding byte
-//                                         of the record
+//             checksum    : u64         — hash64 (core/hash.hpp) over every
+//                                         preceding byte of the record
 //
 // Crash safety: append = write the whole record at EOF, fsync, then
 // publish it in the in-memory index — a reader never sees a record whose
@@ -58,10 +58,17 @@
 // hybrid. Writers on the replaced inode notice (device/inode check under
 // the append lock) and reopen.
 //
-// Versioning/compat: kFormatVersion is bumped on any layout change; open()
-// refuses other versions (and foreign magic) with an error, and the engine
-// then runs memory-only — old stores are abandoned cold, never migrated or
-// half-read.
+// Versioning/compat: kFormatVersion is bumped on any layout or hash change
+// (version 2: hash64 replaced FNV-1a as checksum and key digest). open()
+// moves a file of an older version aside to <path>.v<version> (overwriting
+// an older copy there) and starts cold on a fresh file at the path: old
+// records are kept byte for byte but never migrated or half-read. The move
+// happens under the old file's lock, after checking that the path still
+// names it; the fresh file is locked before that lock is dropped, so every
+// handle opened on the old file ends on the one new file. A newer version
+// or a foreign magic is refused with an error: an Engine then runs
+// memory-only and reports it in store_error(), and gapsched_serve refuses
+// to start.
 
 #include <cstddef>
 #include <cstdint>
@@ -76,7 +83,7 @@
 namespace gapsched::store {
 
 inline constexpr char kFileMagic[8] = {'g', 'a', 'p', 's', 't', 'o', 'r', 'e'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kFileHeaderBytes = 16;
 inline constexpr std::uint32_t kRecordMagic = 0x47535243u;  // "CRSG" LE
 inline constexpr std::size_t kRecordHeaderBytes = 32;
@@ -123,9 +130,10 @@ struct RecordInfo {
 class DiskStore {
  public:
   /// Opens (creating if absent) the store at `path`, recovers any torn
-  /// tail, and indexes every intact record. Returns nullptr with *error
-  /// set on I/O failure, foreign magic, or a format version mismatch —
-  /// callers are expected to fall back to a memory-only cache.
+  /// tail, and indexes every intact record. A file of an older format
+  /// version is moved aside and replaced by an empty store (see
+  /// Versioning). Returns nullptr with *error set on I/O failure, foreign
+  /// magic, or a newer format version.
   static std::unique_ptr<DiskStore> open(const std::string& path,
                                          StoreOptions options,
                                          std::string* error);
@@ -187,6 +195,9 @@ class DiskStore {
   /// Re-syncs with the file under the append lock: reopens if the path was
   /// replaced (compaction by another handle), then scans any new tail.
   bool sync_for_append_locked(std::string* error);
+  /// Swaps fd_ for a fresh descriptor on path_, exclusively locked before
+  /// the old descriptor (and its lock) is closed.
+  bool reopen_locked(std::string* error);
   bool compact_locked(std::string* error);
   /// Scans records other handles appended since the last scan, under the
   /// exclusive file lock; the shared miss path of load() and refresh().

@@ -22,7 +22,7 @@ std::uint64_t shard_key(const engine::Solver& solver,
 }
 
 std::uint64_t shard_key(std::string_view solver_name) {
-  return fnv1a64(solver_name);
+  return hash64(solver_name);
 }
 
 std::size_t shard_of(std::uint64_t key, std::size_t shards) {

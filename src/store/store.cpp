@@ -123,6 +123,15 @@ class FileLock {
   bool held_;
 };
 
+/// True when `path` names a different file than `fd` has open: another
+/// handle renamed a compacted file over it, or moved an older format aside.
+bool replaced(const std::string& path, int fd) {
+  struct stat by_path{};
+  struct stat by_fd{};
+  return ::stat(path.c_str(), &by_path) == 0 && ::fstat(fd, &by_fd) == 0 &&
+         (by_path.st_dev != by_fd.st_dev || by_path.st_ino != by_fd.st_ino);
+}
+
 /// Serialized file header: magic, format version, reserved zero word.
 std::string make_file_header() {
   std::string header(kFileMagic, sizeof kFileMagic);
@@ -144,7 +153,7 @@ std::string make_record(std::uint64_t digest, std::string_view key_text,
   put_f64(rec, cost_ms);
   rec.append(key_text);
   rec.append(payload);
-  put_u64(rec, fnv1a64(rec));
+  put_u64(rec, hash64(rec));
   return rec;
 }
 
@@ -174,7 +183,7 @@ bool head_framing_ok(const RecordHead& head) {
 /// True when `rec` (a complete on-disk record image) checksums clean.
 bool record_checksum_ok(std::string_view rec) {
   const std::size_t body = rec.size() - kRecordChecksumBytes;
-  return fnv1a64(rec.substr(0, body)) == get_u64(rec.data() + body);
+  return hash64(rec.substr(0, body)) == get_u64(rec.data() + body);
 }
 
 }  // namespace
@@ -211,29 +220,39 @@ bool DiskStore::open_locked(std::string* error) {
     *error = errno_message("flock " + path_);
     return false;
   }
-  const std::uint64_t size = file_size_of(fd_);
   const std::string header = make_file_header();
-  bool fresh = size == 0;
-  if (size > 0 && size < kFileHeaderBytes) {
-    // A crash during store creation can leave a short header prefix; if the
-    // bytes on disk match ours it is our torn header, not a foreign file.
-    std::string prefix(static_cast<std::size_t>(size), '\0');
-    if (read_exact_at(fd_, prefix.data(), prefix.size(), 0) &&
-        header.compare(0, prefix.size(), prefix) == 0) {
-      fresh = true;
-    } else {
-      *error = path_ + " is not a gapsched store (short unrecognized header)";
-      return false;
+  for (;;) {
+    // Another handle may have moved an older file aside (or compacted)
+    // between our open and our lock: follow the path to the file it names
+    // now, whose header then decides.
+    if (replaced(path_, fd_)) {
+      if (!reopen_locked(error)) return false;
+      continue;
     }
-  }
-  if (fresh) {
-    if (::ftruncate(fd_, 0) != 0 ||
-        !write_all_at(fd_, header.data(), header.size(), 0) ||
-        ::fsync(fd_) != 0) {
-      *error = errno_message("initialize " + path_);
-      return false;
+    const std::uint64_t size = file_size_of(fd_);
+    bool fresh = size == 0;
+    if (size > 0 && size < kFileHeaderBytes) {
+      // A crash during store creation can leave a short header prefix; if
+      // the bytes on disk match ours it is our torn header, not a foreign
+      // file.
+      std::string prefix(static_cast<std::size_t>(size), '\0');
+      if (read_exact_at(fd_, prefix.data(), prefix.size(), 0) &&
+          header.compare(0, prefix.size(), prefix) == 0) {
+        fresh = true;
+      } else {
+        *error = path_ + " is not a gapsched store (short unrecognized header)";
+        return false;
+      }
     }
-  } else {
+    if (fresh) {
+      if (::ftruncate(fd_, 0) != 0 ||
+          !write_all_at(fd_, header.data(), header.size(), 0) ||
+          ::fsync(fd_) != 0) {
+        *error = errno_message("initialize " + path_);
+        return false;
+      }
+      break;
+    }
     char buf[kFileHeaderBytes];
     if (!read_exact_at(fd_, buf, sizeof buf, 0)) {
       *error = errno_message("read header of " + path_);
@@ -244,15 +263,42 @@ bool DiskStore::open_locked(std::string* error) {
       return false;
     }
     const std::uint32_t version = get_u32(buf + sizeof kFileMagic);
-    if (version != kFormatVersion) {
+    if (version == kFormatVersion) break;
+    if (version > kFormatVersion) {
       *error = path_ + ": unsupported store format version " +
                std::to_string(version) + " (this build reads version " +
                std::to_string(kFormatVersion) + ")";
       return false;
     }
+    // An older format: keep its bytes under <path>.v<version> and start
+    // cold on a fresh file at the path. The fresh file is created and
+    // locked before the old file's lock is dropped, so a handle waiting on
+    // the old file finds it replaced and follows the path here.
+    const std::string aside = path_ + ".v" + std::to_string(version);
+    if (::rename(path_.c_str(), aside.c_str()) != 0) {
+      *error = errno_message("move " + path_ + " aside to " + aside);
+      return false;
+    }
+    if (!reopen_locked(error)) return false;
   }
   scan_end_ = kFileHeaderBytes;
   scan_locked(/*writable=*/true);
+  return true;
+}
+
+bool DiskStore::reopen_locked(std::string* error) {
+  const int next = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (next < 0) {
+    if (error != nullptr) *error = errno_message("reopen " + path_);
+    return false;
+  }
+  if (!lock_exclusive(next)) {
+    if (error != nullptr) *error = errno_message("flock " + path_);
+    ::close(next);
+    return false;
+  }
+  ::close(fd_);  // releases the old descriptor's lock
+  fd_ = next;
   return true;
 }
 
@@ -351,21 +397,8 @@ bool DiskStore::sync_for_append_locked(std::string* error) {
   // Compaction (ours or another process's) replaces the file via rename;
   // a writer still holding the old inode must notice and reopen, or its
   // appends would land in an orphan no reader can see.
-  struct stat by_path{};
-  struct stat by_fd{};
-  if (::stat(path_.c_str(), &by_path) == 0 && ::fstat(fd_, &by_fd) == 0 &&
-      (by_path.st_dev != by_fd.st_dev || by_path.st_ino != by_fd.st_ino)) {
-    const int next = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (next < 0) {
-      if (error != nullptr) *error = errno_message("reopen " + path_);
-      return false;
-    }
-    ::close(fd_);  // releases the old descriptor's lock
-    fd_ = next;
-    if (!lock_exclusive(fd_)) {
-      if (error != nullptr) *error = errno_message("flock " + path_);
-      return false;
-    }
+  if (replaced(path_, fd_)) {
+    if (!reopen_locked(error)) return false;
     index_.clear();
     scan_end_ = kFileHeaderBytes;
   }

@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "gapsched/core/hash.hpp"
 #include "gapsched/core/transforms.hpp"
 #include "gapsched/dp/gap_dp.hpp"
+#include "gapsched/engine/cache.hpp"
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/json.hpp"
@@ -129,12 +129,16 @@ TEST(EngineCache, CanonicalEquivalenceHitsAndSurvivesTheOracle) {
   const SolveResult first = eng.solve("gap_dp", req);
   ASSERT_TRUE(first.ok && first.feasible) << first.error;
 
-  // Time-shifted and job-permuted copies canonicalize — and therefore hash
-  // — identically (the core digest pins the same equivalence).
-  EXPECT_EQ(digest(prep::canonicalize(base).instance),
-            digest(prep::canonicalize(shifted(base, 97)).instance));
-  EXPECT_EQ(digest(prep::canonicalize(base).instance),
-            digest(prep::canonicalize(reversed(base)).instance));
+  // Time-shifted and job-permuted copies canonicalize — and therefore key
+  // — identically: the key text spells out every canonical job.
+  const SolverInfo& info = SolverRegistry::instance().find("gap_dp")->info();
+  const auto key_text = [&](const Instance& inst) {
+    return make_cache_key(info, Objective::kGaps, {},
+                          prep::canonicalize(inst).instance)
+        .text;
+  };
+  EXPECT_EQ(key_text(base), key_text(shifted(base, 97)));
+  EXPECT_EQ(key_text(base), key_text(reversed(base)));
 
   SolveRequest moved{shifted(base, 97), Objective::kGaps, {}};
   moved.params.validate = true;  // the oracle audits the mapped-back answer

@@ -203,7 +203,7 @@ TEST(CacheKeyVsReference, TextAndDigestOverTheCatalogAndEverySolver) {
         const std::string want =
             reference_key_text(info, info.objective, params, form);
         ASSERT_EQ(key.text, want) << info.name;
-        ASSERT_EQ(key.digest, fnv1a64(want)) << info.name;
+        ASSERT_EQ(key.digest, hash64(want)) << info.name;
       }
     }
   }

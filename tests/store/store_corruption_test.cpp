@@ -1,5 +1,5 @@
 // Corruption battery for the persistent solve store: every corruption
-// class — foreign magic, wrong format version, broken record framing,
+// class — foreign magic, a newer format version, broken record framing,
 // flipped bytes in each record region, torn tails, a forged checksum or a
 // schedule in the wrong coordinates that only the oracle can catch, and a
 // forged rejection or infeasibility verdict that the oracle cannot — must
@@ -9,7 +9,9 @@
 // Method: warm a real store through an Engine once, keep the pristine file
 // bytes, then replay the same requests against per-test corrupted copies
 // with params.validate on, asserting byte-for-byte cost agreement with
-// the cold reference and a clean independent oracle audit.
+// the cold reference and a clean independent oracle audit. An older
+// format version is no corruption: it is moved aside and the store starts
+// cold.
 
 #include <gtest/gtest.h>
 
@@ -181,6 +183,34 @@ TEST(StoreCorruption, WrongFormatVersionIsAbandonedCold) {
   EXPECT_EQ(stats.disk_hits, 0u);
 }
 
+TEST(StoreCorruption, OlderVersionIsMovedAsideAndStartsCold) {
+  std::string original = warm_fixture().bytes;
+  original[8] = 1;  // a format version 1 header over the records
+  const std::string path = temp_path("older_version");
+  write_file(path, original);
+
+  // The first engine moves the old file aside byte for byte, starts cold on
+  // a fresh store at the path and spills its solves there.
+  const engine::CacheStats cold = replay_and_check(path, true);
+  EXPECT_EQ(cold.disk_hits, 0u);
+  EXPECT_GT(cold.spilled, 0u);
+  EXPECT_EQ(read_file(path + ".v1"), original);
+  const std::string fresh = read_file(path);
+  ASSERT_GT(fresh.size(), kFileHeaderBytes);
+  EXPECT_EQ(fresh.substr(0, sizeof kFileMagic),
+            std::string(kFileMagic, sizeof kFileMagic));
+  EXPECT_EQ(fresh.substr(sizeof kFileMagic, 8),
+            std::string("\x02\0\0\0\0\0\0\0", 8));
+  ASSERT_EQ(kFormatVersion, 2u);
+
+  // A restart serves those spills from the new store as disk hits and
+  // leaves the moved-aside bytes alone.
+  const engine::CacheStats warm = replay_and_check(path, true);
+  EXPECT_GT(warm.disk_hits, 0u);
+  EXPECT_EQ(warm.disk_rejects, 0u);
+  EXPECT_EQ(read_file(path + ".v1"), original);
+}
+
 TEST(StoreCorruption, BrokenRecordMagicLosesTheFramedTail) {
   const std::vector<RecordInfo> records = pristine_records();
   std::string bytes = warm_fixture().bytes;
@@ -276,8 +306,8 @@ TEST(StoreCorruption, ForgedChecksumIsCaughtOnlyByTheOracle) {
     char& digit = record[cost_at + 8];
     if (digit < '0' || digit > '9') continue;
     digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
-    // Recompute FNV-1a over everything before the checksum and patch it.
-    const std::uint64_t sum = fnv1a64(std::string_view(
+    // Recompute hash64 over everything before the checksum and patch it.
+    const std::uint64_t sum = hash64(std::string_view(
         record.data(), record.size() - kRecordChecksumBytes));
     for (std::size_t b = 0; b < kRecordChecksumBytes; ++b) {
       record[record.size() - kRecordChecksumBytes + b] =
@@ -325,7 +355,7 @@ TEST(StoreCorruption, ForgedRejectionOrInfeasibilityNeverServes) {
       const std::size_t at = record.find(honest);
       if (at == std::string::npos) continue;
       record.replace(at, honest.size(), forged);
-      const std::uint64_t sum = fnv1a64(std::string_view(
+      const std::uint64_t sum = hash64(std::string_view(
           record.data(), record.size() - kRecordChecksumBytes));
       for (std::size_t b = 0; b < kRecordChecksumBytes; ++b) {
         record[record.size() - kRecordChecksumBytes + b] =

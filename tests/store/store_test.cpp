@@ -4,12 +4,22 @@
 // (torn tails truncated, intact prefix preserved, appends resume),
 // cross-handle sharing (flock is per-open-file-description, so two handles
 // in one process contend exactly like two processes), a multi-thread
-// hammer for the ASan/TSan lanes, and keep-most-expensive compaction.
+// hammer for the ASan/TSan lanes, two handles racing to move one older
+// format file aside, and keep-most-expensive compaction.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +48,7 @@ std::string key_of(int i) { return "key-" + std::to_string(i); }
 std::string payload_of(int i) {
   return "{\"payload\":" + std::to_string(i) + "}";
 }
-std::uint64_t digest_of(int i) { return fnv1a64(key_of(i)); }
+std::uint64_t digest_of(int i) { return hash64(key_of(i)); }
 
 /// Appends records 0..n-1 with cost `cost_ms` each.
 void fill(DiskStore& store, int n, double cost_ms = 1.0) {
@@ -291,6 +301,68 @@ TEST(StoreSharing, ConcurrentHandlesNeverInterleaveRecords) {
     expect.append(static_cast<std::size_t>(id % 37), '#');
     EXPECT_EQ(verify->load(digest_of(id), key_of(id)), expect);
   }
+}
+
+/// Descriptors of this process open on the file `path` names.
+int descriptors_on(const std::string& path) {
+  struct stat file{};
+  if (::stat(path.c_str(), &file) != 0) return 0;
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    struct stat st{};
+    if (::stat(entry.path().c_str(), &st) == 0 && st.st_dev == file.st_dev &&
+        st.st_ino == file.st_ino) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(StoreSharing, TwoHandlesOnOneOlderFileEndOnOneNewFile) {
+  // A format version 1 header and bytes this build never reads.
+  const std::string path = fresh_path("share_older");
+  const std::string original("gapstore\x01\0\0\0\0\0\0\0old records", 27);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << original;
+  }
+  // Hold the old file's lock so that both handles open it and then wait
+  // for the lock: the first to get it moves the file aside, the second
+  // must find its file replaced and follow the path to the new one.
+  const int holder = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(holder, 0);
+  ASSERT_EQ(::flock(holder, LOCK_EX), 0);
+  std::unique_ptr<DiskStore> a;
+  std::unique_ptr<DiskStore> b;
+  std::thread open_a([&] { a = must_open(path); });
+  std::thread open_b([&] { b = must_open(path); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (descriptors_on(path) < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(descriptors_on(path), 3);  // the holder and both handles
+  ::close(holder);
+  open_a.join();
+  open_b.join();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  // One move aside: the old bytes, not a fresh store moved a second time.
+  std::ifstream in(path + ".v1", std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()),
+            original);
+  // One new file: each handle's append is the other's load.
+  ASSERT_TRUE(a->append(digest_of(1), key_of(1), payload_of(1), 1.0));
+  ASSERT_TRUE(b->append(digest_of(2), key_of(2), payload_of(2), 1.0));
+  EXPECT_EQ(b->load(digest_of(1), key_of(1)), payload_of(1));
+  EXPECT_EQ(a->load(digest_of(2), key_of(2)), payload_of(2));
+  auto verify = must_open(path);
+  EXPECT_EQ(verify->size(), 2u);
+  EXPECT_EQ(verify->stats().rejected_records, 0u);
 }
 
 // ------------------------------------------------------------ compaction --

@@ -3,8 +3,9 @@
 // every test case as its own process, in parallel under -j, so a fixed file
 // name would be removed and rewritten by one case while another reads it.
 // Every path here carries the process id; a stale file at the path (and its
-// ".compact" sibling) is removed when the path is handed out, and again when
-// the process exits, so repeated runs leave nothing behind.
+// ".compact" and ".v1" siblings, a store's compaction file and moved-aside
+// older format) is removed when the path is handed out, and again when the
+// process exits, so repeated runs leave nothing behind.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@ namespace detail {
 inline void remove_with_sibling(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".compact").c_str());
+  std::remove((path + ".v1").c_str());
 }
 
 /// Paths handed out by this process, removed at exit.
